@@ -20,6 +20,8 @@ from .exceptions import ConfigError, SpcaLabError
 from .experiment import (
     DEFAULT_SEED,
     PAPER_PAIRS,
+    _CONFIG_PARSERS,
+    _convert,
     emit_counterexample,
     parse_config_file,
     resolve_config,
@@ -59,26 +61,14 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gamma", type=float, help="upper-bound exponent (default: midpoint)")
 
 
-_FLAG_KEYS = (
-    "alpha", "beta", "pairs", "d", "n", "replications", "methods", "penalty",
-    "scad_a", "lambda_min", "lambda_max", "lambda_points", "bic", "seed",
-    "out", "profile", "threads", "timing", "max_iter", "delta", "gamma",
-)
-
-
 def _flags_dict(args: argparse.Namespace) -> dict:
-    from .experiment import _parse_pairs  # shared pair syntax
-
     out = {}
-    for key in _FLAG_KEYS:
+    for key, kind in _CONFIG_PARSERS.items():
         v = getattr(args, key, None)
         if v is None:
             continue
-        if key == "pairs":
-            v = _parse_pairs(v)
-        elif key == "methods":
-            v = tuple(m.strip() for m in v.split(",") if m.strip())
-        out[key] = v
+        # Flags share the config file's list syntax; argparse types the rest.
+        out[key] = _convert(key, v) if kind in ("pairs", "methods") else v
     return out
 
 

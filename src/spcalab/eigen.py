@@ -5,23 +5,21 @@ For d >> n it is never formed here: the dual matrix S = (1/n) X^T X is only
 n x n and shares the non-zero spectrum, and the leading left vector is
 recovered as X v1 where v1 is the leading dual eigenvector.
 
-The eigensolver is a cyclic Jacobi rotation scheme.  It is slower than
-LAPACK but fully deterministic (fixed rotation order, no threading), which
-keeps every downstream Monte-Carlo output bit-reproducible.
+The n x n dual is solved by LAPACK ``eigh`` (``numpy.linalg.eigh``): its
+input X^T X is already a BLAS product, and for a fixed numerics stack both
+are repeatable run to run.  Gram + ``eigh`` is kept over a thin SVD of X,
+which avoids squaring the condition number but measured 5-9x slower at
+n = 25 on one BLAS thread (540 us against 93 us at d = 2000, 2.7 ms
+against 0.30 ms at d = 10,000).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import DegenerateInputError, DimensionError, NumericError
-
-# Off-diagonal Frobenius-norm target, relative to ||m||_F.
-JACOBI_REL_TOL = 1e-14
-JACOBI_MAX_SWEEPS = 100
 
 # Relative eigengap below which the leading dual eigenvector is flagged
 # as ambiguous (multiple leading eigenvalue).
@@ -86,16 +84,8 @@ def _check_symmetric_input(m: np.ndarray) -> np.ndarray:
     return a
 
 
-def jacobi_eigh(
-    m: np.ndarray,
-    rel_tol: float = JACOBI_REL_TOL,
-    max_sweeps: int = JACOBI_MAX_SWEEPS,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi eigendecomposition of a symmetric matrix.
-
-    Sweeps row-major over the strict upper triangle, rotating away every
-    entry above a small threshold, until the off-diagonal Frobenius norm
-    drops below ``rel_tol * ||m||_F``.
+def sym_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LAPACK eigendecomposition of an exactly symmetric matrix.
 
     Returns
     -------
@@ -103,70 +93,28 @@ def jacobi_eigh(
         Eigenvalues in descending order (stable order under exact ties).
     vectors : (n, n) ndarray
         Matching unit eigenvectors as columns, sign-canonicalized.
+
+    Raises
+    ------
+    NumericError
+        If LAPACK fails to converge (``numpy.linalg.LinAlgError``).
     """
-    a = _check_symmetric_input(m).copy()
-    n = a.shape[0]
-    v = np.eye(n)
-    fro = float(np.linalg.norm(a, "fro"))
-    target = rel_tol * fro
-    # Entries individually below target/n cannot keep the off-norm above
-    # target, so they are safe to skip within a sweep.
-    skip = target / n if n else 0.0
-
-    if n > 1 and fro > 0.0:
-        iu = np.triu_indices(n, k=1)
-        for _ in range(max_sweeps):
-            # Summed directly (not total - diagonal) to avoid cancellation.
-            off2 = 2.0 * float(np.sum(np.square(a[iu])))
-            if math.sqrt(off2) <= target:
-                break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = a[p, q]
-                    if abs(apq) <= skip:
-                        continue
-                    app = a[p, p]
-                    aqq = a[q, q]
-                    tau = (aqq - app) / (2.0 * apq)
-                    if tau >= 0.0:
-                        t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                    else:
-                        t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                    c = 1.0 / math.sqrt(1.0 + t * t)
-                    s = t * c
-
-                    cp = a[:, p].copy()
-                    cq = a[:, q].copy()
-                    a[:, p] = c * cp - s * cq
-                    a[:, q] = s * cp + c * cq
-                    rp = a[p, :].copy()
-                    rq = a[q, :].copy()
-                    a[p, :] = c * rp - s * rq
-                    a[q, :] = s * rp + c * rq
-                    # Exact 2x2 block values; cheaper and more accurate
-                    # than the rotated entries.
-                    a[p, p] = app - t * apq
-                    a[q, q] = aqq + t * apq
-                    a[p, q] = 0.0
-                    a[q, p] = 0.0
-
-                    vp = v[:, p].copy()
-                    vq = v[:, q].copy()
-                    v[:, p] = c * vp - s * vq
-                    v[:, q] = s * vp + c * vq
-
-    values = np.diag(a).copy()
+    a = _check_symmetric_input(m)
+    try:
+        values, vectors = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"symmetric eigensolve failed: {exc}") from exc
     order = np.argsort(-values, kind="stable")
     values = values[order]
-    vectors = v[:, order]
-    for j in range(n):
+    vectors = vectors[:, order]
+    for j in range(len(values)):
         vectors[:, j] = canonical_sign(vectors[:, j])
     return values, vectors
 
 
 def sym_eigen(m: np.ndarray) -> list[EigenPair]:
     """Full eigendecomposition as a descending list of ``EigenPair``."""
-    values, vectors = jacobi_eigh(m)
+    values, vectors = sym_eigh(m)
     return [EigenPair(float(values[j]), vectors[:, j].copy()) for j in range(len(values))]
 
 
@@ -174,7 +122,7 @@ def dual_first_component(x: np.ndarray) -> DualComponent:
     """Leading PC direction of a d x n matrix via the n x n dual matrix.
 
     Forms S = (1/n) X^T X (symmetrized exactly), extracts its leading
-    eigenpair with the Jacobi solver, and lifts the eigenvector back as
+    eigenpair with ``sym_eigh``, and lifts the eigenvector back as
     u_tilde = X v1.
 
     Raises
@@ -182,7 +130,7 @@ def dual_first_component(x: np.ndarray) -> DualComponent:
     DimensionError
         If ``x`` is not a 2-d array.
     NumericError
-        If ``x`` has non-finite entries.
+        If ``x`` has non-finite entries or the eigensolve fails.
     DegenerateInputError
         If ``x`` is identically zero.
     """
@@ -199,7 +147,7 @@ def dual_first_component(x: np.ndarray) -> DualComponent:
     n = a.shape[1]
     g = a.T @ a
     s = (g + g.T) / (2.0 * n)
-    values, vectors = jacobi_eigh(s)
+    values, vectors = sym_eigh(s)
     v1 = vectors[:, 0].copy()
     lead = float(values[0])
     ambiguous = False

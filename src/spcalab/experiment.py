@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -129,7 +129,7 @@ class ReplicationRecord:
     bic_total: float | None = None
     converged: bool | None = None
     runtime_ms: float | None = None
-    final: bool = False
+    final: bool = field(default=False, metadata={"csv": False})
 
 
 @dataclass(frozen=True)
@@ -357,6 +357,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 def _cell(v) -> str:
     if v is None:
         return ""
+    if isinstance(v, str):
+        return v
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
@@ -364,64 +366,30 @@ def _cell(v) -> str:
     return repr(float(v))
 
 
+def _csv_cells(row) -> list:
+    """A dataclass row's CSV values: its fields in declaration order."""
+    return [getattr(row, f.name) for f in fields(row) if f.metadata.get("csv", True)]
+
+
+def _write_csv(path, header: str, rows) -> Path:
+    """Write ``header`` and one line per row of values (LF endings, UTF-8)."""
+    path = Path(path)
+    lines = [header] + [",".join(_cell(v) for v in row) for row in rows]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    return path
+
+
 def emit_csv(records: list[ReplicationRecord], path) -> Path:
     """Write replication records (canonical order, LF endings, UTF-8)."""
     if not records:
         raise DomainError("no records to write")
-    path = Path(path)
-    lines = [CSV_HEADER]
-    for r in records:
-        lines.append(
-            ",".join(
-                [
-                    _cell(r.alpha),
-                    _cell(r.beta),
-                    r.method,
-                    _cell(r.rep),
-                    _cell(r.lam),
-                    _cell(r.angle_deg),
-                    _cell(r.type1),
-                    _cell(r.type2),
-                    _cell(r.df),
-                    _cell(r.bic_total),
-                    _cell(r.converged),
-                    _cell(r.runtime_ms),
-                ]
-            )
-        )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-    return path
+    return _write_csv(path, CSV_HEADER, map(_csv_cells, records))
 
 
 def emit_summary_csv(summary: list[SummaryRow], path) -> Path:
     if not summary:
         raise DomainError("no summary rows to write")
-    path = Path(path)
-    lines = [SUMMARY_HEADER]
-    for s in summary:
-        lines.append(
-            ",".join(
-                [
-                    _cell(s.alpha),
-                    _cell(s.beta),
-                    s.method,
-                    _cell(s.count),
-                    _cell(s.lambda_median),
-                    _cell(s.df_median),
-                    _cell(s.angle_q25),
-                    _cell(s.angle_median),
-                    _cell(s.angle_q75),
-                    _cell(s.type1_q25),
-                    _cell(s.type1_median),
-                    _cell(s.type1_q75),
-                    _cell(s.type2_q25),
-                    _cell(s.type2_median),
-                    _cell(s.type2_q75),
-                ]
-            )
-        )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-    return path
+    return _write_csv(path, SUMMARY_HEADER, map(_csv_cells, summary))
 
 
 # ---------------------------------------------------------------------------
@@ -539,24 +507,15 @@ def run_counterexample(
 
 def emit_counterexample(result: CounterexampleResult, out_dir) -> tuple[Path, Path]:
     out_dir = Path(out_dir)
-    csv_path = out_dir / "counterexample.csv"
-    lines = ["d,alpha,reps,empirical,predicted,abs_error,binom_se"]
+    rows = []
     for d, emp, pred in zip(result.dims, result.empirical, result.predicted):
         se = (pred * (1.0 - pred) / result.reps) ** 0.5
-        lines.append(
-            ",".join(
-                [
-                    str(d),
-                    _cell(result.alpha),
-                    str(result.reps),
-                    _cell(emp),
-                    _cell(pred),
-                    _cell(abs(emp - pred)),
-                    _cell(se),
-                ]
-            )
-        )
-    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+        rows.append((d, result.alpha, result.reps, emp, pred, abs(emp - pred), se))
+    csv_path = _write_csv(
+        out_dir / "counterexample.csv",
+        "d,alpha,reps,empirical,predicted,abs_error,binom_se",
+        rows,
+    )
     svg_path = out_dir / "counterexample.svg"
     counterexample_figure(result.dims, result.empirical, result.predicted, svg_path)
     return csv_path, svg_path

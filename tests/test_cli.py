@@ -1,5 +1,6 @@
 """CLI behaviour: subcommands, flag/file precedence, exit codes."""
 
+import numpy as np
 import pytest
 
 from spcalab.cli import EXIT_CONFIG, EXIT_OK, main
@@ -55,6 +56,21 @@ class TestExitCodes:
             "--method", "pca", "--out", str(blocker),
         )
         assert code == EXIT_RUNTIME
+
+    def test_eigensolver_failure_is_runtime_error(self, tmp_path, monkeypatch, capsys):
+        from spcalab.cli import EXIT_RUNTIME
+
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr("spcalab.eigen.np.linalg.eigh", fail)
+        code = run_cli(
+            "bic", "--alpha", "0.6", "--beta", "0.1",
+            "--d", "50", "--n", "4", "--reps", "1",
+            "--method", "pca,st", "--out", str(tmp_path / "out"),
+        )
+        assert code == EXIT_RUNTIME
+        assert "eigensolve failed" in capsys.readouterr().err
 
 
 class TestSweepCommand:

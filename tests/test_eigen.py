@@ -13,8 +13,8 @@ from spcalab import (
     NumericError,
     angle_degrees,
     dual_first_component,
-    jacobi_eigh,
     sym_eigen,
+    sym_eigh,
 )
 from _oracles import eigenvalues_by_bisection
 
@@ -57,7 +57,7 @@ class TestSymEigen:
     @pytest.mark.parametrize("n", [2, 3, 7, 12, 25])
     def test_reconstruction_and_orthogonality(self, n, seed):
         m = random_symmetric(n, seed)
-        values, vectors = jacobi_eigh(m)
+        values, vectors = sym_eigh(m)
         recon = (vectors * values) @ vectors.T
         fro = np.linalg.norm(m, "fro")
         assert np.linalg.norm(m - recon, "fro") <= 1e-10 * fro
@@ -65,7 +65,7 @@ class TestSymEigen:
         assert np.max(np.abs(gram - np.eye(n))) <= 1e-10
 
     def test_unit_norm_and_sign_canonical(self):
-        values, vectors = jacobi_eigh(random_symmetric(9, seed=5))
+        values, vectors = sym_eigh(random_symmetric(9, seed=5))
         for j in range(9):
             v = vectors[:, j]
             assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
@@ -73,8 +73,8 @@ class TestSymEigen:
 
     def test_deterministic_bytes(self):
         m = random_symmetric(11, seed=77)
-        v1, u1 = jacobi_eigh(m)
-        v2, u2 = jacobi_eigh(m)
+        v1, u1 = sym_eigh(m)
+        v2, u2 = sym_eigh(m)
         assert v1.tobytes() == v2.tobytes()
         assert u1.tobytes() == u2.tobytes()
 
@@ -132,7 +132,7 @@ class TestDualFirstComponent:
             x = rng.standard_normal((30, 6))
             s = x.T @ x / 6
             s = (s + s.T) / 2
-            values, _ = jacobi_eigh(s)
+            values, _ = sym_eigh(s)
             assert values.min() >= -1e-12 * np.linalg.norm(s, "fro")
 
     def test_isotropic_degenerate_flags_ambiguity(self):
@@ -163,6 +163,14 @@ class TestDualFirstComponent:
         x[1, 1] = np.inf
         with pytest.raises(NumericError):
             dual_first_component(x)
+
+    def test_lapack_failure_is_numeric_error(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr("spcalab.eigen.np.linalg.eigh", fail)
+        with pytest.raises(NumericError):
+            dual_first_component(np.ones((5, 3)))
 
     def test_u_tilde_is_x_times_v1(self):
         rng = np.random.default_rng(21)

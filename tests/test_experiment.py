@@ -9,6 +9,7 @@ from spcalab import (
     ExperimentConfig,
     ReplicationRecord,
     SpikedSpec,
+    SummaryRow,
     angle_degrees,
     build_eigensystem,
     dual_first_component,
@@ -22,6 +23,7 @@ from spcalab import (
 from spcalab.experiment import (
     CSV_HEADER,
     PAPER_PAIRS,
+    SUMMARY_HEADER,
     parse_config_file,
     resolve_config,
     run_and_emit,
@@ -214,16 +216,38 @@ class TestRunExperiment:
 
 
 class TestCsvEmission:
-    def test_single_record(self, tmp_path):
-        rec = ReplicationRecord(
-            alpha=0.6, beta=0.1, method="pca", rep=0, lam=0.0,
-            angle_deg=45.5, type1=0.0, type2=1.0, df=120, final=True,
-        )
-        path = emit_csv([rec], tmp_path / "r.csv")
+    @pytest.mark.parametrize(
+        "emit, row, header, expected",
+        [
+            (
+                emit_csv,
+                ReplicationRecord(
+                    alpha=0.6, beta=0.1, method="pca", rep=0, lam=0.0,
+                    angle_deg=45.5, type1=0.0, type2=1.0, df=120, final=True,
+                ),
+                CSV_HEADER,
+                "0.6,0.1,pca,0,0.0,45.5,0.0,1.0,120,,,",
+            ),
+            (
+                emit_summary_csv,
+                SummaryRow(
+                    alpha=0.2, beta=0.7, method="oracle", count=3, lambda_median=None,
+                    df_median=2.5, angle_q25=60.25, angle_median=68.5, angle_q75=71.0,
+                    type1_q25=0.0, type1_median=0.0, type1_q75=0.0,
+                    type2_q25=0.0, type2_median=0.0, type2_q75=0.125,
+                ),
+                SUMMARY_HEADER,
+                "0.2,0.7,oracle,3,,2.5,60.25,68.5,71.0,0.0,0.0,0.0,0.0,0.0,0.125",
+            ),
+        ],
+        ids=["record", "summary"],
+    )
+    def test_single_record(self, tmp_path, emit, row, header, expected):
+        path = emit([row], tmp_path / "r.csv")
         lines = path.read_text().splitlines()
         assert len(lines) == 2
-        assert lines[0] == CSV_HEADER
-        assert lines[1] == "0.6,0.1,pca,0,0.0,45.5,0.0,1.0,120,,,"
+        assert lines[0] == header
+        assert lines[1] == expected
 
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(DomainError):
