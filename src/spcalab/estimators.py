@@ -15,7 +15,7 @@ import numpy as np
 
 from .eigen import DualComponent, dual_first_component
 from .exceptions import DomainError
-from .metrics import LambdaSelection, angle_degrees, default_lambda_grid, select_lambda_bic
+from .metrics import angle_degrees, default_lambda_grid, frobenius_sq, select_lambda_bic
 from .model import as_matrix
 from .penalties import PenaltySpec, penalty_value, threshold, threshold_scalar
 
@@ -164,8 +164,10 @@ def rspca(
     trace = RspcaTrace(init_ambiguous=dc.ambiguous)
 
     grid = None
+    fro2 = None
     if bic_per_iteration:
         grid = lambda_grid if lambda_grid is not None else default_lambda_grid(dc.u_tilde)
+        fro2 = frobenius_sq(xm)
 
     u_old = dc.u_tilde
     v = dc.v1
@@ -178,10 +180,10 @@ def rspca(
         sigma2 = None
         bic_total = None
         if bic_per_iteration:
-            sel: LambdaSelection = select_lambda_bic(xm, v, grid, penalty)
+            sel = select_lambda_bic(xm, v, grid, penalty, xv=xv, fro2=fro2)
             lam = sel.lambda_star
             sigma2 = sel.sigma2
-            bic_total = min(val.total for val in sel.values)
+            bic_total = sel.total
         u_new = threshold(xv, penalty.with_lambda(lam))
 
         supp = u_new != 0

@@ -27,6 +27,7 @@ from .metrics import (
     default_gamma,
     default_lambda_grid,
     evaluate_estimate,
+    frobenius_sq,
     select_lambda_bic,
     theorem_lambda_bounds,
 )
@@ -218,8 +219,15 @@ def _run_replication(cfg: ExperimentConfig, pair_index: int, rep: int) -> list[R
             bic_by_lam = {}
             selection = None
             if cfg.bic:
-                selection = select_lambda_bic(dm.x, dc.v1, grid, PenaltySpec.hard(0.0))
-                bic_by_lam = {v.lam: v.total for v in selection.values}
+                selection = select_lambda_bic(
+                    dm.x,
+                    dc.v1,
+                    grid,
+                    PenaltySpec.hard(0.0),
+                    xv=dc.u_tilde,
+                    fro2=frobenius_sq(dm.x),
+                )
+                bic_by_lam = dict(zip(selection.lambdas.tolist(), selection.totals.tolist()))
             if cfg.sweep:
                 for lam in grid:
                     t0 = clock()
@@ -241,7 +249,7 @@ def _run_replication(cfg: ExperimentConfig, pair_index: int, rep: int) -> list[R
                         "st",
                         est,
                         selection.lambda_star,
-                        bic_total=bic_by_lam[selection.lambda_star],
+                        bic_total=selection.total,
                         runtime=elapsed_ms(t0),
                         final=True,
                     )
@@ -407,11 +415,19 @@ def _pair_bounds(cfg: ExperimentConfig, alpha: float, beta: float):
     return theorem_lambda_bounds(cfg.d, theta, gamma, cfg.delta)
 
 
-def _sweep_method(cfg: ExperimentConfig) -> str:
+def _figure_method(cfg: ExperimentConfig) -> str | None:
+    """The method the sweep and phase figures plot, or None if none applies."""
     for m in ("rspca", "st"):
         if m in cfg.methods:
             return m
-    raise DomainError("sweep figures need the 'st' or 'rspca' method")
+    return None
+
+
+def _sweep_method(cfg: ExperimentConfig) -> str:
+    method = _figure_method(cfg)
+    if method is None:
+        raise DomainError("sweep figures need the 'st' or 'rspca' method")
+    return method
 
 
 def emit_plots(result: ExperimentResult, out_dir) -> list[Path]:
@@ -689,7 +705,11 @@ def write_resolved_config(cfg: ExperimentConfig, path) -> Path:
 
 
 def run_and_emit(cfg: ExperimentConfig, *, plots: bool = True) -> ExperimentResult:
-    """Run an experiment and write CSVs (and figures) into cfg.output_dir."""
+    """Run an experiment and write CSVs (and figures) into cfg.output_dir.
+
+    Figures plot the st or rspca estimates, so a run with neither method
+    writes only the CSVs.
+    """
     if cfg.output_dir is None:
         raise ConfigError("output_dir is required")
     out = Path(cfg.output_dir)
@@ -698,7 +718,7 @@ def run_and_emit(cfg: ExperimentConfig, *, plots: bool = True) -> ExperimentResu
     result = run_experiment(cfg)
     emit_csv(result.records, out / "replications.csv")
     emit_summary_csv(result.summary, out / "summary.csv")
-    if plots:
+    if plots and _figure_method(cfg) is not None:
         if cfg.sweep:
             emit_plots(result, out)
         else:

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .exceptions import DimensionError, DomainError
-from .penalties import PenaltySpec, threshold
+from .penalties import PenaltySpec
 
 #: Floor applied to alignment gaps before taking logs in fit_rate.
 GAP_FLOOR = 1e-15
@@ -102,6 +103,18 @@ def evaluate_estimate(estimate, u1, truth_support, lam: float | None = None) -> 
 # regression of Y = vec(rows of X) on the block design I_d (x) v with one
 # coefficient per row; the OLS solution is u_ols = X v.  BIC trades the
 # scaled residual sum of squares against log(nd)/nd per non-zero entry.
+#
+# For a componentwise threshold c of u = u_ols, RSS = RSS_ols + ||u - c||^2
+# with RSS_ols = ||X||_F^2 - ||u||^2, and ||u - c||^2 depends only on which
+# band of |u_i| each entry falls in (boundaries as in ``threshold``):
+#
+#   hard:  RSS = RSS_ols + sum_{|u_i| <= lam} u_i^2
+#   soft:  RSS = RSS_ols + sum_{|u_i| <= lam} u_i^2 + df * lam^2
+#   scad:  RSS = RSS_ols + sum_{|u_i| <= lam} u_i^2 + lam^2 * #{lam < |u_i| <= 2 lam}
+#                + sum_{2 lam < |u_i| <= a lam} (a lam - |u_i|)^2 / (a - 2)^2
+#
+# with df = #{|u_i| > lam} in every family.  One sort of |u| plus prefix
+# sums of |u| and u^2 therefore scores a whole lambda grid.
 
 
 @dataclass(frozen=True)
@@ -117,14 +130,40 @@ class BicValue:
     degenerate: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LambdaSelection:
+    """BIC over a lambda grid: the minimizer and the curve as arrays.
+
+    ``total`` is the BIC at ``lambda_star``; ``lambdas``, ``totals``,
+    ``dfs`` and ``rss`` are aligned with the grid.  ``values`` holds the
+    per-lambda ``BicValue`` records and is built on first read.
+    """
+
     lambda_star: float
-    values: tuple[BicValue, ...]
+    total: float
     sigma2: float
+    lambdas: np.ndarray
+    totals: np.ndarray
+    dfs: np.ndarray
+    rss: np.ndarray
+    nd: int
+
+    @cached_property
+    def values(self) -> tuple[BicValue, ...]:
+        return tuple(
+            _bic_from_parts(lam, rss, df, self.nd, self.sigma2)
+            for lam, rss, df in zip(self.lambdas.tolist(), self.rss.tolist(), self.dfs.tolist())
+        )
 
 
-def _bic_context(x, v1) -> tuple[np.ndarray, float, int, int, float]:
+def frobenius_sq(x) -> float:
+    """||X||_F^2, the ``fro2`` input of ``select_lambda_bic``."""
+    xm = np.asarray(getattr(x, "x", x), dtype=float)
+    return float(np.einsum("ij,ij->", xm, xm))
+
+
+def _bic_context(x, v1, xv=None, fro2=None) -> tuple[np.ndarray, float, float, int, int, float]:
+    """(X v1, ||X||_F^2, RSS_ols, d, n, sigma2); ``xv``/``fro2`` reuse known values."""
     xm = np.asarray(getattr(x, "x", x), dtype=float)
     v = np.asarray(v1, dtype=float)
     if xm.ndim != 2:
@@ -134,12 +173,18 @@ def _bic_context(x, v1) -> tuple[np.ndarray, float, int, int, float]:
         raise DimensionError(f"v1 has shape {v.shape}, expected ({n},)")
     if abs(np.linalg.norm(v) - 1.0) > 1e-8:
         raise DomainError("v1 must be unit-norm")
-    xv = xm @ v
-    fro2 = float(np.einsum("ij,ij->", xm, xm))
+    if xv is None:
+        xv = xm @ v
+    else:
+        xv = np.asarray(xv, dtype=float)
+        if xv.shape != (d,):
+            raise DimensionError(f"xv has shape {xv.shape}, expected ({d},)")
+    if fro2 is None:
+        fro2 = frobenius_sq(xm)
     nd = n * d
     rss_ols = max(fro2 - float(xv @ xv), 0.0)
     sigma2 = rss_ols / (nd - d) if nd > d else 0.0
-    return xv, fro2, d, n, sigma2
+    return xv, fro2, rss_ols, d, n, sigma2
 
 
 def _bic_from_parts(lam, rss, df, nd, sigma2) -> BicValue:
@@ -153,7 +198,7 @@ def _bic_from_parts(lam, rss, df, nd, sigma2) -> BicValue:
 
 def bic(x, v1, candidate, lam: float) -> BicValue:
     """BIC of one thresholded candidate u for the regression with design v1."""
-    xv, fro2, d, n, sigma2 = _bic_context(x, v1)
+    xv, fro2, _, d, n, sigma2 = _bic_context(x, v1)
     u = _entries(candidate)
     if u.shape != (d,):
         raise DimensionError(f"candidate has length {u.shape[0]}, expected {d}")
@@ -162,11 +207,21 @@ def bic(x, v1, candidate, lam: float) -> BicValue:
     return _bic_from_parts(lam, rss, df, n * d, sigma2)
 
 
-def select_lambda_bic(x, v1, grid, penalty: PenaltySpec | None = None) -> LambdaSelection:
+def select_lambda_bic(
+    x,
+    v1,
+    grid,
+    penalty: PenaltySpec | None = None,
+    *,
+    xv: np.ndarray | None = None,
+    fro2: float | None = None,
+) -> LambdaSelection:
     """Pick the grid lambda minimizing BIC; ties go to the larger lambda.
 
     Candidates are the componentwise thresholds of u_ols = X v1 under the
-    penalty family (hard by default).
+    penalty family (hard by default), scored in closed form from one sort
+    of |u_ols|.  ``xv`` (= X v1) and ``fro2`` (= ||X||_F^2) let a caller
+    that already holds them skip the two O(nd) passes.
     """
     g = np.asarray(grid, dtype=float)
     if g.ndim != 1 or g.size == 0:
@@ -177,19 +232,37 @@ def select_lambda_bic(x, v1, grid, penalty: PenaltySpec | None = None) -> Lambda
         raise DomainError("lambda grid must be non-negative")
     fam = penalty if penalty is not None else PenaltySpec.hard(0.0)
 
-    xv, fro2, d, n, sigma2 = _bic_context(x, v1)
+    xv, _, rss_ols, d, n, sigma2 = _bic_context(x, v1, xv, fro2)
     nd = n * d
-    values = []
-    best = None
-    for lam in g:
-        cand = threshold(xv, fam.with_lambda(float(lam)))
-        rss = max(fro2 - 2.0 * float(cand @ xv) + float(cand @ cand), 0.0)
-        df = int(np.count_nonzero(cand))
-        val = _bic_from_parts(float(lam), rss, df, nd, sigma2)
-        values.append(val)
-        if best is None or val.total <= best.total:
-            best = val
-    return LambdaSelection(lambda_star=best.lam, values=tuple(values), sigma2=sigma2)
+    au = np.sort(np.abs(xv))
+    sq = np.concatenate(([0.0], np.cumsum(au * au)))
+    k = np.searchsorted(au, g, side="right")  # entries thresholded to zero
+    dfs = d - k
+    excess = sq[k]
+    if fam.family == "soft":
+        excess = excess + dfs * (g * g)
+    elif fam.family == "scad":
+        a = fam.scad_a
+        ab = np.concatenate(([0.0], np.cumsum(au)))
+        k2 = np.searchsorted(au, 2.0 * g, side="right")
+        k3 = np.searchsorted(au, a * g, side="right")
+        al = a * g
+        blend = (k3 - k2) * (al * al) - 2.0 * al * (ab[k3] - ab[k2]) + (sq[k3] - sq[k2])
+        excess = excess + (k2 - k) * (g * g) + blend / (a - 2.0) ** 2
+    rss = rss_ols + excess
+    df_terms = math.log(nd) / nd * dfs
+    totals = rss / (nd * sigma2) + df_terms if sigma2 > 0.0 else df_terms
+    best = g.size - 1 - int(np.argmin(totals[::-1]))
+    return LambdaSelection(
+        lambda_star=float(g[best]),
+        total=float(totals[best]),
+        sigma2=sigma2,
+        lambdas=g,
+        totals=totals,
+        dfs=dfs,
+        rss=rss,
+        nd=nd,
+    )
 
 
 def default_lambda_grid(

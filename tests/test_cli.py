@@ -25,6 +25,19 @@ class TestExitCodes:
         assert (tmp_path / "out" / "summary.csv").exists()
         assert (tmp_path / "out" / "config.resolved").exists()
 
+    def test_bic_without_figure_methods_writes_csvs_only(self, tmp_path):
+        code = run_cli(
+            "bic",
+            "--alpha", "0.6", "--beta", "0.1",
+            "--d", "100", "--n", "6", "--reps", "2",
+            "--method", "pca,oracle",
+            "--out", str(tmp_path / "out"),
+        )
+        assert code == EXIT_OK
+        assert (tmp_path / "out" / "replications.csv").exists()
+        assert (tmp_path / "out" / "summary.csv").exists()
+        assert not (tmp_path / "out" / "phase.svg").exists()
+
     def test_missing_out_is_config_error(self):
         assert run_cli("bic", "--alpha", "0.6", "--beta", "0.1", "--d", "50", "--n", "4") == EXIT_CONFIG
 

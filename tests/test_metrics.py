@@ -26,7 +26,10 @@ from spcalab import (
     select_lambda_bic,
     support_errors,
     theorem_lambda_bounds,
+    threshold,
 )
+from spcalab.metrics import frobenius_sq
+from spcalab.penalties import FAMILIES
 
 
 class TestAngle:
@@ -207,20 +210,64 @@ class TestSelectLambdaBic:
         totals = [v.total for v in sel.values]
         assert totals[0] == totals[1] == totals[2]
 
-    def test_equals_brute_force_over_grid(self):
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_equals_brute_force_over_grid(self, family):
         x = self._spiked(seed=7)
         dc = dual_first_component(x)
-        grid = default_lambda_grid(dc.u_tilde, points=40)
-        sel = select_lambda_bic(x, dc.v1, grid)
+        penalty = PenaltySpec(family, 0.0)
+        au = np.abs(dc.u_tilde)
+        # Grid points on |u_i|, |u_i|/2 and |u_i|/a put entries exactly on
+        # every band edge of ``threshold`` (lam, 2 lam and a lam).
+        edges = np.concatenate([au[:8], au[:8] / 2.0, au[:8] / penalty.scad_a])
+        grid = np.sort(np.concatenate([default_lambda_grid(dc.u_tilde, points=40), edges]))
+        sel = select_lambda_bic(x, dc.v1, grid, penalty)
         best_lam = None
         best_total = math.inf
+        totals, dfs = [], []
         for lam in grid:
-            cand = dc.u_tilde * (np.abs(dc.u_tilde) > lam)
-            total = bic(x, dc.v1, cand, float(lam)).total
-            if total <= best_total:
-                best_total = total
+            cand = threshold(dc.u_tilde, penalty.with_lambda(float(lam)))
+            val = bic(x, dc.v1, cand, float(lam))
+            totals.append(val.total)
+            dfs.append(val.df)
+            if val.total <= best_total:
+                best_total = val.total
                 best_lam = float(lam)
         assert sel.lambda_star == best_lam
+        assert sel.dfs.tolist() == dfs
+        np.testing.assert_allclose(sel.totals, totals, rtol=1e-12, atol=0.0)
+        assert [v.total for v in sel.values] == sel.totals.tolist()
+        assert [v.df for v in sel.values] == dfs
+        assert sel.total == sel.totals.min()
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_precomputed_inputs_are_bit_identical(self, family):
+        x = self._spiked(seed=11)
+        dc = dual_first_component(x)
+        grid = default_lambda_grid(dc.u_tilde)
+        penalty = PenaltySpec(family, 0.0)
+        plain = select_lambda_bic(x, dc.v1, grid, penalty)
+        given = select_lambda_bic(x, dc.v1, grid, penalty, xv=x @ dc.v1, fro2=frobenius_sq(x))
+        assert given.lambda_star == plain.lambda_star
+        np.testing.assert_array_equal(given.totals, plain.totals)
+        np.testing.assert_array_equal(given.dfs, plain.dfs)
+
+    def test_degenerate_rank_one(self):
+        # X = u v^T fits exactly: sigma2 = 0, so every total is its df term
+        # and the tie among the emptiest supports goes to the largest lambda.
+        rng = np.random.default_rng(4)
+        u = rng.standard_normal(6)
+        v = rng.standard_normal(3)
+        v /= np.linalg.norm(v)
+        x = np.outer(u, v)
+        grid = default_lambda_grid(x @ v, lambda_max=10.0 * float(np.abs(u).max()), points=20)
+        sel = select_lambda_bic(x, v, grid)
+        assert sel.sigma2 == 0.0
+        assert all(val.degenerate for val in sel.values)
+        assert all(val.rss_term == 0.0 for val in sel.values)
+        assert all(val.total == val.df_term for val in sel.values)
+        tied = [val.lam for val in sel.values if val.total == min(sel.totals)]
+        assert len(tied) > 1
+        assert sel.lambda_star == max(tied)
 
     def test_selected_lambda_keeps_planted_support(self):
         # BIC keeps coordinates with u_i^2 > sigma2*log(nd); the planted
