@@ -137,6 +137,7 @@ def rspca(
     bic_per_iteration: bool = False,
     lambda_grid: np.ndarray | None = None,
     dual: DualComponent | None = None,
+    fro2: float | None = None,
 ) -> tuple[LoadingVector, RspcaTrace]:
     """Alternating penalized rank-one approximation.
 
@@ -151,7 +152,8 @@ def rspca(
     With ``bic_per_iteration`` the thresholding parameter is re-selected by
     BIC at every update step over ``lambda_grid`` (built from the
     initialization when not supplied, and then fixed for the whole run).
-    The per-step sigma^2 and BIC totals are recorded in the trace.
+    The per-step sigma^2 and BIC totals are recorded in the trace.  ``fro2``
+    is ||X||_F^2 when the caller already has it, as in ``select_lambda_bic``.
 
     Returns the loading vector and the iteration trace.  If some update
     thresholds every entry away, iteration stops with the all-zero vector
@@ -164,10 +166,10 @@ def rspca(
     trace = RspcaTrace(init_ambiguous=dc.ambiguous)
 
     grid = None
-    fro2 = None
     if bic_per_iteration:
         grid = lambda_grid if lambda_grid is not None else default_lambda_grid(dc.u_tilde)
-        fro2 = frobenius_sq(xm)
+        if fro2 is None:
+            fro2 = frobenius_sq(xm)
 
     u_old = dc.u_tilde
     v = dc.v1

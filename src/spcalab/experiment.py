@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import multiprocessing
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -38,6 +39,7 @@ from .model import (
     sample_counterexample,
     sample_gaussian,
 )
+from .penalties import FAMILIES
 
 DEFAULT_SEED = 20260809
 
@@ -52,16 +54,6 @@ PROFILES = {
     "paper": {"d": 10000, "replications": 100},
     "desk": {"d": 2000, "replications": 50},
 }
-
-CSV_HEADER = "alpha,beta,method,rep,lambda,angle_deg,type1,type2,df,bic_total,converged,runtime_ms"
-
-SUMMARY_HEADER = (
-    "alpha,beta,method,count,lambda_median,df_median,"
-    "angle_q25,angle_median,angle_q75,"
-    "type1_q25,type1_median,type1_q75,"
-    "type2_q25,type2_median,type2_q75"
-)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -95,8 +87,14 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}; expected subset of {METHODS}")
-        if self.penalty not in ("soft", "hard", "scad"):
+        if self.penalty not in FAMILIES:
             raise ConfigError(f"unknown penalty {self.penalty!r}")
+        if self.scad_a <= 2.0:
+            raise ConfigError(f"SCAD shape a must be > 2, got {self.scad_a}")
+        if self.max_iter < 1:
+            raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
+        if self.delta <= 0.5:
+            raise ConfigError(f"delta must be > 1/2, got {self.delta}")
         if self.d < 1 or self.n < 1:
             raise ConfigError("d and n must be >= 1")
         if self.threads < 1:
@@ -122,7 +120,7 @@ class ReplicationRecord:
     beta: float
     method: str
     rep: int
-    lam: float | None
+    lam: float | None = field(metadata={"column": "lambda"})
     angle_deg: float
     type1: float
     type2: float
@@ -150,6 +148,19 @@ class SummaryRow:
     type2_q25: float
     type2_median: float
     type2_q75: float
+
+
+def _csv_fields(cls) -> list:
+    """A row dataclass's CSV columns: its fields in declaration order."""
+    return [f for f in fields(cls) if f.metadata.get("csv", True)]
+
+
+def _csv_header(cls) -> str:
+    return ",".join(f.metadata.get("column", f.name) for f in _csv_fields(cls))
+
+
+CSV_HEADER = _csv_header(ReplicationRecord)
+SUMMARY_HEADER = _csv_header(SummaryRow)
 
 
 @dataclass
@@ -182,6 +193,8 @@ def _run_replication(cfg: ExperimentConfig, pair_index: int, rep: int) -> list[R
     dc = dual_first_component(dm.x)
     grid = default_lambda_grid(dc.u_tilde, cfg.lambda_min, cfg.lambda_max, cfg.lambda_points)
     penalty = PenaltySpec(cfg.penalty, 0.0, cfg.scad_a)
+    # ||X||_F^2 feeds every BIC selection of this replication; one pass over X.
+    fro2 = frobenius_sq(dm.x) if cfg.bic and {"st", "rspca"} & set(cfg.methods) else None
 
     def clock():
         return time.perf_counter() if cfg.timing else None
@@ -225,7 +238,7 @@ def _run_replication(cfg: ExperimentConfig, pair_index: int, rep: int) -> list[R
                     grid,
                     PenaltySpec.hard(0.0),
                     xv=dc.u_tilde,
-                    fro2=frobenius_sq(dm.x),
+                    fro2=fro2,
                 )
                 bic_by_lam = dict(zip(selection.lambdas.tolist(), selection.totals.tolist()))
             if cfg.sweep:
@@ -282,6 +295,7 @@ def _run_replication(cfg: ExperimentConfig, pair_index: int, rep: int) -> list[R
                     bic_per_iteration=True,
                     lambda_grid=grid,
                     dual=dc,
+                    fro2=fro2,
                 )
                 last = trace.iterations[-1]
                 records.append(
@@ -375,8 +389,7 @@ def _cell(v) -> str:
 
 
 def _csv_cells(row) -> list:
-    """A dataclass row's CSV values: its fields in declaration order."""
-    return [getattr(row, f.name) for f in fields(row) if f.metadata.get("csv", True)]
+    return [getattr(row, f.name) for f in _csv_fields(row)]
 
 
 def _write_csv(path, header: str, rows) -> Path:
@@ -431,7 +444,7 @@ def _sweep_method(cfg: ExperimentConfig) -> str:
 
 
 def emit_plots(result: ExperimentResult, out_dir) -> list[Path]:
-    """Per-pair sweep figures plus the phase diagram.
+    """Per-pair sweep figures.
 
     Requires sweep rows (a lambda sweep) in the result; raises DomainError
     otherwise.
@@ -460,7 +473,6 @@ def emit_plots(result: ExperimentResult, out_dir) -> list[Path]:
         path = out_dir / f"sweep_a{alpha:g}_b{beta:g}.svg"
         sweep_figure((alpha, beta), curves, markers, _pair_bounds(cfg, alpha, beta), path)
         paths.append(path)
-    paths.append(emit_phase(result, out_dir / "phase.svg"))
     return paths
 
 
@@ -541,29 +553,93 @@ def emit_counterexample(result: CounterexampleResult, out_dir) -> tuple[Path, Pa
 # Config file parsing and provenance echo
 # ---------------------------------------------------------------------------
 
-_CONFIG_PARSERS = {
-    "pairs": "pairs",
-    "alpha": "float",
-    "beta": "float",
-    "d": "int",
-    "n": "int",
-    "replications": "int",
-    "methods": "methods",
-    "penalty": "str",
-    "scad_a": "float",
-    "lambda_min": "float",
-    "lambda_max": "float",
-    "lambda_points": "int",
-    "bic": "bool",
-    "seed": "int",
-    "out": "path",
-    "profile": "str",
-    "threads": "int",
-    "timing": "bool",
-    "max_iter": "int",
-    "delta": "float",
-    "gamma": "float",
-}
+def _parse_bool(value: str) -> bool:
+    v = value.strip().lower()
+    if v in ("true", "1", "yes", "on"):
+        return True
+    if v in ("false", "0", "no", "off"):
+        return False
+    raise ValueError("expected true or false")
+
+
+def _parse_list(value: str) -> tuple[str, ...]:
+    return tuple(m.strip() for m in value.split(",") if m.strip())
+
+
+def _parse_pairs(value: str) -> tuple[tuple[float, float], ...]:
+    pairs = []
+    for item in _parse_list(value):
+        if ":" not in item:
+            raise ValueError(f"invalid pair {item!r}; expected alpha:beta")
+        a, _, b = item.partition(":")
+        pairs.append((float(a), float(b)))
+    if not pairs:
+        raise ValueError("pairs list is empty")
+    return tuple(pairs)
+
+
+@dataclass
+class ConfigKey:
+    """One config key, as a ``key=value`` line and as a CLI flag.
+
+    ``attr`` is the ``ExperimentConfig`` field it sets, by default ``name``
+    (``alpha``/``beta`` fold into ``pairs``; ``profile`` names a preset).
+    ``flag`` defaults to ``name`` with dashes.
+    """
+
+    name: str
+    parse: Callable[[str], object]
+    help: str
+    attr: str = ""
+    flag: str = ""
+    choices: tuple[str, ...] | None = None
+
+    def __post_init__(self):
+        self.attr = self.attr or self.name
+        self.flag = self.flag or "--" + self.name.replace("_", "-")
+
+    @property
+    def is_bool(self) -> bool:
+        return self.parse is _parse_bool
+
+    def read(self, value):
+        """``value`` parsed when it is a string, then checked against ``choices``."""
+        if isinstance(value, str):
+            try:
+                value = self.parse(value)
+            except ValueError as exc:
+                raise ConfigError(f"invalid value for {self.name!r}: {value!r} ({exc})") from exc
+        if self.choices is not None and value not in self.choices:
+            raise ConfigError(f"invalid value for {self.name!r}: {value!r}; expected {self.choices}")
+        return value
+
+
+#: Every config key, in the order README lists them.
+CONFIG_KEYS = (
+    ConfigKey("pairs", _parse_pairs, "comma list of alpha:beta pairs"),
+    ConfigKey("alpha", float, "spike index (with --beta: single pair)"),
+    ConfigKey("beta", float, "sparsity index (with --alpha: single pair)"),
+    ConfigKey("d", int, "ambient dimension"),
+    ConfigKey("n", int, "sample size"),
+    ConfigKey("replications", int, "replications per pair", flag="--reps"),
+    ConfigKey("methods", _parse_list, f"comma list from {','.join(METHODS)}", flag="--method"),
+    ConfigKey("penalty", str, "RSPCA penalty family", choices=FAMILIES),
+    ConfigKey("scad_a", float, "SCAD shape parameter"),
+    ConfigKey("lambda_min", float, "smallest nonzero lambda of the grid"),
+    ConfigKey("lambda_max", float, "largest lambda of the grid (default: max |X v1|)"),
+    ConfigKey("lambda_points", int, "log-spaced lambdas of the grid (plus lambda = 0)"),
+    ConfigKey("bic", _parse_bool, "BIC-select lambda per replication"),
+    ConfigKey("seed", int, "base seed", attr="base_seed"),
+    ConfigKey("out", Path, "output directory", attr="output_dir"),
+    ConfigKey("profile", str, "preset scale", choices=tuple(PROFILES)),
+    ConfigKey("threads", int, "worker processes"),
+    ConfigKey("timing", _parse_bool, "record wall-clock runtime_ms (breaks byte-determinism)"),
+    ConfigKey("max_iter", int, "rspca iteration cap"),
+    ConfigKey("delta", float, "lower-bound exponent on log(d)"),
+    ConfigKey("gamma", float, "upper-bound exponent (default: midpoint)"),
+)
+
+_KEYS = {k.name: k for k in CONFIG_KEYS}
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -579,7 +655,7 @@ def parse_config_file(path) -> dict[str, str]:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _CONFIG_PARSERS:
+        if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in out:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
@@ -587,102 +663,51 @@ def parse_config_file(path) -> dict[str, str]:
     return out
 
 
-def _parse_bool(value: str, key: str) -> bool:
-    v = value.strip().lower()
-    if v in ("true", "1", "yes", "on"):
-        return True
-    if v in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"invalid boolean for {key!r}: {value!r}")
-
-
-def _parse_pairs(value: str) -> tuple[tuple[float, float], ...]:
-    pairs = []
-    for item in value.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        if ":" not in item:
-            raise ConfigError(f"invalid pair {item!r}; expected alpha:beta")
-        a, _, b = item.partition(":")
-        try:
-            pairs.append((float(a), float(b)))
-        except ValueError as exc:
-            raise ConfigError(f"invalid pair {item!r}: {exc}") from exc
-    if not pairs:
-        raise ConfigError("pairs list is empty")
-    return tuple(pairs)
-
-
-def resolve_config(
-    file_values: dict[str, str] | None = None,
-    flag_values: dict[str, object] | None = None,
-    *,
-    sweep: bool = False,
-    bic_default: bool = True,
-) -> ExperimentConfig:
-    """Merge defaults, profile, config file, and CLI flags (flags win)."""
-    file_values = dict(file_values or {})
-    flag_values = {k: v for k, v in (flag_values or {}).items() if v is not None}
-
-    merged: dict[str, object] = {}
-    for key, value in file_values.items():
-        merged[key] = _convert(key, value)
-    merged.update(flag_values)
-
-    profile = merged.pop("profile", None)
-    if profile is not None and profile not in PROFILES:
-        raise ConfigError(f"unknown profile {profile!r}; expected one of {tuple(PROFILES)}")
-
-    kwargs: dict[str, object] = {
-        "pairs": ((0.6, 0.1),),
-        "bic": bic_default,
-        "sweep": sweep,
-    }
-    if profile is not None:
-        kwargs.update(PROFILES[profile])
-
-    alpha = merged.pop("alpha", None)
-    beta = merged.pop("beta", None)
+def _layer(values: dict[str, object]) -> dict[str, object]:
+    """One layer's keys read into ``ExperimentConfig`` fields (and ``profile``)."""
+    out = {}
+    for name, value in values.items():
+        if name not in _KEYS:
+            raise ConfigError(f"unknown config key {name!r}")
+        if value is not None:
+            out[_KEYS[name].attr] = _KEYS[name].read(value)
+    alpha = out.pop("alpha", None)
+    beta = out.pop("beta", None)
     if (alpha is None) != (beta is None):
         raise ConfigError("alpha and beta must be given together")
     if alpha is not None:
-        merged["pairs"] = ((float(alpha), float(beta)),)
+        out["pairs"] = ((alpha, beta),)
+    return out
 
-    rename = {"seed": "base_seed", "out": "output_dir"}
-    for key, value in merged.items():
-        kwargs[rename.get(key, key)] = value
 
-    try:
-        cfg = ExperimentConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+def resolve_config(
+    file_values: dict[str, object] | None = None,
+    flag_values: dict[str, object] | None = None,
+    *,
+    defaults: dict[str, object] | None = None,
+    forced: dict[str, object] | None = None,
+) -> ExperimentConfig:
+    """Merge the layers, each over the one before, into a validated config.
+
+    Layers: defaults (``ExperimentConfig``'s with pair (0.6, 0.1), then
+    ``defaults``), profile preset, config file, CLI flags, ``forced``.  File
+    and flag values are keyed by config key and go through ``ConfigKey.read``
+    (None is skipped); ``defaults`` and ``forced`` are keyed by field.  The
+    profile, the flags' or else the file's, sits under every explicit key.
+    """
+    layers = [_layer(file_values or {}), _layer(flag_values or {})]
+    profile = None
+    for layer in layers:
+        profile = layer.pop("profile", profile)
+    kwargs: dict[str, object] = {"pairs": ((0.6, 0.1),), **(defaults or {})}
+    if profile is not None:
+        kwargs.update(PROFILES[profile])
+    for layer in layers:
+        kwargs.update(layer)
+    kwargs.update(forced or {})
+    cfg = ExperimentConfig(**kwargs)
     cfg.validate()
     return cfg
-
-
-def _convert(key: str, value: str):
-    kind = _CONFIG_PARSERS[key]
-    try:
-        if kind == "int":
-            return int(value)
-        if kind == "float":
-            return float(value)
-        if kind == "bool":
-            return _parse_bool(value, key)
-        if kind == "pairs":
-            return _parse_pairs(value)
-        if kind == "methods":
-            return tuple(m.strip() for m in value.split(",") if m.strip())
-        if kind == "path":
-            return Path(value)
-        if kind == "str":
-            return value
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"invalid value for {key!r}: {value!r} ({exc})") from exc
-    raise ConfigError(f"unhandled config key {key!r}")
 
 
 def write_resolved_config(cfg: ExperimentConfig, path) -> Path:
@@ -705,22 +730,24 @@ def write_resolved_config(cfg: ExperimentConfig, path) -> Path:
 
 
 def run_and_emit(cfg: ExperimentConfig, *, plots: bool = True) -> ExperimentResult:
-    """Run an experiment and write CSVs (and figures) into cfg.output_dir.
+    """Run an experiment and write its outputs into cfg.output_dir.
 
-    Figures plot the st or rspca estimates, so a run with neither method
-    writes only the CSVs.
+    ``summary.csv`` needs a final row (pca, oracle or BIC-selected).
+    Figures plot the st or rspca estimates: the sweep figures in sweep mode,
+    and the phase diagram when that method has summary rows.
     """
     if cfg.output_dir is None:
-        raise ConfigError("output_dir is required")
+        raise ConfigError("output_dir is required (--out DIR or out= in the config file)")
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_resolved_config(cfg, out / "config.resolved")
     result = run_experiment(cfg)
     emit_csv(result.records, out / "replications.csv")
-    emit_summary_csv(result.summary, out / "summary.csv")
-    if plots and _figure_method(cfg) is not None:
-        if cfg.sweep:
-            emit_plots(result, out)
-        else:
-            emit_phase(result, out / "phase.svg")
+    if result.summary:
+        emit_summary_csv(result.summary, out / "summary.csv")
+    method = _figure_method(cfg) if plots else None
+    if method is not None and cfg.sweep:
+        emit_plots(result, out)
+    if any(s.method == method for s in result.summary):
+        emit_phase(result, out / "phase.svg")
     return result

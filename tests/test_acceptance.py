@@ -3,8 +3,8 @@
 Statistical criteria run at desk scale (d=2000, n=25, 50 replications)
 with pinned seeds.  Criterion 5's oracle clause is asserted as stated and
 is expected to fail: at d=2000 the oracle's median angle at (0.2, 0.7) is
-~70 degrees and only crosses 80 degrees around d~40,000 (see
-docs/limits in README).  The assertion is kept faithful rather than
+~70 degrees and only crosses 80 degrees around d~40,000 (see the
+README's "Install and test" section).  The assertion is kept faithful rather than
 loosened.
 """
 

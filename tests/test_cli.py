@@ -1,9 +1,13 @@
 """CLI behaviour: subcommands, flag/file precedence, exit codes."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from spcalab.cli import EXIT_CONFIG, EXIT_OK, main
+from spcalab.cli import EXIT_CONFIG, EXIT_OK, build_parser, main, study_config
+from spcalab.experiment import CONFIG_KEYS
 
 
 def run_cli(*argv):
@@ -52,6 +56,30 @@ class TestExitCodes:
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("banana=1\n")
         assert run_cli("bic", "--config", str(cfg), "--out", str(tmp_path)) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--scad-a", "1.5", "SCAD shape a must be > 2, got 1.5"),
+            ("--max-iter", "0", "max_iter must be >= 1, got 0"),
+            ("--delta", "0.3", "delta must be > 1/2, got 0.3"),
+        ],
+        ids=["scad_a", "max_iter", "delta"],
+    )
+    def test_out_of_range_value_is_config_error(self, tmp_path, capsys, flag, value, message):
+        code = run_cli(
+            "bic", "--alpha", "0.6", "--beta", "0.1",
+            "--d", "50", "--n", "4", "--reps", "1", "--method", "pca,st",
+            "--penalty", "scad", flag, value, "--out", str(tmp_path / "out"),
+        )
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_malformed_flag_value_is_config_error(self, tmp_path, capsys):
+        code = run_cli("bic", "--d", "ten", "--out", str(tmp_path / "out"))
+        assert code == EXIT_CONFIG
+        assert "invalid value for 'd': 'ten'" in capsys.readouterr().err
 
     def test_argparse_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -120,6 +148,40 @@ class TestSweepCommand:
         assert "pairs=0.6:0.1\n" in resolved
 
 
+    def test_without_bic_writes_sweeps_only(self, tmp_path):
+        code = run_cli(
+            "sweep",
+            "--alpha", "0.6", "--beta", "0.1",
+            "--d", "120", "--n", "6", "--reps", "2",
+            "--method", "st", "--no-bic",
+            "--lambda-points", "4",
+            "--out", str(tmp_path / "out"),
+        )
+        assert code == EXIT_OK
+        out = tmp_path / "out"
+        assert "bic=false\n" in (out / "config.resolved").read_text()
+        header, *rows = (out / "replications.csv").read_text().splitlines()
+        assert len(rows) == 10  # 2 reps x 5 sweep rows
+        svg = (out / "sweep_a0.6_b0.1.svg").read_text()
+        assert 'class="rep"' in svg and 'class="bic"' not in svg
+        assert not (out / "summary.csv").exists()
+        assert not (out / "phase.svg").exists()
+
+    def test_pairs_flag_overrides_config_alpha_beta(self, tmp_path):
+        cfg = tmp_path / "g.txt"
+        cfg.write_text("alpha=0.6\nbeta=0.1\n")
+        code = run_cli(
+            "bic",
+            "--config", str(cfg),
+            "--pairs", "0.2:0.7",
+            "--d", "80", "--n", "5", "--reps", "1", "--method", "pca",
+            "--out", str(tmp_path / "out"),
+        )
+        assert code == EXIT_OK
+        resolved = (tmp_path / "out" / "config.resolved").read_text()
+        assert "pairs=0.2:0.7\n" in resolved
+
+
 class TestPhaseCommand:
     def test_small_grid(self, tmp_path):
         code = run_cli(
@@ -133,6 +195,16 @@ class TestPhaseCommand:
         assert (tmp_path / "out" / "phase.svg").exists()
         summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
         assert len(summary) == 3  # header + 2 pairs (rspca only)
+
+    def test_config_file_sets_pairs_and_methods(self, tmp_path):
+        cfg = tmp_path / "f.txt"
+        cfg.write_text("pairs=0.6:0.1\nmethods=pca\nd=60\nn=4\nreplications=1\n")
+        code = run_cli("phase", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert code == EXIT_OK
+        resolved = (tmp_path / "out" / "config.resolved").read_text()
+        assert "pairs=0.6:0.1\n" in resolved and "methods=pca\n" in resolved
+        header, *rows = (tmp_path / "out" / "replications.csv").read_text().splitlines()
+        assert [r.split(",")[:3] for r in rows] == [["0.6", "0.1", "pca"]]
 
 
 class TestCounterexampleCommand:
@@ -152,3 +224,60 @@ class TestCounterexampleCommand:
         assert (
             run_cli("counterexample", "--d-grid", ",", "--out", str(tmp_path)) == EXIT_CONFIG
         )
+
+
+#: One non-default value per config key, as written in a config file.
+KEY_VALUES = [
+    {"pairs": "0.4:0.3,0.8:0.5"},
+    {"alpha": "0.4", "beta": "0.3"},
+    {"d": "300"},
+    {"n": "9"},
+    {"replications": "4"},
+    {"methods": "pca,oracle"},
+    {"penalty": "scad"},
+    {"scad_a": "3.1"},
+    {"lambda_min": "0.01"},
+    {"lambda_max": "20"},
+    {"lambda_points": "7"},
+    {"bic": "false"},
+    {"seed": "5"},
+    {"out": "somewhere"},
+    {"profile": "desk"},
+    {"threads": "2"},
+    {"timing": "true"},
+    {"max_iter": "40"},
+    {"delta": "0.9"},
+    {"gamma": "0.3"},
+]
+
+
+def _as_flags(values):
+    keys = {k.name: k for k in CONFIG_KEYS}
+    argv = []
+    for name, value in values.items():
+        key = keys[name]
+        if key.is_bool:
+            argv.append(key.flag if value == "true" else "--no-" + key.flag[2:])
+        else:
+            argv += [key.flag, value]
+    return argv
+
+
+class TestConfigSchema:
+    def test_every_key_has_a_sample_value(self):
+        assert sorted(k for v in KEY_VALUES for k in v) == sorted(k.name for k in CONFIG_KEYS)
+
+    @pytest.mark.parametrize("values", KEY_VALUES, ids=lambda v: "+".join(v))
+    def test_flag_and_file_give_the_same_config(self, tmp_path, values):
+        cfg = tmp_path / "f.txt"
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in values.items()))
+        parser = build_parser()
+        from_file = study_config(parser.parse_args(["sweep", "--config", str(cfg)]))
+        from_flags = study_config(parser.parse_args(["sweep", *_as_flags(values)]))
+        assert from_flags == from_file
+        assert from_file != study_config(parser.parse_args(["sweep"]))
+
+    def test_readme_lists_the_config_keys(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        paragraph = readme.split("Config keys:", 1)[1].split("\n\n", 1)[0]
+        assert re.findall(r"`([a-z_]+)`", paragraph) == [k.name for k in CONFIG_KEYS]

@@ -22,6 +22,7 @@ from spcalab import (
     threshold,
     threshold_scalar,
 )
+from spcalab.metrics import frobenius_sq
 from _oracles import brute_force_prox
 
 
@@ -234,6 +235,14 @@ class TestRspca:
             assert it.bic_total is not None
         assert trace.final_lambda == trace.iterations[-1].lam
         assert vec.nnz > 0
+
+    @pytest.mark.parametrize("penalty", [PenaltySpec.hard(0.0), PenaltySpec.scad(0.0, 3.7)])
+    def test_precomputed_fro2_is_bit_identical(self, penalty):
+        dm, _ = spiked_data(300, 15, 0.8, 0.2, seed=14)
+        vec, trace = rspca(dm.x, penalty, bic_per_iteration=True)
+        vec2, trace2 = rspca(dm.x, penalty, bic_per_iteration=True, fro2=frobenius_sq(dm.x))
+        assert np.array_equal(vec.entries, vec2.entries)
+        assert trace == trace2
 
     def test_bic_mode_recovers_support_on_easy_instance(self):
         dm, sys = spiked_data(500, 25, 0.9, 0.2, seed=15)

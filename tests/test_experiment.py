@@ -1,5 +1,7 @@
 """Harness tests: config resolution, runner determinism, CSV emission."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,16 @@ class TestConfigFile:
     def test_unknown_method_rejected(self):
         with pytest.raises(ConfigError):
             small_config(methods=("pca", "svd")).validate()
+
+    def test_resolved_echo_bytes(self, tmp_path):
+        cfg = small_config(output_dir=Path("out"), penalty="scad", lambda_max=20.0)
+        path = write_resolved_config(cfg, tmp_path / "config.resolved")
+        assert path.read_bytes() == (
+            b"pairs=0.6:0.1\nd=120\nn=8\nreplications=3\nmethods=pca,st,rspca,oracle\n"
+            b"penalty=scad\nscad_a=3.7\nlambda_min=0.001\nlambda_max=20.0\nlambda_points=6\n"
+            b"bic=true\nsweep=false\nbase_seed=77\noutput_dir=out\nthreads=1\ntiming=false\n"
+            b"max_iter=200\ndelta=1.0\ngamma=\n"
+        )
 
     def test_resolved_echo_roundtrip(self, tmp_path):
         cfg = small_config(output_dir=tmp_path)
