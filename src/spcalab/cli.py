@@ -22,6 +22,7 @@ from .experiment import (
     DEFAULT_SEED,
     PAPER_PAIRS,
     ExperimentConfig,
+    check_counterexample,
     emit_counterexample,
     parse_config_file,
     resolve_config,
@@ -81,9 +82,12 @@ def main(argv=None) -> int:
         if args.command in STUDIES:
             run_and_emit(study_config(args))
         elif args.command == "counterexample":
-            dims = [int(x) for x in args.d_grid.split(",") if x.strip()]
-            if not dims:
-                raise ConfigError("--d-grid must list at least one dimension")
+            try:
+                dims = check_counterexample(
+                    [x for x in args.d_grid.split(",") if x.strip()], args.alpha, args.reps
+                )
+            except ValueError as exc:  # a malformed --d-grid entry or a DomainError
+                raise ConfigError(str(exc)) from exc
             out = Path(args.out)
             out.mkdir(parents=True, exist_ok=True)
             result = run_counterexample(dims, args.alpha, args.reps, args.seed)

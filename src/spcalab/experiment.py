@@ -1,8 +1,10 @@
 """Seeded Monte-Carlo harness over (alpha, beta) grids and lambda grids.
 
-Determinism contract: every output byte is a pure function of the resolved
-configuration (including ``base_seed``) and is independent of the worker
-count.  Each (pair, replication) task derives its own Philox stream from
+Determinism contract: on a fixed numerics stack (numpy version, BLAS/LAPACK
+build and the CPU kernel it selects) every output byte is a function of the
+resolved configuration (including ``base_seed``) and is independent of the
+worker count and of the BLAS thread count.  Each (pair, replication) task
+derives its own Philox stream from
 ``SeedSequence(base_seed, spawn_key=(pair_index, replication))``, results
 are buffered, canonically sorted, and only then written.
 
@@ -12,6 +14,7 @@ column stays empty by default so repeated runs are byte-identical.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import time
 from collections.abc import Callable
@@ -25,16 +28,19 @@ from .estimators import PenaltySpec, oracle_estimator, pca_first, rspca, st_esti
 from .exceptions import ConfigError, DomainError
 from .figures import counterexample_figure, phase_figure, sweep_figure
 from .metrics import (
+    LambdaBounds,
     default_gamma,
     default_lambda_grid,
     evaluate_estimate,
     frobenius_sq,
+    gamma_is_valid,
     select_lambda_bic,
     theorem_lambda_bounds,
 )
 from .model import (
     SpikedSpec,
     build_eigensystem,
+    counterexample_tail_probability,
     failure_probability,
     sample_counterexample,
     sample_gaussian,
@@ -418,13 +424,20 @@ def emit_summary_csv(summary: list[SummaryRow], path) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def _pair_bounds(cfg: ExperimentConfig, alpha: float, beta: float):
-    """Threshold-range bounds for a pair, or None when gamma is inadmissible."""
+def _pair_bounds(cfg: ExperimentConfig, alpha: float, beta: float) -> LambdaBounds | None:
+    """Threshold-range bounds for a pair.
+
+    None when no gamma is admissible (alpha <= beta); an empty range when
+    the configured gamma lies outside (theta, alpha - eta).
+    """
     theta = 0.0
     eta = beta
-    gamma = cfg.gamma if cfg.gamma is not None else default_gamma(theta, alpha, eta)
-    if gamma is None or gamma <= theta:
+    midpoint = default_gamma(theta, alpha, eta)
+    if midpoint is None:
         return None
+    gamma = midpoint if cfg.gamma is None else cfg.gamma
+    if not gamma_is_valid(gamma, theta, alpha, eta):
+        return LambdaBounds(lower=math.inf, upper=0.0)
     return theorem_lambda_bounds(cfg.d, theta, gamma, cfg.delta)
 
 
@@ -502,20 +515,30 @@ class CounterexampleResult:
     predicted: list[float]
 
 
-def run_counterexample(
-    dims, alpha: float, reps: int, base_seed: int = DEFAULT_SEED
-) -> CounterexampleResult:
-    """Empirical frequency of argmax_i |u_hat_i| = 1 under the discrete model.
-
-    One n=1 sample per replication; the first empirical eigenvector of a
-    single observation is the normalized observation itself, evaluated here
-    through the standard estimator path.
-    """
+def check_counterexample(dims, alpha: float, reps: int) -> list[int]:
+    """The d grid as ints (ValueError on a non-integer); DomainError when out of range."""
     dims = [int(d) for d in dims]
     if not dims:
         raise DomainError("need at least one dimension")
     if reps < 1:
         raise DomainError("reps must be >= 1")
+    for d in dims:
+        counterexample_tail_probability(d, alpha)
+    return dims
+
+
+def run_counterexample(
+    dims, alpha: float, reps: int, base_seed: int = DEFAULT_SEED
+) -> CounterexampleResult:
+    """Empirical frequency of argmax_i |u_hat_i| = 1 under the discrete model.
+
+    One n=1 sample x per replication.  Its 1 x 1 dual has eigenvector [1],
+    so the first empirical eigenvector is x / ||x||, and dividing by the
+    positive norm keeps the argmax, ties included: a draw is a hit exactly
+    when ``argmax |x_i|`` is the first coordinate.  This is the answer
+    ``pca_first`` gives, scored without a dual eigensolve per draw.
+    """
+    dims = check_counterexample(dims, alpha, reps)
     empirical = []
     predicted = []
     for di, d in enumerate(dims):
@@ -523,8 +546,7 @@ def run_counterexample(
         for rep in range(reps):
             seed = np.random.SeedSequence(base_seed, spawn_key=(di, rep))
             dm = sample_counterexample(d, alpha, 1, seed, replication=rep)
-            est = pca_first(dm.x)
-            if int(np.argmax(np.abs(est.entries))) == 0:
+            if int(np.argmax(np.abs(dm.x[:, 0]))) == 0:
                 hits += 1
         empirical.append(hits / reps)
         predicted.append(failure_probability(d, alpha))

@@ -12,8 +12,8 @@ dimension d with sample size n:
 
 Eigenvectors are materialized lazily from this pattern; no dense d x d
 basis is ever stored.  Sampling accumulates the identity tail directly as
-i.i.d. Gaussian noise, so the cost is O(n*d) plus O(n*m**2) for the head
-block.
+i.i.d. Gaussian noise and applies the head completion in closed form, so
+the cost is O(n*d).
 
 Randomness: all samplers take an integer seed or a ``numpy.random
 .SeedSequence`` and drive a counter-based Philox generator through numpy's
@@ -189,15 +189,21 @@ class EigenSystem:
     def u1(self) -> np.ndarray:
         return self.eigenvector(0)
 
-    def _helmert_head(self) -> np.ndarray:
-        """Columns 2..m of the basis restricted to the head block."""
-        m = self.spec.support_size
-        h = np.zeros((m, m - 1))
-        for k in range(1, m):
-            c = 1.0 / math.sqrt(k * (k + 1.0))
-            h[:k, k - 1] = c
-            h[k, k - 1] = -k * c
-        return h
+
+def _helmert_head_times(z: np.ndarray) -> np.ndarray:
+    """H z for the m x (m-1) head block H of eigenvectors 2..m, in O(m n).
+
+    Column k of H (k = 1..m-1) is c_k on rows 0..k-1 and -k c_k on row k,
+    with c_k = 1/sqrt(k(k+1)).  So row i of H z is the suffix sum
+    sum_{k>i} c_k z_k minus i c_i z_i.  numpy's cumsum adds sequentially,
+    so unlike a BLAS product the bytes do not depend on the thread count.
+    """
+    k = np.arange(1.0, z.shape[0] + 1.0)
+    cz = (1.0 / np.sqrt(k * (k + 1.0)))[:, None] * z
+    hz = np.zeros((z.shape[0] + 1, z.shape[1]))
+    hz[:-1] = np.cumsum(cz[::-1], axis=0)[::-1]
+    hz[1:] -= k[:, None] * cz
+    return hz
 
 
 def build_eigensystem(spec: SpikedSpec) -> EigenSystem:
@@ -219,13 +225,11 @@ def sample_gaussian(system: EigenSystem, seed, replication: int | None = None) -
 
     z1 = rng.standard_normal(n)
     x = np.empty((d, n))
-    head = (spec.lambda1 ** 0.5) * np.outer(system.u1[:m], z1)
+    x[:m] = (spec.lambda1 ** 0.5) * np.outer(system.u1[:m], z1)
     if m > 1:
-        z_head = rng.standard_normal((m - 1, n))
-        head = head + system._helmert_head() @ z_head
-    x[:m] = head
+        x[:m] += _helmert_head_times(rng.standard_normal((m - 1, n)))
     if m < d:
-        x[m:] = rng.standard_normal((d - m, n))
+        rng.standard_normal(out=x[m:])
 
     prov = Provenance(
         model=f"spiked(d={d},n={n},alpha={spec.alpha},beta={spec.beta})",
@@ -279,6 +283,21 @@ def sample_gaussian_general(
     return DataMatrix(x=x, provenance=prov)
 
 
+def counterexample_tail_probability(d: int, alpha: float) -> float:
+    """d**(-(alpha+1)/2), the chance of each sign of a counterexample tail coordinate.
+
+    Raises DomainError when (d, alpha) admits no such law.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    if d < 2:
+        raise DomainError(f"d must be >= 2, got {d}")
+    p = d ** (-(alpha + 1.0) / 2.0)
+    if 2.0 * p > 1.0:
+        raise DomainError(f"tail probabilities 2*d**-((alpha+1)/2) = {2 * p:.4f} exceed 1")
+    return p
+
+
 def sample_counterexample(d: int, alpha: float, n: int, seed, replication: int | None = None) -> DataMatrix:
     """Discrete heavy-coordinate sampler that defeats thresholding.
 
@@ -289,15 +308,9 @@ def sample_counterexample(d: int, alpha: float, n: int, seed, replication: int |
     Note: the tail coordinates have second moment exactly 2 (direct
     evaluation of the two-point mass), not 1.
     """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    if d < 2:
-        raise DomainError(f"d must be >= 2, got {d}")
+    p = counterexample_tail_probability(d, alpha)
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    p = d ** (-(alpha + 1.0) / 2.0)
-    if 2.0 * p > 1.0:
-        raise DomainError(f"tail probabilities 2*d**-((alpha+1)/2) = {2 * p:.4f} exceed 1")
 
     rng = _make_rng(seed)
     u = rng.random((d, n))

@@ -2,14 +2,17 @@
 
 These deliberately avoid the code paths they check: the eigenvalue oracle
 goes through the characteristic polynomial (Faddeev-LeVerrier) and interval
-bisection, and the thresholding oracle minimizes the penalized scalar loss
-by staged grid refinement.
+bisection, the thresholding oracle minimizes the penalized scalar loss
+by staged grid refinement, and the counterexample oracle scores each draw
+through the full dual PCA estimator.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from spcalab.estimators import pca_first
+from spcalab.model import sample_counterexample
 from spcalab.penalties import PenaltySpec, penalty_value
 
 
@@ -81,3 +84,20 @@ def prox_loss(u, x: float, penalty: PenaltySpec):
 #: discontinuity at |x| = lambda cannot straddle a grid cell.
 THRESHOLD_X_GRID = np.linspace(-5.0, 5.0, 100)
 THRESHOLD_LAMBDA_GRID = np.geomspace(0.073, 2.93, 20)
+
+
+def counterexample_hits_by_pca(dims, alpha: float, reps: int, base_seed: int) -> list[int]:
+    """Per-d count of draws whose first sample PC peaks at coordinate 0.
+
+    Each n=1 draw goes through ``pca_first`` (Gram, ``eigh``, lift,
+    normalize), on the same per-(d, rep) streams as ``run_counterexample``.
+    """
+    hits = []
+    for di, d in enumerate(dims):
+        count = 0
+        for rep in range(reps):
+            seed = np.random.SeedSequence(base_seed, spawn_key=(di, rep))
+            est = pca_first(sample_counterexample(d, alpha, 1, seed))
+            count += int(np.argmax(np.abs(est.entries))) == 0
+        hits.append(count)
+    return hits

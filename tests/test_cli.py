@@ -1,11 +1,15 @@
 """CLI behaviour: subcommands, flag/file precedence, exit codes."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spcalab
 from spcalab.cli import EXIT_CONFIG, EXIT_OK, build_parser, main, study_config
 from spcalab.experiment import CONFIG_KEYS
 
@@ -72,6 +76,22 @@ class TestExitCodes:
             "--d", "50", "--n", "4", "--reps", "1", "--method", "pca,st",
             "--penalty", "scad", flag, value, "--out", str(tmp_path / "out"),
         )
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--reps", "0", "reps must be >= 1"),
+            ("--d-grid", "1", "d must be >= 2, got 1"),
+            ("--d-grid", "50,x", "'x'"),
+            ("--alpha", "1.5", "alpha must lie in (0, 1), got 1.5"),
+        ],
+        ids=["reps", "d_grid_small", "d_grid_malformed", "alpha"],
+    )
+    def test_counterexample_bad_value_is_config_error(self, tmp_path, capsys, flag, value, message):
+        code = run_cli("counterexample", flag, value, "--out", str(tmp_path / "out"))
         assert code == EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -205,6 +225,25 @@ class TestPhaseCommand:
         assert "pairs=0.6:0.1\n" in resolved and "methods=pca\n" in resolved
         header, *rows = (tmp_path / "out" / "replications.csv").read_text().splitlines()
         assert [r.split(",")[:3] for r in rows] == [["0.6", "0.1", "pca"]]
+
+
+class TestBlasThreads:
+    def test_output_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # At d=5000, beta=0.7 the head block has m=388 rows: a BLAS product
+        # of that size runs threaded and rounds differently at 2 threads.
+        src = str(Path(spcalab.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            subprocess.run(
+                [sys.executable, "-m", "spcalab.cli", "bic", "--alpha", "0.2", "--beta", "0.7",
+                 "--d", "5000", "--reps", "2", "--method", "pca,oracle", "--out", str(out)],
+                env=env, check=True,
+            )
+            outputs.append([(out / f).read_bytes() for f in ("replications.csv", "summary.csv")])
+        assert outputs[0] == outputs[1]
 
 
 class TestCounterexampleCommand:

@@ -31,6 +31,7 @@ from spcalab.experiment import (
     run_and_emit,
     write_resolved_config,
 )
+from _oracles import counterexample_hits_by_pca
 
 
 def small_config(**overrides):
@@ -298,6 +299,25 @@ class TestCsvEmission:
         assert texts[0] == texts[1]
 
 
+class TestSweepBounds:
+    @pytest.mark.parametrize(
+        "gamma, drawn",
+        [(0.45, True), (0.5, False), (0.9, False), (0.0, False)],
+        ids=["admissible", "at-alpha-minus-eta", "above", "at-theta"],
+    )
+    def test_user_gamma_outside_the_admissible_interval_is_an_empty_range(
+        self, tmp_path, gamma, drawn
+    ):
+        # At d=120 and delta=0.6 the range [log(d)**delta, d**(gamma/2)] is
+        # non-empty for gamma > 0.39, so only admissibility hides the lines.
+        cfg = small_config(output_dir=tmp_path, methods=("st",), replications=1,
+                           bic=False, sweep=True, delta=0.6, gamma=gamma)
+        run_and_emit(cfg)
+        svg = (tmp_path / "sweep_a0.6_b0.1.svg").read_text()
+        assert ('class="bound-upper"' in svg) is drawn
+        assert ("threshold range empty at this d" in svg) is not drawn
+
+
 class TestCounterexampleRunner:
     def test_small_run(self, tmp_path):
         result = run_counterexample([30, 60], alpha=0.5, reps=300, base_seed=3)
@@ -316,6 +336,28 @@ class TestCounterexampleRunner:
             run_counterexample([], 0.5, 10)
         with pytest.raises(DomainError):
             run_counterexample([50], 0.5, 0)
+
+    def test_hits_match_the_pca_estimator(self):
+        dims, reps = [4, 10, 30], 600
+        result = run_counterexample(dims, alpha=0.5, reps=reps, base_seed=11)
+        hits = [round(f * reps) for f in result.empirical]
+        assert hits == counterexample_hits_by_pca(dims, 0.5, reps, 11)
+        assert all(hits)
+
+    def test_csv_bytes_are_pinned(self, tmp_path):
+        from spcalab.experiment import emit_counterexample
+
+        result = run_counterexample([4, 10, 30], alpha=0.5, reps=600, base_seed=11)
+        csv_path, _ = emit_counterexample(result, tmp_path)
+        assert csv_path.read_bytes() == (
+            b"d,alpha,reps,empirical,predicted,abs_error,binom_se\n"
+            b"4,0.5,600,0.03166666666666667,0.02512626584708365,0.006540400819583018,"
+            b"0.00638943615296182\n"
+            b"10,0.5,600,0.023333333333333334,0.019145240005652476,0.0041880933276808585,"
+            b"0.005594446620053742\n"
+            b"30,0.5,600,0.005,0.0073044147357906285,0.0023044147357906284,"
+            b"0.0034763631046344475\n"
+        )
 
 
 def test_paper_pairs_grid():
