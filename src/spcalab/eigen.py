@@ -27,14 +27,6 @@ AMBIGUITY_REL_GAP = 1e-12
 
 
 @dataclass(frozen=True)
-class EigenPair:
-    """One (eigenvalue, unit eigenvector) pair, sign-canonicalized."""
-
-    value: float
-    vector: np.ndarray
-
-
-@dataclass(frozen=True)
 class DualComponent:
     """Leading dual eigenvector and its lift back to d dimensions.
 
@@ -110,12 +102,6 @@ def sym_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for j in range(len(values)):
         vectors[:, j] = canonical_sign(vectors[:, j])
     return values, vectors
-
-
-def sym_eigen(m: np.ndarray) -> list[EigenPair]:
-    """Full eigendecomposition as a descending list of ``EigenPair``."""
-    values, vectors = sym_eigh(m)
-    return [EigenPair(float(values[j]), vectors[:, j].copy()) for j in range(len(values))]
 
 
 def dual_first_component(x: np.ndarray) -> DualComponent:

@@ -17,21 +17,7 @@ from .eigen import DualComponent, dual_first_component
 from .exceptions import DomainError
 from .metrics import angle_degrees, default_lambda_grid, frobenius_sq, select_lambda_bic
 from .model import as_matrix
-from .penalties import PenaltySpec, penalty_value, threshold, threshold_scalar
-
-__all__ = [
-    "PenaltySpec",
-    "threshold",
-    "threshold_scalar",
-    "penalty_value",
-    "LoadingVector",
-    "RspcaIteration",
-    "RspcaTrace",
-    "pca_first",
-    "st_estimator",
-    "rspca",
-    "oracle_estimator",
-]
+from .penalties import PenaltySpec, threshold
 
 #: Convergence tolerance on the angle change between iterates, degrees.
 RSPCA_TOL_DEG = 1e-8
@@ -133,7 +119,6 @@ def rspca(
     penalty: PenaltySpec,
     *,
     max_iter: int = RSPCA_MAX_ITER,
-    tol_deg: float = RSPCA_TOL_DEG,
     bic_per_iteration: bool = False,
     lambda_grid: np.ndarray | None = None,
     dual: DualComponent | None = None,
@@ -146,8 +131,8 @@ def rspca(
         u <- h_lambda(X v),    v <- X^T u / ||X^T u||
 
     until the angle change between successive u iterates falls below
-    ``tol_deg`` or the support is unchanged for ``RSPCA_SUPPORT_STABLE``
-    consecutive updates; the final u is normalized.
+    ``RSPCA_TOL_DEG`` degrees or the support is unchanged for
+    ``RSPCA_SUPPORT_STABLE`` consecutive updates; the final u is normalized.
 
     With ``bic_per_iteration`` the thresholding parameter is re-selected by
     BIC at every update step over ``lambda_grid`` (built from the
@@ -201,7 +186,7 @@ def rspca(
             RspcaIteration(lam, int(supp.sum()), ang, sigma2, bic_total)
         )
         u_old = u_new
-        if ang <= tol_deg:
+        if ang <= RSPCA_TOL_DEG:
             trace.converged = True
             break
         if prev_support is not None and np.array_equal(supp, prev_support):

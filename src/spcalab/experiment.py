@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .eigen import dual_first_component
-from .estimators import PenaltySpec, oracle_estimator, pca_first, rspca, st_estimator
+from .estimators import RSPCA_MAX_ITER, oracle_estimator, pca_first, rspca, st_estimator
 from .exceptions import ConfigError, DomainError
 from .figures import counterexample_figure, phase_figure, sweep_figure
 from .metrics import (
@@ -45,7 +45,7 @@ from .model import (
     sample_counterexample,
     sample_gaussian,
 )
-from .penalties import FAMILIES
+from .penalties import DEFAULT_SCAD_A, FAMILIES, PenaltySpec
 
 DEFAULT_SEED = 20260809
 
@@ -69,7 +69,7 @@ class ExperimentConfig:
     replications: int = 100
     methods: tuple[str, ...] = ("pca", "st", "rspca")
     penalty: str = "hard"
-    scad_a: float = 3.7
+    scad_a: float = DEFAULT_SCAD_A
     lambda_min: float = 1e-3
     lambda_max: float | None = None
     lambda_points: int = 50
@@ -79,7 +79,7 @@ class ExperimentConfig:
     output_dir: Path | None = None
     threads: int = 1
     timing: bool = False
-    max_iter: int = 200
+    max_iter: int = RSPCA_MAX_ITER
     delta: float = 1.0
     gamma: float | None = None
 
@@ -430,6 +430,8 @@ def _pair_bounds(cfg: ExperimentConfig, alpha: float, beta: float) -> LambdaBoun
     None when no gamma is admissible (alpha <= beta); an empty range when
     the configured gamma lies outside (theta, alpha - eta).
     """
+    # The spiked model's tail eigenvalues are 1 (theta = 0), and every
+    # non-zero loading of u1 is m**-0.5 ~ d**(-beta/2) (eta = beta).
     theta = 0.0
     eta = beta
     midpoint = default_gamma(theta, alpha, eta)
@@ -751,7 +753,7 @@ def write_resolved_config(cfg: ExperimentConfig, path) -> Path:
     return path
 
 
-def run_and_emit(cfg: ExperimentConfig, *, plots: bool = True) -> ExperimentResult:
+def run_and_emit(cfg: ExperimentConfig) -> ExperimentResult:
     """Run an experiment and write its outputs into cfg.output_dir.
 
     ``summary.csv`` needs a final row (pca, oracle or BIC-selected).
@@ -767,7 +769,7 @@ def run_and_emit(cfg: ExperimentConfig, *, plots: bool = True) -> ExperimentResu
     emit_csv(result.records, out / "replications.csv")
     if result.summary:
         emit_summary_csv(result.summary, out / "summary.csv")
-    method = _figure_method(cfg) if plots else None
+    method = _figure_method(cfg)
     if method is not None and cfg.sweep:
         emit_plots(result, out)
     if any(s.method == method for s in result.summary):

@@ -25,7 +25,7 @@ under any scheduling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -90,7 +90,10 @@ def as_matrix(x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpikedSpec:
-    """Parameters of the spiked model.
+    """Parameters of the spiked model in the module docstring.
+
+    The tail eigenvalues are fixed at 1 and every non-zero loading of u1 is
+    ``m**-0.5``, so (d, n, alpha, beta) determine the population.
 
     Attributes
     ----------
@@ -101,20 +104,12 @@ class SpikedSpec:
     beta : float
         Sparsity index; the leading eigenvector has ``floor(d**beta)``
         non-zero entries.
-    theta : float
-        Second-eigenvalue index (metadata for the threshold-range bounds;
-        the default construction always uses unit tail eigenvalues).
-    eta : float
-        Minimum-loading index.  Derived as ``beta`` for this construction,
-        since every non-zero loading equals ``m**-0.5 ~ d**(-beta/2)``.
     """
 
     d: int
     n: int
     alpha: float
     beta: float
-    theta: float = 0.0
-    eta: float | None = None
 
     def __post_init__(self):
         if self.d < 1:
@@ -125,10 +120,6 @@ class SpikedSpec:
             raise DomainError(f"alpha must lie in [0, 1.5], got {self.alpha}")
         if not 0.0 <= self.beta <= 1.0:
             raise DomainError(f"beta must lie in [0, 1], got {self.beta}")
-        if self.theta < 0.0:
-            raise DomainError(f"theta must be >= 0, got {self.theta}")
-        if self.eta is None:
-            object.__setattr__(self, "eta", self.beta)
         m = self.support_size
         if not 1 <= m <= self.d:
             raise DomainError(f"support size {m} outside [1, {self.d}]")
@@ -148,15 +139,6 @@ class EigenSystem:
     """Population eigensystem, materialized lazily from its pattern."""
 
     spec: SpikedSpec
-    basis_description: str = field(default="", init=False)
-
-    def __post_init__(self):
-        m = self.spec.support_size
-        object.__setattr__(
-            self,
-            "basis_description",
-            f"helmert-head(m={m}) + identity-tail(d={self.spec.d})",
-        )
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -225,7 +207,8 @@ def sample_gaussian(system: EigenSystem, seed, replication: int | None = None) -
 
     z1 = rng.standard_normal(n)
     x = np.empty((d, n))
-    x[:m] = (spec.lambda1 ** 0.5) * np.outer(system.u1[:m], z1)
+    # u1's head entries all equal m**-0.5, so its d-vector is never formed.
+    x[:m] = (spec.lambda1 ** 0.5) * (m ** -0.5 * z1)
     if m > 1:
         x[:m] += _helmert_head_times(rng.standard_normal((m - 1, n)))
     if m < d:
@@ -235,50 +218,6 @@ def sample_gaussian(system: EigenSystem, seed, replication: int | None = None) -
         model=f"spiked(d={d},n={n},alpha={spec.alpha},beta={spec.beta})",
         seed=_seed_repr(seed),
         replication=replication,
-    )
-    return DataMatrix(x=x, provenance=prov)
-
-
-def sample_gaussian_general(
-    u1: np.ndarray,
-    eigenvalues: np.ndarray,
-    n: int,
-    seed,
-    replication: int | None = None,
-) -> DataMatrix:
-    """Extension hook: spiked sampler for a caller-supplied u1 and spectrum.
-
-    The basis is completed implicitly by the Householder reflection mapping
-    e1 to u1, so the population covariance has eigenvalues ``eigenvalues``
-    and leading eigenvector ``u1``; the remaining eigenvectors are the
-    reflected coordinate vectors.
-    """
-    u1 = np.asarray(u1, dtype=float)
-    lam = np.asarray(eigenvalues, dtype=float)
-    d = u1.shape[0]
-    if u1.ndim != 1:
-        raise DimensionError("u1 must be a vector")
-    if lam.shape != (d,):
-        raise DimensionError("eigenvalues must have the same length as u1")
-    if abs(np.linalg.norm(u1) - 1.0) > 1e-10:
-        raise DomainError("u1 must be unit-norm")
-    if np.any(lam < 0) or np.any(np.diff(lam) > 0):
-        raise DomainError("eigenvalues must be non-negative and descending")
-    if n < 1:
-        raise DomainError("n must be >= 1")
-
-    rng = _make_rng(seed)
-    z = rng.standard_normal((d, n))
-    scaled = np.sqrt(lam)[:, None] * z
-    w = u1.copy()
-    w[0] -= 1.0  # Householder vector mapping e1 -> u1
-    ww = float(w @ w)
-    if ww > 0.0:
-        x = scaled - np.outer(w, (2.0 / ww) * (w @ scaled))
-    else:
-        x = scaled
-    prov = Provenance(
-        model=f"general-spike(d={d},n={n})", seed=_seed_repr(seed), replication=replication
     )
     return DataMatrix(x=x, provenance=prov)
 
@@ -333,12 +272,10 @@ def failure_probability(d: int, alpha: float) -> float:
     This is the chance that every tail coordinate of one draw from the
     counterexample model is zero, which is the only way the first
     coordinate can carry the largest |entry|.  It decays to 0 as d grows.
+    Raises DomainError where ``sample_counterexample`` does.
     """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    if d < 2:
-        raise DomainError(f"d must be >= 2, got {d}")
-    return float((1.0 - 2.0 * d ** (-(alpha + 1.0) / 2.0)) ** (d - 1))
+    p = counterexample_tail_probability(d, alpha)
+    return float((1.0 - 2.0 * p) ** (d - 1))
 
 
 class Sphericity(NamedTuple):

@@ -13,7 +13,6 @@ from spcalab import (
     NumericError,
     angle_degrees,
     dual_first_component,
-    sym_eigen,
     sym_eigh,
 )
 from _oracles import eigenvalues_by_bisection
@@ -27,31 +26,30 @@ def random_symmetric(n, seed):
 
 class TestSymEigen:
     def test_identity(self):
-        pairs = sym_eigen(np.eye(3))
-        assert len(pairs) == 3
-        np.testing.assert_allclose([p.value for p in pairs], np.ones(3), atol=1e-14)
-        basis = np.column_stack([p.vector for p in pairs])
-        np.testing.assert_allclose(basis.T @ basis, np.eye(3), atol=1e-12)
+        values, vectors = sym_eigh(np.eye(3))
+        assert len(values) == 3
+        np.testing.assert_allclose(values, np.ones(3), atol=1e-14)
+        np.testing.assert_allclose(vectors.T @ vectors, np.eye(3), atol=1e-12)
 
     def test_diagonal_canonical(self):
-        pairs = sym_eigen(np.diag([4.0, 1.0]))
-        assert [p.value for p in pairs] == [4.0, 1.0]
-        np.testing.assert_array_equal(pairs[0].vector, [1.0, 0.0])
-        np.testing.assert_array_equal(pairs[1].vector, [0.0, 1.0])
+        values, vectors = sym_eigh(np.diag([4.0, 1.0]))
+        assert values.tolist() == [4.0, 1.0]
+        np.testing.assert_array_equal(vectors[:, 0], [1.0, 0.0])
+        np.testing.assert_array_equal(vectors[:, 1], [0.0, 1.0])
 
     def test_descending_order(self):
-        pairs = sym_eigen(np.diag([1.0, 5.0, -2.0, 3.0]))
-        values = [p.value for p in pairs]
-        assert values == sorted(values, reverse=True)
+        values, _ = sym_eigh(np.diag([1.0, 5.0, -2.0, 3.0]))
+        assert values.tolist() == sorted(values.tolist(), reverse=True)
 
     def test_random_5x5_vs_charpoly_oracle(self):
         m = random_symmetric(5, seed=31)
-        pairs = sym_eigen(m)
-        for p in pairs:
-            np.testing.assert_allclose(m @ p.vector, p.value * p.vector, atol=1e-10)
+        values, vectors = sym_eigh(m)
+        for j in range(5):
+            v = vectors[:, j]
+            np.testing.assert_allclose(m @ v, values[j] * v, atol=1e-10)
         oracle = eigenvalues_by_bisection(m)
         assert oracle.shape == (5,)
-        np.testing.assert_allclose([p.value for p in pairs], oracle, atol=1e-9)
+        np.testing.assert_allclose(values, oracle, atol=1e-9)
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("n", [2, 3, 7, 12, 25])
@@ -80,19 +78,19 @@ class TestSymEigen:
 
     def test_non_square_raises(self):
         with pytest.raises(DimensionError):
-            sym_eigen(np.ones((2, 3)))
+            sym_eigh(np.ones((2, 3)))
 
     def test_non_finite_raises(self):
         m = np.eye(3)
         m[0, 1] = m[1, 0] = np.nan
         with pytest.raises(NumericError):
-            sym_eigen(m)
+            sym_eigh(m)
 
     def test_asymmetric_raises(self):
         m = np.eye(3)
         m[0, 1] = 1e-4
         with pytest.raises(NumericError):
-            sym_eigen(m)
+            sym_eigh(m)
 
 
 class TestDualFirstComponent:

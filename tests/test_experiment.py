@@ -289,7 +289,7 @@ class TestCsvEmission:
         texts = []
         for threads, sub in ((1, "a"), (2, "b")):
             cfg = small_config(output_dir=tmp_path / sub, threads=threads)
-            run_and_emit(cfg, plots=False)
+            run_and_emit(cfg)
             texts.append(
                 (
                     (tmp_path / sub / "replications.csv").read_bytes(),

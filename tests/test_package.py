@@ -1,0 +1,38 @@
+"""The package's public surface: ``spcalab.__all__`` and the README example."""
+
+import contextlib
+import io
+import re
+import types
+from pathlib import Path
+
+import spcalab
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+class TestAll:
+    def test_no_duplicates(self):
+        assert len(spcalab.__all__) == len(set(spcalab.__all__))
+
+    def test_every_entry_resolves(self):
+        missing = [name for name in spcalab.__all__ if not hasattr(spcalab, name)]
+        assert missing == []
+
+    def test_every_public_attribute_listed(self):
+        public = {
+            name
+            for name, value in vars(spcalab).items()
+            if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        }
+        assert public - set(spcalab.__all__) == set()
+
+
+def test_readme_library_example_runs():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Library use", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, str(README), "exec"), {})
+    assert len(out.getvalue().splitlines()) == 2
