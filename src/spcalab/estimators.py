@@ -15,7 +15,7 @@ import numpy as np
 
 from .eigen import DualComponent, dual_first_component
 from .exceptions import DomainError
-from .metrics import angle_degrees, default_lambda_grid, frobenius_sq, select_lambda_bic
+from .metrics import _angle, _norm, default_lambda_grid, frobenius_sq, select_lambda_bic
 from .model import as_matrix
 from .penalties import PenaltySpec, threshold
 
@@ -40,7 +40,7 @@ class LoadingVector:
 
     @classmethod
     def from_raw(cls, vec: np.ndarray) -> "LoadingVector":
-        nrm = float(np.linalg.norm(vec))
+        nrm = _norm(vec)
         if nrm == 0.0:
             return cls(entries=np.zeros_like(vec), normalized=False)
         return cls(entries=vec / nrm, normalized=True)
@@ -140,6 +140,9 @@ def rspca(
     The per-step sigma^2 and BIC totals are recorded in the trace.  ``fro2``
     is ||X||_F^2 when the caller already has it, as in ``select_lambda_bic``.
 
+    Each iterate's norm is computed once and carried to the next step's
+    angle, and the penalty is rebuilt only when BIC selects a new lambda.
+
     Returns the loading vector and the iteration trace.  If some update
     thresholds every entry away, iteration stops with the all-zero vector
     and ``trace.zero_terminated`` set.
@@ -157,8 +160,10 @@ def rspca(
             fro2 = frobenius_sq(xm)
 
     u_old = dc.u_tilde
+    norm_old = _norm(u_old)
     v = dc.v1
     lam = penalty.lam
+    step_penalty = penalty
     prev_support: np.ndarray | None = None
     stable = 0
 
@@ -171,25 +176,28 @@ def rspca(
             lam = sel.lambda_star
             sigma2 = sel.sigma2
             bic_total = sel.total
-        u_new = threshold(xv, penalty.with_lambda(lam))
+            if lam != step_penalty.lam:
+                step_penalty = penalty.with_lambda(lam)
+        u_new = threshold(xv, step_penalty)
 
         supp = u_new != 0
-        if not supp.any():
+        nnz = int(np.count_nonzero(supp))
+        if nnz == 0:
             trace.iterations.append(RspcaIteration(lam, 0, 90.0, sigma2, bic_total))
             trace.zero_terminated = True
             trace.converged = True
             u_old = u_new
             break
 
-        ang = angle_degrees(u_new, u_old)
-        trace.iterations.append(
-            RspcaIteration(lam, int(supp.sum()), ang, sigma2, bic_total)
-        )
+        norm_new = _norm(u_new)
+        ang = _angle(u_new, u_old, norm_new, norm_old)
+        trace.iterations.append(RspcaIteration(lam, nnz, ang, sigma2, bic_total))
         u_old = u_new
+        norm_old = norm_new
         if ang <= RSPCA_TOL_DEG:
             trace.converged = True
             break
-        if prev_support is not None and np.array_equal(supp, prev_support):
+        if prev_support is not None and (supp == prev_support).all():
             stable += 1
             if stable >= RSPCA_SUPPORT_STABLE:
                 trace.converged = True
@@ -199,7 +207,7 @@ def rspca(
         prev_support = supp
 
         xtu = xm.T @ u_new
-        nrm = float(np.linalg.norm(xtu))
+        nrm = _norm(xtu)
         if nrm == 0.0:
             trace.zero_terminated = True
             trace.converged = True

@@ -19,6 +19,7 @@ import multiprocessing
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -156,17 +157,15 @@ class SummaryRow:
     type2_q75: float
 
 
-def _csv_fields(cls) -> list:
-    """A row dataclass's CSV columns: its fields in declaration order."""
-    return [f for f in fields(cls) if f.metadata.get("csv", True)]
+def _csv_columns(cls) -> tuple[str, Callable]:
+    """A row dataclass's CSV header and cell getter: its fields in declaration order."""
+    cols = [f for f in fields(cls) if f.metadata.get("csv", True)]
+    header = ",".join(f.metadata.get("column", f.name) for f in cols)
+    return header, attrgetter(*(f.name for f in cols))
 
 
-def _csv_header(cls) -> str:
-    return ",".join(f.metadata.get("column", f.name) for f in _csv_fields(cls))
-
-
-CSV_HEADER = _csv_header(ReplicationRecord)
-SUMMARY_HEADER = _csv_header(SummaryRow)
+CSV_HEADER, _record_cells = _csv_columns(ReplicationRecord)
+SUMMARY_HEADER, _summary_cells = _csv_columns(SummaryRow)
 
 
 @dataclass
@@ -394,10 +393,6 @@ def _cell(v) -> str:
     return repr(float(v))
 
 
-def _csv_cells(row) -> list:
-    return [getattr(row, f.name) for f in _csv_fields(row)]
-
-
 def _write_csv(path, header: str, rows) -> Path:
     """Write ``header`` and one line per row of values (LF endings, UTF-8)."""
     path = Path(path)
@@ -410,13 +405,13 @@ def emit_csv(records: list[ReplicationRecord], path) -> Path:
     """Write replication records (canonical order, LF endings, UTF-8)."""
     if not records:
         raise DomainError("no records to write")
-    return _write_csv(path, CSV_HEADER, map(_csv_cells, records))
+    return _write_csv(path, CSV_HEADER, map(_record_cells, records))
 
 
 def emit_summary_csv(summary: list[SummaryRow], path) -> Path:
     if not summary:
         raise DomainError("no summary rows to write")
-    return _write_csv(path, SUMMARY_HEADER, map(_csv_cells, summary))
+    return _write_csv(path, SUMMARY_HEADER, map(_summary_cells, summary))
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,11 @@ _MARGIN = 56.0
 _GAP = 48.0
 
 
+def _write_svg(path, text: str) -> None:
+    """Write an SVG document with LF line endings on every platform, as the CSVs."""
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
+
+
 def lambda_axis(lam: float) -> float:
     return math.log10(lam + LAMBDA_AXIS_OFFSET)
 
@@ -87,7 +92,7 @@ def sweep_figure(
 
     width = _MARGIN + 3 * _PANEL_W + 2 * _GAP + 24
     title = f"alpha={alpha:g}, beta={beta:g}"
-    Path(path).write_text(document(width, 300.0, panels, title), encoding="utf-8")
+    _write_svg(path, document(width, 300.0, panels, title))
 
 
 def phase_figure(entries: list[tuple[float, float, float]], path) -> None:
@@ -115,7 +120,7 @@ def phase_figure(entries: list[tuple[float, float, float]], path) -> None:
             f'<text x="{fmt(px)}" y="{fmt(py - 11)}" font-size="8" text-anchor="middle" '
             f'fill="#202020">{angle:.0f}</text>'
         )
-    Path(path).write_text(document(500.0, 470.0, [pn.render()], "consistency phase diagram"), encoding="utf-8")
+    _write_svg(path, document(500.0, 470.0, [pn.render()], "consistency phase diagram"))
 
 
 def counterexample_figure(
@@ -149,6 +154,4 @@ def counterexample_figure(
     pn.add_polyline(xs, ye, stroke="#4878a8", width=1.5, opacity=1.0, cls="empirical")
     for x, y in zip(xs, ye):
         pn.add_circle(x, y, r=3.0, cls="empirical-pt")
-    Path(path).write_text(
-        document(540.0, 390.0, [pn.render()], "non-Gaussian counterexample"), encoding="utf-8"
-    )
+    _write_svg(path, document(540.0, 390.0, [pn.render()], "non-Gaussian counterexample"))

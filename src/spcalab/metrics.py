@@ -19,6 +19,30 @@ def _entries(u) -> np.ndarray:
     return np.asarray(getattr(u, "entries", u), dtype=float)
 
 
+def _norm(x: np.ndarray) -> float:
+    """||x||_2 as ``np.linalg.norm`` computes it for a real array: sqrt(x . x).
+
+    The ravel in memory order (a copy for a strided view) matches
+    ``np.linalg.norm``, so the dot product, and so the bits, are the same.
+    """
+    x = x.ravel(order="K")
+    return math.sqrt(x.dot(x))
+
+
+def _angle(a: np.ndarray, b: np.ndarray, na: float, nb: float) -> float:
+    """``angle_degrees`` of equal-shape float arrays with norms ``na``, ``nb``."""
+    if na == 0.0 or nb == 0.0:
+        return 90.0
+    c = float(a @ b) / (na * nb)
+    if abs(c) < 0.9:
+        return math.degrees(math.acos(abs(c)))
+    ah = a / na
+    bh = b / nb
+    # For c < 0 the chord is to -bh, and ah - (-bh) is ah + bh exactly.
+    chord = _norm(ah - bh if c >= 0 else ah + bh)
+    return math.degrees(2.0 * math.asin(min(chord / 2.0, 1.0)))
+
+
 def angle_degrees(u, v) -> float:
     """Angle between the lines spanned by u and v, in [0, 90] degrees.
 
@@ -33,17 +57,7 @@ def angle_degrees(u, v) -> float:
     b = _entries(v)
     if a.shape != b.shape:
         raise DimensionError(f"shape mismatch {a.shape} vs {b.shape}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        return 90.0
-    c = float(a @ b) / (na * nb)
-    if abs(c) < 0.9:
-        return math.degrees(math.acos(abs(c)))
-    ah = a / na
-    bh = b / nb if c >= 0 else -(b / nb)
-    chord = float(np.linalg.norm(ah - bh))
-    return math.degrees(2.0 * math.asin(min(chord / 2.0, 1.0)))
+    return _angle(a, b, _norm(a), _norm(b))
 
 
 def support_errors(estimate, truth_support, d: int | None = None) -> tuple[float, float]:
@@ -65,9 +79,11 @@ def support_errors(estimate, truth_support, d: int | None = None) -> tuple[float
         raise DomainError("truth support indices outside [0, d)")
     mask = np.zeros(d, dtype=bool)
     mask[truth] = True
-    k = int(mask.sum())
-    type1 = float(np.count_nonzero(e[mask] == 0.0)) / k
-    type2 = float(np.count_nonzero(e[~mask])) / (d - k) if d > k else 0.0
+    k = int(np.count_nonzero(mask))
+    # Non-zeros inside the truth; the rest of the non-zeros lie outside it.
+    inside = int(np.count_nonzero(e[mask]))
+    type1 = (k - inside) / k
+    type2 = (int(np.count_nonzero(e)) - inside) / (d - k) if d > k else 0.0
     return type1, type2
 
 
@@ -171,7 +187,7 @@ def _bic_context(x, v1, xv=None, fro2=None) -> tuple[np.ndarray, float, float, i
     d, n = xm.shape
     if v.shape != (n,):
         raise DimensionError(f"v1 has shape {v.shape}, expected ({n},)")
-    if abs(np.linalg.norm(v) - 1.0) > 1e-8:
+    if abs(_norm(v) - 1.0) > 1e-8:
         raise DomainError("v1 must be unit-norm")
     if xv is None:
         xv = xm @ v

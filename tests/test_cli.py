@@ -12,6 +12,7 @@ import pytest
 import spcalab
 from spcalab.cli import EXIT_CONFIG, EXIT_OK, build_parser, main, study_config
 from spcalab.experiment import CONFIG_KEYS
+from _oracles import rspca_reference
 
 
 def run_cli(*argv):
@@ -186,6 +187,18 @@ class TestSweepCommand:
         assert 'class="rep"' in svg and 'class="bic"' not in svg
         assert not (out / "summary.csv").exists()
         assert not (out / "phase.svg").exists()
+
+    def test_rspca_reference_writes_the_same_bytes(self, tmp_path, monkeypatch):
+        argv = ["sweep", "--profile", "desk", "--reps", "1", "--pairs", "0.6:0.1,0.2:0.7",
+                "--method", "st,rspca"]
+        assert run_cli(*argv, "--out", str(tmp_path / "fast")) == EXIT_OK
+        monkeypatch.setattr("spcalab.experiment.rspca", rspca_reference)
+        assert run_cli(*argv, "--out", str(tmp_path / "reference")) == EXIT_OK
+        fast, reference = tmp_path / "fast", tmp_path / "reference"
+        names = sorted(p.name for p in fast.iterdir() if p.suffix in (".csv", ".svg"))
+        assert len(names) == 5  # two CSVs, two sweep figures, the phase diagram
+        for name in names:
+            assert (fast / name).read_bytes() == (reference / name).read_bytes()
 
     def test_pairs_flag_overrides_config_alpha_beta(self, tmp_path):
         cfg = tmp_path / "g.txt"

@@ -22,8 +22,10 @@ from spcalab import (
     threshold,
     threshold_scalar,
 )
-from spcalab.metrics import frobenius_sq
-from _oracles import brute_force_prox
+from spcalab.eigen import dual_first_component
+from spcalab.metrics import default_lambda_grid, frobenius_sq
+from spcalab.penalties import FAMILIES
+from _oracles import brute_force_prox, rspca_reference
 
 
 def spiked_data(d, n, alpha, beta, seed):
@@ -262,6 +264,72 @@ class TestRspca:
         dm, _ = spiked_data(20, 5, 0.6, 0.3, seed=17)
         with pytest.raises(DomainError):
             rspca(dm.x, PenaltySpec.hard(1.0), max_iter=0)
+
+
+def assert_same_fit(fit, reference):
+    """Identical entries bytes and identical trace fields (repr is exact for floats)."""
+    (vec, trace), (ref_vec, ref_trace) = fit, reference
+    assert vec.entries.tobytes() == ref_vec.entries.tobytes()
+    assert vec.normalized == ref_vec.normalized
+    assert repr(trace) == repr(ref_trace)
+
+
+class TestRspcaMatchesReference:
+    """``rspca`` against the plain loop in ``_oracles``, bit for bit.
+
+    At d=2000 and seed 0, the longest fixed-lambda fit at (0.2, 0.7) takes
+    42 (hard) to 133 (SCAD) iterations and the top of the grid gives
+    zero-terminated fits; in BIC mode at (0.4, 0.3) the selected lambda
+    falls between steps in every family.
+    """
+
+    PAIRS = [(0.6, 0.1), (0.2, 0.7)]
+
+    @staticmethod
+    def sample(pair, seed=0):
+        dm, _ = spiked_data(2000, 25, *pair, seed=seed)
+        dc = dual_first_component(dm.x)
+        return dm.x, dc, default_lambda_grid(dc.u_tilde)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("pair", PAIRS)
+    def test_fixed_lambda_over_default_grid(self, pair, family):
+        x, dc, grid = self.sample(pair)
+        fits = []
+        for lam in grid.tolist():
+            penalty = PenaltySpec(family, lam)
+            fit = rspca(x, penalty, dual=dc)
+            assert_same_fit(fit, rspca_reference(x, penalty, dual=dc))
+            fits.append(fit[1])
+        assert any(t.zero_terminated for t in fits)
+        if pair == (0.2, 0.7):
+            assert max(t.n_iterations for t in fits) >= 30
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("pair", [*PAIRS, (0.4, 0.3)])
+    def test_bic_mode(self, pair, family):
+        falls = 0
+        for seed in range(5):
+            x, dc, grid = self.sample(pair, seed)
+            penalty = PenaltySpec(family, 0.0)
+            kwargs = dict(bic_per_iteration=True, lambda_grid=grid, dual=dc, fro2=frobenius_sq(x))
+            fit = rspca(x, penalty, **kwargs)
+            assert_same_fit(fit, rspca_reference(x, penalty, **kwargs))
+            lams = [it.lam for it in fit[1].iterations]
+            falls += any(b < a for a, b in zip(lams, lams[1:]))
+        if pair == (0.4, 0.3):
+            assert falls > 0
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_unconverged_exit(self, family):
+        x, dc, grid = self.sample((0.2, 0.7))
+        unconverged = 0
+        for lam in grid.tolist():
+            penalty = PenaltySpec(family, lam)
+            fit = rspca(x, penalty, max_iter=3, dual=dc)
+            assert_same_fit(fit, rspca_reference(x, penalty, max_iter=3, dual=dc))
+            unconverged += not fit[1].converged
+        assert unconverged > 0
 
 
 class TestOracleEstimator:

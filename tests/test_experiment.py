@@ -285,6 +285,30 @@ class TestCsvEmission:
         assert (out / "phase.svg").exists()
         assert (out / "sweep_a0.6_b0.1.svg").exists()
 
+    def test_every_text_file_is_written_with_lf_endings(self, tmp_path, monkeypatch):
+        from spcalab.experiment import emit_counterexample
+
+        written = {}
+        write_text = Path.write_text
+
+        def spy(path, data, *args, **kwargs):
+            written[path.name] = kwargs.get("newline")
+            return write_text(path, data, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", spy)
+        run_and_emit(small_config(output_dir=tmp_path, sweep=True, methods=("st", "rspca")))
+        emit_counterexample(run_counterexample([30, 60], alpha=0.5, reps=50), tmp_path)
+        assert sorted(written) == [
+            "config.resolved",
+            "counterexample.csv",
+            "counterexample.svg",
+            "phase.svg",
+            "replications.csv",
+            "summary.csv",
+            "sweep_a0.6_b0.1.svg",
+        ]
+        assert set(written.values()) == {"\n"}
+
     def test_byte_identical_across_threads(self, tmp_path):
         texts = []
         for threads, sub in ((1, "a"), (2, "b")):

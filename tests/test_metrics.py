@@ -30,6 +30,7 @@ from spcalab import (
 )
 from spcalab.metrics import frobenius_sq
 from spcalab.penalties import FAMILIES
+from _oracles import angle_degrees_reference, support_errors_reference
 
 
 class TestAngle:
@@ -75,6 +76,84 @@ class TestAngle:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             angle_degrees(np.ones(3), np.ones(4))
+
+
+def _at_cosine(c, d=40, seed=0):
+    """A unit vector u and a vector v with cos(u, v) = c up to rounding."""
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(d)
+    u /= np.linalg.norm(u)
+    w = rng.standard_normal(d)
+    w -= (w @ u) * u
+    w /= np.linalg.norm(w)
+    return u, 3.0 * (c * u + math.sqrt(1.0 - c * c) * w)
+
+
+class TestAngleMatchesReference:
+    """The norm and angle kernels against ``np.linalg.norm`` arithmetic, bit for bit."""
+
+    def assert_same(self, u, v):
+        got = angle_degrees(u, v)
+        assert repr(got) == repr(angle_degrees_reference(u, v))
+        return got
+
+    def test_zero_vectors(self):
+        z = np.zeros(5)
+        assert self.assert_same(z, z) == 90.0
+        assert self.assert_same(z, np.arange(5.0)) == 90.0
+        assert self.assert_same(np.arange(5.0), z) == 90.0
+
+    def test_equal_and_antiparallel(self):
+        u = np.random.default_rng(1).standard_normal(300)
+        self.assert_same(u, u)
+        self.assert_same(u, -u)
+        self.assert_same(u, -2.5 * u)
+
+    @pytest.mark.parametrize("c", [0.9 - 1e-9, 0.9 + 1e-9, -0.9 + 1e-9, -0.9 - 1e-9])
+    def test_either_side_of_the_chord_switch(self, c):
+        u, v = _at_cosine(c)
+        cos = float(u @ v) / (np.linalg.norm(u) * np.linalg.norm(v))
+        assert (abs(cos) < 0.9) == (abs(c) < 0.9)
+        self.assert_same(u, v)
+        self.assert_same(v, u)
+
+    def test_strided_column_views(self):
+        m = np.random.default_rng(2).standard_normal((500, 9))
+        m[:, 4] = m[:, 1] + 1e-7 * m[:, 2]  # a near-parallel pair: chord branch
+        assert not m[:, 1].flags.c_contiguous
+        for j, k in [(1, 2), (1, 4), (4, 1), (3, 3)]:
+            self.assert_same(m[:, j], m[:, k])
+        self.assert_same(m[:, 1], np.ascontiguousarray(m[:, 4]))
+
+    def test_random_pairs(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            u = rng.standard_normal(64)
+            self.assert_same(u, u + rng.uniform(1e-12, 2.0) * rng.standard_normal(64))
+
+
+class TestSupportErrorsMatchReference:
+    """The counting form of ``support_errors`` against the boolean-mask form."""
+
+    def test_all_zero_estimate(self):
+        e = np.zeros(30)
+        assert support_errors(e, [2, 5, 7], 30) == support_errors_reference(e, [2, 5, 7])
+
+    def test_full_support_truth(self):
+        e = np.array([0.0, 1.0, -2.0, 0.0])
+        got = support_errors(e, [0, 1, 2, 3], 4)
+        assert got == support_errors_reference(e, [0, 1, 2, 3])
+        assert got[1] == 0.0
+
+    def test_random_sparse_estimates(self):
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            d = int(rng.integers(2, 60))
+            e = rng.standard_normal(d) * (rng.random(d) < rng.random())
+            truth = rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False)
+            got = support_errors(e, truth, d)
+            ref = support_errors_reference(e, truth)
+            assert repr(got) == repr(ref)
 
 
 class TestSupportErrors:
