@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._files import replace_text
 from .eigen import dual_first_component
 from .estimators import RSPCA_MAX_ITER, oracle_estimator, pca_first, rspca, st_estimator
 from .exceptions import ConfigError, DomainError
@@ -41,9 +42,9 @@ from .metrics import (
 from .model import (
     SpikedSpec,
     build_eigensystem,
+    counterexample_hits,
     counterexample_tail_probability,
     failure_probability,
-    sample_counterexample,
     sample_gaussian,
 )
 from .penalties import DEFAULT_SCAD_A, FAMILIES, PenaltySpec
@@ -395,10 +396,8 @@ def _cell(v) -> str:
 
 def _write_csv(path, header: str, rows) -> Path:
     """Write ``header`` and one line per row of values (LF endings, UTF-8)."""
-    path = Path(path)
     lines = [header] + [",".join(_cell(v) for v in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-    return path
+    return replace_text(path, "\n".join(lines) + "\n")
 
 
 def emit_csv(records: list[ReplicationRecord], path) -> Path:
@@ -529,23 +528,20 @@ def run_counterexample(
 ) -> CounterexampleResult:
     """Empirical frequency of argmax_i |u_hat_i| = 1 under the discrete model.
 
-    One n=1 sample x per replication.  Its 1 x 1 dual has eigenvector [1],
-    so the first empirical eigenvector is x / ||x||, and dividing by the
-    positive norm keeps the argmax, ties included: a draw is a hit exactly
-    when ``argmax |x_i|`` is the first coordinate.  This is the answer
-    ``pca_first`` gives, scored without a dual eigensolve per draw.
+    One n=1 sample x per replication, drawn from
+    ``SeedSequence(base_seed, spawn_key=(d_index, rep))``.  Its 1 x 1 dual
+    has eigenvector [1], so ``pca_first``'s estimate is x / ||x||, whose
+    argmax |.| is that of x, ties included.  The tail magnitude beats the
+    spike, so that argmax is the first coordinate exactly when every tail
+    coordinate is zero; ``counterexample_hits`` decides this from each
+    draw's uniforms without building x or running a dual eigensolve.
     """
     dims = check_counterexample(dims, alpha, reps)
     empirical = []
     predicted = []
     for di, d in enumerate(dims):
-        hits = 0
-        for rep in range(reps):
-            seed = np.random.SeedSequence(base_seed, spawn_key=(di, rep))
-            dm = sample_counterexample(d, alpha, 1, seed, replication=rep)
-            if int(np.argmax(np.abs(dm.x[:, 0]))) == 0:
-                hits += 1
-        empirical.append(hits / reps)
+        seeds = (np.random.SeedSequence(base_seed, spawn_key=(di, rep)) for rep in range(reps))
+        empirical.append(counterexample_hits(d, alpha, seeds) / reps)
         predicted.append(failure_probability(d, alpha))
     return CounterexampleResult(
         alpha=alpha, reps=reps, dims=dims, empirical=empirical, predicted=predicted
@@ -731,7 +727,6 @@ def resolve_config(
 
 def write_resolved_config(cfg: ExperimentConfig, path) -> Path:
     """Echo the fully resolved configuration for provenance."""
-    path = Path(path)
     items = []
     for f in fields(cfg):
         v = getattr(cfg, f.name)
@@ -744,8 +739,7 @@ def write_resolved_config(cfg: ExperimentConfig, path) -> Path:
         elif v is None:
             v = ""
         items.append(f"{f.name}={v}")
-    path.write_text("\n".join(items) + "\n", encoding="utf-8", newline="\n")
-    return path
+    return replace_text(path, "\n".join(items) + "\n")
 
 
 def run_and_emit(cfg: ExperimentConfig) -> ExperimentResult:

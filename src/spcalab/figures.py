@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import math
-from pathlib import Path
 
+from ._files import replace_text
 from .exceptions import DomainError
 from .metrics import LambdaBounds
 from .svgfig import Panel, document, fmt
@@ -16,11 +16,6 @@ _PANEL_W = 270.0
 _PANEL_H = 200.0
 _MARGIN = 56.0
 _GAP = 48.0
-
-
-def _write_svg(path, text: str) -> None:
-    """Write an SVG document with LF line endings on every platform, as the CSVs."""
-    Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
 def lambda_axis(lam: float) -> float:
@@ -92,7 +87,7 @@ def sweep_figure(
 
     width = _MARGIN + 3 * _PANEL_W + 2 * _GAP + 24
     title = f"alpha={alpha:g}, beta={beta:g}"
-    _write_svg(path, document(width, 300.0, panels, title))
+    replace_text(path, document(width, 300.0, panels, title))
 
 
 def phase_figure(entries: list[tuple[float, float, float]], path) -> None:
@@ -120,7 +115,7 @@ def phase_figure(entries: list[tuple[float, float, float]], path) -> None:
             f'<text x="{fmt(px)}" y="{fmt(py - 11)}" font-size="8" text-anchor="middle" '
             f'fill="#202020">{angle:.0f}</text>'
         )
-    _write_svg(path, document(500.0, 470.0, [pn.render()], "consistency phase diagram"))
+    replace_text(path, document(500.0, 470.0, [pn.render()], "consistency phase diagram"))
 
 
 def counterexample_figure(
@@ -154,4 +149,4 @@ def counterexample_figure(
     pn.add_polyline(xs, ye, stroke="#4878a8", width=1.5, opacity=1.0, cls="empirical")
     for x, y in zip(xs, ye):
         pn.add_circle(x, y, r=3.0, cls="empirical-pt")
-    _write_svg(path, document(540.0, 390.0, [pn.render()], "non-Gaussian counterexample"))
+    replace_text(path, document(540.0, 390.0, [pn.render()], "non-Gaussian counterexample"))

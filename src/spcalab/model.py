@@ -225,7 +225,8 @@ def sample_gaussian(system: EigenSystem, seed, replication: int | None = None) -
 def counterexample_tail_probability(d: int, alpha: float) -> float:
     """d**(-(alpha+1)/2), the chance of each sign of a counterexample tail coordinate.
 
-    Raises DomainError when (d, alpha) admits no such law.
+    Raises DomainError when (d, alpha) admits no such law, including when
+    the tail magnitude does not exceed the spike in floating point.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
@@ -234,6 +235,14 @@ def counterexample_tail_probability(d: int, alpha: float) -> float:
     p = d ** (-(alpha + 1.0) / 2.0)
     if 2.0 * p > 1.0:
         raise DomainError(f"tail probabilities 2*d**-((alpha+1)/2) = {2 * p:.4f} exceed 1")
+    # (alpha+1)/4 > alpha/2 for every alpha < 1, but near alpha = 1 the two
+    # powers can round to the same float; every draw would then tie, and a
+    # tie goes to the spike.
+    if not d ** ((alpha + 1.0) / 4.0) > d ** (alpha / 2.0):
+        raise DomainError(
+            f"tail magnitude d**((alpha+1)/4) does not exceed the spike d**(alpha/2)"
+            f" in floating point at d={d}, alpha={alpha!r}"
+        )
     return p
 
 
@@ -264,6 +273,27 @@ def sample_counterexample(d: int, alpha: float, n: int, seed, replication: int |
         replication=replication,
     )
     return DataMatrix(x=x, provenance=prov)
+
+
+def counterexample_hits(d: int, alpha: float, seeds) -> int:
+    """How many n=1 counterexample draws, one per seed, have argmax |x_i| at i = 0.
+
+    Each draw is scored from the uniforms ``sample_counterexample`` would
+    build it from, without building it: ``random(d)`` gives the same
+    uniforms as the sampler's ``random((d, 1))``.  Tail coordinate i is
+    zero exactly when its uniform is >= 2p, and
+    ``counterexample_tail_probability`` ensures that a non-zero tail
+    magnitude strictly exceeds the spike's.  So the first coordinate
+    carries the largest |entry| exactly when every tail uniform is >= 2p.
+    This is also ``pca_first``'s answer: at n=1 the 1 x 1 dual has
+    eigenvector [1], so the estimate is x / ||x||, with the argmax of |x|.
+    """
+    zero_from = 2.0 * counterexample_tail_probability(d, alpha)
+    hits = 0
+    for seed in seeds:
+        if _make_rng(seed).random(d)[1:].min() >= zero_from:
+            hits += 1
+    return hits
 
 
 def failure_probability(d: int, alpha: float) -> float:

@@ -97,6 +97,13 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_counterexample_tail_that_cannot_beat_the_spike_is_config_error(self, tmp_path, capsys):
+        code = run_cli("counterexample", "--d-grid", "50,4", "--alpha", repr(1.0 - 2.0**-52),
+                       "--out", str(tmp_path / "out"))
+        assert code == EXIT_CONFIG
+        assert "does not exceed the spike" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_flag_value_is_config_error(self, tmp_path, capsys):
         code = run_cli("bic", "--d", "ten", "--out", str(tmp_path / "out"))
         assert code == EXIT_CONFIG
@@ -152,6 +159,20 @@ class TestSweepCommand:
         header, *rows = (out / "replications.csv").read_text().splitlines()
         # 2 reps x (5 sweep rows + 1 BIC row)
         assert len(rows) == 12
+
+    def test_rerun_into_the_same_out_gives_the_same_bytes(self, tmp_path):
+        out = tmp_path / "out"
+        argv = ("sweep", "--alpha", "0.6", "--beta", "0.1", "--d", "120", "--n", "6",
+                "--reps", "2", "--method", "st,rspca", "--lambda-points", "4", "--out", str(out))
+        outputs = []
+        for _ in range(2):
+            assert run_cli(*argv) == EXIT_OK
+            outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert sorted(outputs[0]) == [
+            "config.resolved", "phase.svg", "replications.csv", "summary.csv",
+            "sweep_a0.6_b0.1.svg",
+        ]
+        assert outputs[0] == outputs[1]
 
     def test_flag_overrides_config_pairs(self, tmp_path):
         cfg = tmp_path / "cfg.txt"

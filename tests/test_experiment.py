@@ -24,6 +24,7 @@ from spcalab import (
 )
 from spcalab.experiment import (
     CSV_HEADER,
+    DEFAULT_SEED,
     PAPER_PAIRS,
     SUMMARY_HEADER,
     parse_config_file,
@@ -309,6 +310,15 @@ class TestCsvEmission:
         ]
         assert set(written.values()) == {"\n"}
 
+    def test_existing_output_is_replaced_not_rewritten_in_place(self, tmp_path):
+        out = tmp_path / "config.resolved"
+        out.write_text("a stale and longer file\n" * 100)
+        old = tmp_path / "old-link"
+        old.hardlink_to(out)
+        write_resolved_config(small_config(), out)
+        assert out.read_text().startswith("pairs=0.6:0.1\n")
+        assert old.read_text() == "a stale and longer file\n" * 100
+
     def test_byte_identical_across_threads(self, tmp_path):
         texts = []
         for threads, sub in ((1, "a"), (2, "b")):
@@ -382,6 +392,12 @@ class TestCounterexampleRunner:
             b"30,0.5,600,0.005,0.0073044147357906285,0.0023044147357906284,"
             b"0.0034763631046344475\n"
         )
+
+
+    def test_readme_scale_hits_are_pinned(self):
+        dims, reps = [50, 100, 200, 400], 10000
+        result = run_counterexample(dims, alpha=0.5, reps=reps, base_seed=DEFAULT_SEED)
+        assert result.empirical == [hits / reps for hits in (60, 17, 6, 0)]
 
 
 def test_paper_pairs_grid():

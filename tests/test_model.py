@@ -21,6 +21,7 @@ from spcalab import (
     sample_gaussian,
     sphericity,
 )
+from spcalab.model import counterexample_hits, counterexample_tail_probability
 
 
 class TestSpikedSpec:
@@ -211,6 +212,41 @@ class TestCounterexample:
             sample_counterexample(100, 0.0, 5, 0)
         with pytest.raises(DomainError):
             sample_counterexample(2, 0.5, 5, 0)  # tail probabilities > 1
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_tail_that_cannot_beat_the_spike_is_rejected(self, d):
+        # Below alpha = 1 by one ulp, d**((alpha+1)/4) rounds to d**(alpha/2):
+        # every draw would tie and the tie would go to the spike.
+        alpha = 1.0 - 2.0**-52
+        assert d ** ((alpha + 1.0) / 4.0) == d ** (alpha / 2.0)
+        for call in (
+            lambda: counterexample_tail_probability(d, alpha),
+            lambda: sample_counterexample(d, alpha, 1, 0),
+            lambda: failure_probability(d, alpha),
+            lambda: counterexample_hits(d, alpha, [0]),
+        ):
+            with pytest.raises(DomainError, match="does not exceed the spike"):
+                call()
+
+
+class TestCounterexampleHits:
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95])
+    @pytest.mark.parametrize("d", [3, 10, 50, 400])
+    def test_each_draw_agrees_with_the_sampler(self, d, alpha):
+        seeds = [np.random.SeedSequence(7, spawn_key=(d, rep)) for rep in range(500)]
+        if 2 * d ** (-(alpha + 1) / 2) > 1:  # d=3, alpha=0.05 admits no law
+            with pytest.raises(DomainError):
+                sample_counterexample(d, alpha, 1, seeds[0])
+            with pytest.raises(DomainError):
+                counterexample_hits(d, alpha, seeds)
+            return
+        by_sampler = [
+            int(np.argmax(np.abs(sample_counterexample(d, alpha, 1, s).x[:, 0]))) == 0
+            for s in seeds
+        ]
+        by_scorer = [counterexample_hits(d, alpha, [s]) == 1 for s in seeds]
+        assert by_scorer == by_sampler
+        assert counterexample_hits(d, alpha, seeds) == sum(by_sampler)
 
 
 class TestFailureProbability:
