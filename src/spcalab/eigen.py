@@ -1,16 +1,16 @@
-"""Dense symmetric eigendecomposition and the dual rank-one trick.
+"""The dual rank-one trick: the leading PC direction from an n x n eigenproblem.
 
 The sample covariance of a d x n data matrix X is Sigma_hat = (1/n) X X^T.
 For d >> n it is never formed here: the dual matrix S = (1/n) X^T X is only
 n x n and shares the non-zero spectrum, and the leading left vector is
 recovered as X v1 where v1 is the leading dual eigenvector.
 
-The n x n dual is solved by LAPACK ``eigh`` (``numpy.linalg.eigh``): its
-input X^T X is already a BLAS product, and for a fixed numerics stack both
-are repeatable run to run.  Gram + ``eigh`` is kept over a thin SVD of X,
-which avoids squaring the condition number but measured 5-9x slower at
-n = 25 on one BLAS thread (540 us against 93 us at d = 2000, 2.7 ms
-against 0.30 ms at d = 10,000).
+S is solved by one LAPACK ``eigh`` call (``numpy.linalg.eigh``), of which
+only the leading pair is kept: its input X^T X is already a BLAS product,
+and for a fixed numerics stack both are repeatable run to run.  Gram +
+``eigh`` is kept over a thin SVD of X, which avoids squaring the condition
+number but measured 5-9x slower at n = 25 on one BLAS thread (540 us
+against 93 us at d = 2000, 2.7 ms against 0.30 ms at d = 10,000).
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ class DualComponent:
     ambiguous : bool
         True when the top dual eigengap is below ``AMBIGUITY_REL_GAP``
         (relative); v1 is still returned under a deterministic tie-break
-        (canonical sign, then lowest index).
+        (the first tied top eigenvector in ``eigh``'s order, canonical sign).
     """
 
     v1: np.ndarray
@@ -63,60 +63,19 @@ def canonical_sign(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _check_symmetric_input(m: np.ndarray) -> np.ndarray:
-    a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] < 1:
-        raise DimensionError("matrix order must be >= 1")
-    if not np.isfinite(a).all():
-        raise NumericError("matrix contains non-finite entries")
-    if not np.array_equal(a, a.T):
-        raise NumericError("matrix must be exactly symmetric")
-    return a
-
-
-def sym_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """LAPACK eigendecomposition of an exactly symmetric matrix.
-
-    Returns
-    -------
-    values : (n,) ndarray
-        Eigenvalues in descending order (stable order under exact ties).
-    vectors : (n, n) ndarray
-        Matching unit eigenvectors as columns, sign-canonicalized.
-
-    Raises
-    ------
-    NumericError
-        If LAPACK fails to converge (``numpy.linalg.LinAlgError``).
-    """
-    a = _check_symmetric_input(m)
-    try:
-        values, vectors = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"symmetric eigensolve failed: {exc}") from exc
-    order = np.argsort(-values, kind="stable")
-    values = values[order]
-    vectors = vectors[:, order]
-    for j in range(len(values)):
-        vectors[:, j] = canonical_sign(vectors[:, j])
-    return values, vectors
-
-
 def dual_first_component(x: np.ndarray) -> DualComponent:
     """Leading PC direction of a d x n matrix via the n x n dual matrix.
 
-    Forms S = (1/n) X^T X (symmetrized exactly), extracts its leading
-    eigenpair with ``sym_eigh``, and lifts the eigenvector back as
-    u_tilde = X v1.
+    Forms S = (1/n) X^T X (symmetrized exactly), keeps the leading
+    eigenpair of one ``numpy.linalg.eigh`` call, and lifts the eigenvector
+    back as u_tilde = X v1.
 
     Raises
     ------
     DimensionError
         If ``x`` is not a 2-d array.
     NumericError
-        If ``x`` has non-finite entries or the eigensolve fails.
+        If ``x`` or S has non-finite entries, or the eigensolve fails.
     DegenerateInputError
         If ``x`` is identically zero.
     """
@@ -133,12 +92,21 @@ def dual_first_component(x: np.ndarray) -> DualComponent:
     n = a.shape[1]
     g = a.T @ a
     s = (g + g.T) / (2.0 * n)
-    values, vectors = sym_eigh(s)
-    v1 = vectors[:, 0].copy()
-    lead = float(values[0])
+    # Finite X can still overflow its Gram matrix.
+    if not np.isfinite(s).all():
+        raise NumericError("dual matrix X^T X / n contains non-finite entries")
+    try:
+        values, vectors = np.linalg.eigh(s)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"dual eigensolve failed: {exc}") from exc
+    # eigh returns ascending values, so argmax takes the lowest index among
+    # tied top eigenvalues; the copy keeps v1 contiguous.
+    top = int(np.argmax(values))
+    v1 = canonical_sign(vectors[:, top].copy())
+    lead = float(values[top])
     ambiguous = False
     if n > 1:
-        gap = lead - float(values[1])
+        gap = lead - float(values[-2])
         ambiguous = gap <= AMBIGUITY_REL_GAP * abs(lead)
     u_tilde = a @ v1
     return DualComponent(v1=v1, u_tilde=u_tilde, value=lead, ambiguous=ambiguous)

@@ -217,12 +217,8 @@ def rspca(
     return LoadingVector.from_raw(u_old), trace
 
 
-def oracle_estimator(x, support, *, dual: DualComponent | None = None) -> LoadingVector:
-    """Subspace PCA restricted to a known support, embedded with exact zeros.
-
-    ``dual`` may carry a precomputed factorization of the restricted
-    submatrix x[support, :].
-    """
+def oracle_estimator(x, support) -> LoadingVector:
+    """Subspace PCA restricted to a known support, embedded with exact zeros."""
     xm = as_matrix(x)
     idx = np.unique(np.asarray(support, dtype=int))
     if idx.size == 0:
@@ -230,8 +226,7 @@ def oracle_estimator(x, support, *, dual: DualComponent | None = None) -> Loadin
     if idx.min() < 0 or idx.max() >= xm.shape[0]:
         raise DomainError("support indices outside [0, d)")
     sub = xm[idx, :]
-    dc = dual if dual is not None else dual_first_component(sub)
-    star = LoadingVector.from_raw(dc.u_tilde)
+    star = LoadingVector.from_raw(dual_first_component(sub).u_tilde)
     full = np.zeros(xm.shape[0])
     full[idx] = star.entries
     return LoadingVector(entries=full, normalized=star.normalized)

@@ -103,8 +103,11 @@ class ExperimentConfig:
             raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.delta <= 0.5:
             raise ConfigError(f"delta must be > 1/2, got {self.delta}")
-        if self.d < 1 or self.n < 1:
-            raise ConfigError("d and n must be >= 1")
+        # The consistency threshold range needs log(d) > 0.
+        if self.d < 2:
+            raise ConfigError(f"d must be >= 2, got {self.d}")
+        if self.n < 1:
+            raise ConfigError(f"n must be >= 1, got {self.n}")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
         if self.lambda_points < 1:
@@ -113,11 +116,18 @@ class ExperimentConfig:
             raise ConfigError("lambda_min must be > 0")
         if self.lambda_max is not None and self.lambda_max <= self.lambda_min:
             raise ConfigError("lambda_max must exceed lambda_min")
+        # Figure names and config.resolved print each pair with :g, so two
+        # pairs that print alike would overwrite each other's outputs.
+        labels: dict[str, tuple[float, float]] = {}
         for a, b in self.pairs:
             try:
                 SpikedSpec(self.d, self.n, a, b)
             except Exception as exc:
                 raise ConfigError(f"invalid pair ({a}, {b}): {exc}") from exc
+            label = f"{a:g}:{b:g}"
+            if label in labels:
+                raise ConfigError(f"pairs {labels[label]} and {(a, b)} share the label {label}")
+            labels[label] = (a, b)
 
 
 @dataclass(frozen=True)
@@ -192,7 +202,7 @@ def _run_replication(cfg: ExperimentConfig, pair_index: int, rep: int) -> list[R
     spec = SpikedSpec(cfg.d, cfg.n, alpha, beta)
     system = build_eigensystem(spec)
     seed = np.random.SeedSequence(cfg.base_seed, spawn_key=(pair_index, rep))
-    dm = sample_gaussian(system, seed, replication=rep)
+    dm = sample_gaussian(system, seed)
     u1 = system.u1
     truth = system.u1_support
 

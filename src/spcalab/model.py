@@ -44,27 +44,11 @@ def _make_rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _seed_repr(seed) -> str:
-    if isinstance(seed, np.random.SeedSequence):
-        return f"{seed.entropy}:{tuple(seed.spawn_key)}"
-    return str(int(seed))
-
-
-@dataclass(frozen=True)
-class Provenance:
-    """Where a data matrix came from: model id, seed, replication index."""
-
-    model: str
-    seed: str
-    replication: int | None = None
-
-
 @dataclass(frozen=True)
 class DataMatrix:
-    """A d x n column-sample matrix plus generation provenance."""
+    """A finite d x n column-sample matrix."""
 
     x: np.ndarray
-    provenance: Provenance
 
     def __post_init__(self):
         if self.x.ndim != 2:
@@ -193,7 +177,7 @@ def build_eigensystem(spec: SpikedSpec) -> EigenSystem:
     return EigenSystem(spec)
 
 
-def sample_gaussian(system: EigenSystem, seed, replication: int | None = None) -> DataMatrix:
+def sample_gaussian(system: EigenSystem, seed) -> DataMatrix:
     """Draw X = d**(alpha/2) u1 z1^T + sum_{i>=2} u_i z_i^T.
 
     The z_i are i.i.d. standard normal n-vectors.  Draw order is fixed:
@@ -213,13 +197,7 @@ def sample_gaussian(system: EigenSystem, seed, replication: int | None = None) -
         x[:m] += _helmert_head_times(rng.standard_normal((m - 1, n)))
     if m < d:
         rng.standard_normal(out=x[m:])
-
-    prov = Provenance(
-        model=f"spiked(d={d},n={n},alpha={spec.alpha},beta={spec.beta})",
-        seed=_seed_repr(seed),
-        replication=replication,
-    )
-    return DataMatrix(x=x, provenance=prov)
+    return DataMatrix(x=x)
 
 
 def counterexample_tail_probability(d: int, alpha: float) -> float:
@@ -246,7 +224,7 @@ def counterexample_tail_probability(d: int, alpha: float) -> float:
     return p
 
 
-def sample_counterexample(d: int, alpha: float, n: int, seed, replication: int | None = None) -> DataMatrix:
+def sample_counterexample(d: int, alpha: float, n: int, seed) -> DataMatrix:
     """Discrete heavy-coordinate sampler that defeats thresholding.
 
     Coordinates are independent: the first is +-d**(alpha/2) with equal
@@ -267,12 +245,7 @@ def sample_counterexample(d: int, alpha: float, n: int, seed, replication: int |
     x[0] = np.where(u[0] < 0.5, spike, -spike)
     mag = d ** ((alpha + 1.0) / 4.0)
     x[1:] = np.where(u[1:] < p, mag, np.where(u[1:] < 2.0 * p, -mag, 0.0))
-    prov = Provenance(
-        model=f"counterexample(d={d},n={n},alpha={alpha})",
-        seed=_seed_repr(seed),
-        replication=replication,
-    )
-    return DataMatrix(x=x, provenance=prov)
+    return DataMatrix(x=x)
 
 
 def counterexample_hits(d: int, alpha: float, seeds) -> int:

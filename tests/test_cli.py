@@ -68,8 +68,9 @@ class TestExitCodes:
             ("--scad-a", "1.5", "SCAD shape a must be > 2, got 1.5"),
             ("--max-iter", "0", "max_iter must be >= 1, got 0"),
             ("--delta", "0.3", "delta must be > 1/2, got 0.3"),
+            ("--d", "1", "d must be >= 2, got 1"),
         ],
-        ids=["scad_a", "max_iter", "delta"],
+        ids=["scad_a", "max_iter", "delta", "d"],
     )
     def test_out_of_range_value_is_config_error(self, tmp_path, capsys, flag, value, message):
         code = run_cli(
@@ -79,6 +80,18 @@ class TestExitCodes:
         )
         assert code == EXIT_CONFIG
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "pairs", ["0.6:0.1,0.6:0.1", "0.6:0.1,0.60000001:0.1"], ids=["exact", "same_label"]
+    )
+    def test_pairs_that_share_a_label_are_config_error(self, tmp_path, capsys, pairs):
+        code = run_cli(
+            "sweep", "--pairs", pairs, "--d", "200", "--n", "4", "--reps", "1",
+            "--out", str(tmp_path / "out"),
+        )
+        assert code == EXIT_CONFIG
+        assert "share the label 0.6:0.1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

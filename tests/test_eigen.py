@@ -1,96 +1,82 @@
-"""Eigensolver and dual-transformation tests.
+"""Dual eigenpair tests.
 
 Cross-route oracles: numpy.linalg.eigh for the direct d x d covariance
-route, and a characteristic-polynomial/bisection oracle for small spectra.
+route and the full dual spectrum, and a characteristic-polynomial/bisection
+oracle for small spectra.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
 
 from spcalab import (
     DegenerateInputError,
-    DimensionError,
     NumericError,
     angle_degrees,
     dual_first_component,
-    sym_eigh,
 )
 from _oracles import eigenvalues_by_bisection
 
 
-def random_symmetric(n, seed):
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((n, n))
-    return a + a.T
+def random_data(d, n, seed):
+    return np.random.default_rng(seed).standard_normal((d, n))
 
 
 class TestSymEigen:
-    def test_identity(self):
-        values, vectors = sym_eigh(np.eye(3))
-        assert len(values) == 3
-        np.testing.assert_allclose(values, np.ones(3), atol=1e-14)
-        np.testing.assert_allclose(vectors.T @ vectors, np.eye(3), atol=1e-12)
+    """The dual's symmetric eigenproblem, through the leading pair kept."""
 
     def test_diagonal_canonical(self):
-        values, vectors = sym_eigh(np.diag([4.0, 1.0]))
-        assert values.tolist() == [4.0, 1.0]
-        np.testing.assert_array_equal(vectors[:, 0], [1.0, 0.0])
-        np.testing.assert_array_equal(vectors[:, 1], [0.0, 1.0])
+        dc = dual_first_component(np.diag([2.0, 1.0]))
+        assert dc.value == 2.0
+        np.testing.assert_array_equal(dc.v1, [1.0, 0.0])
+        dc = dual_first_component(np.diag([1.0, -2.0]))
+        assert dc.value == 2.0
+        np.testing.assert_array_equal(dc.v1, [0.0, 1.0])
 
-    def test_descending_order(self):
-        values, _ = sym_eigh(np.diag([1.0, 5.0, -2.0, 3.0]))
-        assert values.tolist() == sorted(values.tolist(), reverse=True)
+    def test_tied_top_pair_is_ambiguous(self):
+        # The gap is to the second-largest eigenvalue, not to the smallest.
+        dc = dual_first_component(np.diag([2.0, 2.0, 1.0]))
+        assert dc.ambiguous
+        assert dc.value == 4.0 / 3.0
+        assert dc.v1[2] == 0.0
 
     def test_random_5x5_vs_charpoly_oracle(self):
-        m = random_symmetric(5, seed=31)
-        values, vectors = sym_eigh(m)
-        for j in range(5):
-            v = vectors[:, j]
-            np.testing.assert_allclose(m @ v, values[j] * v, atol=1e-10)
-        oracle = eigenvalues_by_bisection(m)
+        x = random_data(12, 5, seed=31)
+        s = x.T @ x / 5
+        dc = dual_first_component(x)
+        np.testing.assert_allclose(s @ dc.v1, dc.value * dc.v1, atol=1e-10)
+        oracle = eigenvalues_by_bisection(s)
         assert oracle.shape == (5,)
-        np.testing.assert_allclose(values, oracle, atol=1e-9)
+        np.testing.assert_allclose(dc.value, oracle[0], atol=1e-9)
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("n", [2, 3, 7, 12, 25])
     def test_reconstruction_and_orthogonality(self, n, seed):
-        m = random_symmetric(n, seed)
-        values, vectors = sym_eigh(m)
-        recon = (vectors * values) @ vectors.T
-        fro = np.linalg.norm(m, "fro")
-        assert np.linalg.norm(m - recon, "fro") <= 1e-10 * fro
-        gram = vectors.T @ vectors
-        assert np.max(np.abs(gram - np.eye(n))) <= 1e-10
+        # S v1 = value v1, and v1 is orthogonal to every other eigenvector
+        # of numpy's full decomposition of S, so it is the leading one.
+        x = random_data(2 * n + 5, n, seed)
+        s = x.T @ x / n
+        dc = dual_first_component(x)
+        assert np.linalg.norm(s @ dc.v1 - dc.value * dc.v1) <= 1e-10 * np.linalg.norm(s, "fro")
+        _, vectors = np.linalg.eigh(s)
+        assert np.max(np.abs(vectors[:, :-1].T @ dc.v1)) <= 1e-10
 
     def test_unit_norm_and_sign_canonical(self):
-        values, vectors = sym_eigh(random_symmetric(9, seed=5))
-        for j in range(9):
-            v = vectors[:, j]
+        for seed in range(9):
+            v = dual_first_component(random_data(20, 9, seed)).v1
             assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
             assert v[np.argmax(np.abs(v))] >= 0
 
     def test_deterministic_bytes(self):
-        m = random_symmetric(11, seed=77)
-        v1, u1 = sym_eigh(m)
-        v2, u2 = sym_eigh(m)
-        assert v1.tobytes() == v2.tobytes()
-        assert u1.tobytes() == u2.tobytes()
+        x = random_data(40, 11, seed=77)
+        a, b = dual_first_component(x), dual_first_component(x)
+        assert a.v1.tobytes() == b.v1.tobytes()
+        assert a.u_tilde.tobytes() == b.u_tilde.tobytes()
 
-    def test_non_square_raises(self):
-        with pytest.raises(DimensionError):
-            sym_eigh(np.ones((2, 3)))
-
-    def test_non_finite_raises(self):
-        m = np.eye(3)
-        m[0, 1] = m[1, 0] = np.nan
+    def test_overflowing_gram_is_numeric_error(self):
         with pytest.raises(NumericError):
-            sym_eigh(m)
-
-    def test_asymmetric_raises(self):
-        m = np.eye(3)
-        m[0, 1] = 1e-4
-        with pytest.raises(NumericError):
-            sym_eigh(m)
+            dual_first_component(np.full((4, 2), 1e200))
 
 
 class TestDualFirstComponent:
@@ -128,10 +114,7 @@ class TestDualFirstComponent:
         for seed in range(10):
             rng = np.random.default_rng(seed)
             x = rng.standard_normal((30, 6))
-            s = x.T @ x / 6
-            s = (s + s.T) / 2
-            values, _ = sym_eigh(s)
-            assert values.min() >= -1e-12 * np.linalg.norm(s, "fro")
+            assert dual_first_component(x).value > 0
 
     def test_isotropic_degenerate_flags_ambiguity(self):
         dc = dual_first_component(np.eye(3))
@@ -175,3 +158,13 @@ class TestDualFirstComponent:
         x = rng.standard_normal((9, 4))
         dc = dual_first_component(x)
         np.testing.assert_array_equal(dc.u_tilde, x @ dc.v1)
+
+    def test_pinned_bytes(self):
+        # Digests for this numerics stack (numpy, LAPACK/BLAS build, CPU
+        # kernel), taken from the full-spectrum sort this solve replaced.
+        dc = dual_first_component(random_data(2000, 25, seed=2026))
+        digest = hashlib.sha256()
+        for part in (dc.v1, dc.u_tilde, np.float64(dc.value), np.bool_(dc.ambiguous)):
+            digest.update(part.tobytes())
+        assert not dc.ambiguous
+        assert digest.hexdigest() == "cc7196ae2c0dd323e0bbd5e8829de683db423732249c06772ee06e579a897d80"
