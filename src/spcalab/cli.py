@@ -84,7 +84,8 @@ def main(argv=None) -> int:
         elif args.command == "counterexample":
             try:
                 dims = check_counterexample(
-                    [x for x in args.d_grid.split(",") if x.strip()], args.alpha, args.reps
+                    [x for x in args.d_grid.split(",") if x.strip()], args.alpha, args.reps,
+                    args.seed,
                 )
             except ValueError as exc:  # a malformed --d-grid entry or a DomainError
                 raise ConfigError(str(exc)) from exc

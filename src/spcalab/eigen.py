@@ -90,9 +90,11 @@ def dual_first_component(x: np.ndarray) -> DualComponent:
         raise DegenerateInputError("data matrix is identically zero")
 
     n = a.shape[1]
-    g = a.T @ a
-    s = (g + g.T) / (2.0 * n)
-    # Finite X can still overflow its Gram matrix.
+    # Finite X can still overflow its Gram matrix; the check below turns
+    # that into a NumericError instead of a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = a.T @ a
+        s = (g + g.T) / (2.0 * n)
     if not np.isfinite(s).all():
         raise NumericError("dual matrix X^T X / n contains non-finite entries")
     try:

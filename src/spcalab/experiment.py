@@ -46,6 +46,7 @@ from .model import (
     counterexample_tail_probability,
     failure_probability,
     sample_gaussian,
+    stream_keys,
 )
 from .penalties import DEFAULT_SCAD_A, FAMILIES, PenaltySpec
 
@@ -90,6 +91,8 @@ class ExperimentConfig:
             raise ConfigError("at least one (alpha, beta) pair is required")
         if self.replications < 1:
             raise ConfigError(f"replications must be >= 1, got {self.replications}")
+        if self.base_seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.base_seed}")
         if not self.methods:
             raise ConfigError("at least one method is required")
         for m in self.methods:
@@ -521,13 +524,14 @@ class CounterexampleResult:
     predicted: list[float]
 
 
-def check_counterexample(dims, alpha: float, reps: int) -> list[int]:
+def check_counterexample(dims, alpha: float, reps: int, base_seed: int) -> list[int]:
     """The d grid as ints (ValueError on a non-integer); DomainError when out of range."""
     dims = [int(d) for d in dims]
     if not dims:
         raise DomainError("need at least one dimension")
     if reps < 1:
         raise DomainError("reps must be >= 1")
+    stream_keys(base_seed, 0, range(reps))  # checks the seed and the rep count
     for d in dims:
         counterexample_tail_probability(d, alpha)
     return dims
@@ -538,20 +542,22 @@ def run_counterexample(
 ) -> CounterexampleResult:
     """Empirical frequency of argmax_i |u_hat_i| = 1 under the discrete model.
 
-    One n=1 sample x per replication, drawn from
-    ``SeedSequence(base_seed, spawn_key=(d_index, rep))``.  Its 1 x 1 dual
-    has eigenvector [1], so ``pca_first``'s estimate is x / ||x||, whose
-    argmax |.| is that of x, ties included.  The tail magnitude beats the
-    spike, so that argmax is the first coordinate exactly when every tail
-    coordinate is zero; ``counterexample_hits`` decides this from each
-    draw's uniforms without building x or running a dual eigensolve.
+    One n=1 sample x per replication, drawn from the Philox stream of
+    ``SeedSequence(base_seed, spawn_key=(d_index, rep))``; ``stream_keys``
+    derives those streams' keys in blocks of reps without building a
+    ``SeedSequence`` per draw.  Its 1 x 1 dual has eigenvector [1], so
+    ``pca_first``'s estimate is x / ||x||, whose argmax |.| is that of x,
+    ties included.  The tail magnitude beats the spike, so that argmax is
+    the first coordinate exactly when every tail coordinate is zero;
+    ``counterexample_hits`` decides this from each draw's uniforms without
+    building x or running a dual eigensolve.
     """
-    dims = check_counterexample(dims, alpha, reps)
+    dims = check_counterexample(dims, alpha, reps, base_seed)
     empirical = []
     predicted = []
     for di, d in enumerate(dims):
-        seeds = (np.random.SeedSequence(base_seed, spawn_key=(di, rep)) for rep in range(reps))
-        empirical.append(counterexample_hits(d, alpha, seeds) / reps)
+        hits = counterexample_hits(d, alpha, stream_keys(base_seed, di, range(reps)))
+        empirical.append(hits / reps)
         predicted.append(failure_probability(d, alpha))
     return CounterexampleResult(
         alpha=alpha, reps=reps, dims=dims, empirical=empirical, predicted=predicted

@@ -19,14 +19,17 @@ Randomness: all samplers take an integer seed or a ``numpy.random
 .SeedSequence`` and drive a counter-based Philox generator through numpy's
 ``Generator`` (normals via numpy's ziggurat transform).  For a fixed numpy
 version, identical seeds give bit-identical samples on any platform and
-under any scheduling.
+under any scheduling.  A Philox stream is fixed by its 128-bit key alone,
+so the counterexample scorer takes keys: ``stream_keys`` derives the keys
+``SeedSequence(base_seed, spawn_key=(d_index, rep))`` would give, for a
+block of reps per numpy pass, and each draw's generator is keyed directly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -248,9 +251,126 @@ def sample_counterexample(d: int, alpha: float, n: int, seed) -> DataMatrix:
     return DataMatrix(x=x)
 
 
-def counterexample_hits(d: int, alpha: float, seeds) -> int:
-    """How many n=1 counterexample draws, one per seed, have argmax |x_i| at i = 0.
+#: Reps whose keys ``stream_keys`` derives in one numpy pass.  It bounds the
+#: key buffer, so memory does not grow with the number of reps.
+KEY_BLOCK = 4096
 
+# numpy's SeedSequence: pool size and hash constants (numpy/random/bit_generator.pyx).
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+# Every operand of the hash is a uint32 scalar or array, so each step wraps in
+# uint32 under numpy 1's value-based promotion and numpy 2's NEP 50 alike.
+_SHIFT = np.uint32(16)
+
+
+def _uint32_words(x: int) -> list[int]:
+    """The little-endian 32-bit words SeedSequence splits a non-negative int into."""
+    words = [x & _MASK32]
+    while x := x >> 32:
+        words.append(x & _MASK32)
+    return words
+
+
+def _hash_steps(init: int, mult: int):
+    """SeedSequence's running hash constant, as (xor, multiplier) per hash step."""
+    while True:
+        nxt = init * mult & _MASK32
+        yield np.uint32(init), np.uint32(nxt)
+        init = nxt
+
+
+def _hashmix(value, steps):
+    xor, mult = next(steps)
+    value = (value ^ xor) * mult
+    return value ^ value >> _SHIFT
+
+
+def _mix(x, y):
+    r = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return r ^ r >> _SHIFT
+
+
+def _philox_keys(entropy: list) -> np.ndarray:
+    """``SeedSequence`` on ``entropy`` words, then ``generate_state(2, np.uint64)``.
+
+    The last word is a uint32 array and every other word a uint32 scalar;
+    row r of the (len(last), 2) result is the key for entropy ending in
+    ``last[r]``.  The pool is filled and mixed as numpy does, in uint32
+    arithmetic that wraps.
+    """
+    steps = _hash_steps(_INIT_A, _MULT_A)
+    with np.errstate(over="ignore"):
+        pool = [_hashmix(word, steps) for word in entropy[:_POOL_SIZE]]
+        for src in range(_POOL_SIZE):
+            for dst in range(_POOL_SIZE):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], _hashmix(pool[src], steps))
+        for word in entropy[_POOL_SIZE:]:
+            for dst in range(_POOL_SIZE):
+                pool[dst] = _mix(pool[dst], _hashmix(word, steps))
+        steps = _hash_steps(_INIT_B, _MULT_B)
+        state = np.stack([_hashmix(word, steps) for word in pool], axis=-1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def stream_keys(base_seed: int, d_index: int, reps: range):
+    """The Philox key of each rep in ``reps``, two uint64 words, lazily.
+
+    Rep r's key is ``SeedSequence(base_seed, spawn_key=(d_index, r))
+    .generate_state(2, np.uint64)``; keys are derived ``KEY_BLOCK`` reps at
+    a time.  Each rep must fit one uint32 word, so that every rep of a
+    block hashes the same number of words.  The arguments are checked when
+    this is called, before any key is derived.
+    """
+    if base_seed < 0:
+        raise DomainError(f"seed must be >= 0, got {base_seed}")
+    if d_index < 0:
+        raise DomainError(f"d_index must be >= 0, got {d_index}")
+    if reps.start < 0 or reps.step != 1:
+        raise DomainError(f"reps must be a unit-step range from 0 up, got {reps}")
+    if reps.stop > 2**32:
+        raise DomainError(f"reps must be <= 2**32, got {reps.stop}")
+    # A spawned SeedSequence pads its entropy with zeros to the pool size.
+    prefix = _uint32_words(base_seed)
+    prefix += [0] * (_POOL_SIZE - len(prefix))
+    prefix = [np.uint32(w) for w in prefix + _uint32_words(d_index)]
+    blocks = (
+        np.arange(start, min(start + KEY_BLOCK, reps.stop), dtype=np.uint64).astype(np.uint32)
+        for start in range(reps.start, reps.stop, KEY_BLOCK)
+    )
+    return (key for block in blocks for key in _philox_keys(prefix + [block]))
+
+
+@cache
+def _keyed_seed() -> type:
+    """An ``ISeedSequence`` whose state is a precomputed Philox key.
+
+    Built on first use: defining it at import time would import
+    ``numpy.random`` into every ``import spcalab``.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class KeyedSeed(ISeedSequence):
+        __slots__ = ("key",)
+
+        def __init__(self, key):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            # Philox asks for exactly its key: two uint64 words.
+            return self.key
+
+    return KeyedSeed
+
+
+def counterexample_hits(d: int, alpha: float, keys) -> int:
+    """How many n=1 counterexample draws, one per Philox key, have argmax |x_i| at i = 0.
+
+    ``keys`` are 128-bit Philox keys, two uint64 words each, as
+    ``stream_keys`` yields them; each draw reads a Philox stream under its key.
     Each draw is scored from the uniforms ``sample_counterexample`` would
     build it from, without building it: ``random(d)`` gives the same
     uniforms as the sampler's ``random((d, 1))``.  Tail coordinate i is
@@ -262,9 +382,11 @@ def counterexample_hits(d: int, alpha: float, seeds) -> int:
     eigenvector [1], so the estimate is x / ||x||, with the argmax of |x|.
     """
     zero_from = 2.0 * counterexample_tail_probability(d, alpha)
+    keyed_seed = _keyed_seed()
+    generator, philox = np.random.Generator, np.random.Philox
     hits = 0
-    for seed in seeds:
-        if _make_rng(seed).random(d)[1:].min() >= zero_from:
+    for key in keys:
+        if generator(philox(keyed_seed(key))).random(d)[1:].min() >= zero_from:
             hits += 1
     return hits
 

@@ -69,8 +69,9 @@ class TestExitCodes:
             ("--max-iter", "0", "max_iter must be >= 1, got 0"),
             ("--delta", "0.3", "delta must be > 1/2, got 0.3"),
             ("--d", "1", "d must be >= 2, got 1"),
+            ("--seed", "-1", "seed must be >= 0, got -1"),
         ],
-        ids=["scad_a", "max_iter", "delta", "d"],
+        ids=["scad_a", "max_iter", "delta", "d", "seed"],
     )
     def test_out_of_range_value_is_config_error(self, tmp_path, capsys, flag, value, message):
         code = run_cli(
@@ -101,8 +102,10 @@ class TestExitCodes:
             ("--d-grid", "1", "d must be >= 2, got 1"),
             ("--d-grid", "50,x", "'x'"),
             ("--alpha", "1.5", "alpha must lie in (0, 1), got 1.5"),
+            ("--seed", "-1", "seed must be >= 0, got -1"),
+            ("--reps", str(2**32 + 1), "reps must be <= 2**32, got 4294967297"),
         ],
-        ids=["reps", "d_grid_small", "d_grid_malformed", "alpha"],
+        ids=["reps", "d_grid_small", "d_grid_malformed", "alpha", "seed", "reps_past_one_word"],
     )
     def test_counterexample_bad_value_is_config_error(self, tmp_path, capsys, flag, value, message):
         code = run_cli("counterexample", flag, value, "--out", str(tmp_path / "out"))

@@ -17,11 +17,17 @@ from spcalab import (
     SpikedSpec,
     build_eigensystem,
     failure_probability,
+    model,
     sample_counterexample,
     sample_gaussian,
     sphericity,
 )
-from spcalab.model import counterexample_hits, counterexample_tail_probability
+from spcalab.model import (
+    KEY_BLOCK,
+    counterexample_hits,
+    counterexample_tail_probability,
+    stream_keys,
+)
 
 
 class TestSpikedSpec:
@@ -217,7 +223,7 @@ class TestCounterexample:
             lambda: counterexample_tail_probability(d, alpha),
             lambda: sample_counterexample(d, alpha, 1, 0),
             lambda: failure_probability(d, alpha),
-            lambda: counterexample_hits(d, alpha, [0]),
+            lambda: counterexample_hits(d, alpha, ()),
         ):
             with pytest.raises(DomainError, match="does not exceed the spike"):
                 call()
@@ -228,19 +234,94 @@ class TestCounterexampleHits:
     @pytest.mark.parametrize("d", [3, 10, 50, 400])
     def test_each_draw_agrees_with_the_sampler(self, d, alpha):
         seeds = [np.random.SeedSequence(7, spawn_key=(d, rep)) for rep in range(500)]
+        keys = list(stream_keys(7, d, range(500)))
         if 2 * d ** (-(alpha + 1) / 2) > 1:  # d=3, alpha=0.05 admits no law
             with pytest.raises(DomainError):
                 sample_counterexample(d, alpha, 1, seeds[0])
             with pytest.raises(DomainError):
-                counterexample_hits(d, alpha, seeds)
+                counterexample_hits(d, alpha, keys)
             return
         by_sampler = [
             int(np.argmax(np.abs(sample_counterexample(d, alpha, 1, s).x[:, 0]))) == 0
             for s in seeds
         ]
-        by_scorer = [counterexample_hits(d, alpha, [s]) == 1 for s in seeds]
+        by_scorer = [counterexample_hits(d, alpha, [k]) == 1 for k in keys]
         assert by_scorer == by_sampler
-        assert counterexample_hits(d, alpha, seeds) == sum(by_sampler)
+        assert counterexample_hits(d, alpha, keys) == sum(by_sampler)
+
+
+def reference_key(base_seed, d_index, rep):
+    return np.random.SeedSequence(base_seed, spawn_key=(d_index, rep)).generate_state(2, np.uint64)
+
+
+class TestStreamKeys:
+    SEEDS = [0, 1, 7, 20260809, 2**32 - 1, 2**32, 2**40 + 5, 2**64 + 3, 2**130 + 17]
+    D_INDICES = [0, 1, 3, 2**31, 2**33]
+
+    @pytest.mark.parametrize("d_index", D_INDICES)
+    @pytest.mark.parametrize("base_seed", SEEDS)
+    def test_keys_equal_seed_sequence_state(self, base_seed, d_index):
+        # Rep 0, both sides of the first block boundary, and the last rep
+        # that fits one uint32 word.
+        keys = np.array(list(stream_keys(base_seed, d_index, range(KEY_BLOCK + 2))))
+        assert keys.shape == (KEY_BLOCK + 2, 2) and keys.dtype == np.uint64
+        for rep in (0, 1, 2, KEY_BLOCK - 1, KEY_BLOCK, KEY_BLOCK + 1):
+            assert keys[rep].tolist() == reference_key(base_seed, d_index, rep).tolist()
+        top = list(stream_keys(base_seed, d_index, range(2**32 - 2, 2**32)))
+        for key, rep in zip(top, (2**32 - 2, 2**32 - 1)):
+            assert key.tolist() == reference_key(base_seed, d_index, rep).tolist()
+
+    def test_hash_has_only_uint32_operands(self, monkeypatch):
+        # numpy 1 promotes a uint32 scalar op with a Python int to int64,
+        # which would break the wrapping; numpy 2 would not show it.
+        class Uint32:
+            def __init__(self, v):
+                assert v.dtype == np.uint32
+                self.v = v
+
+            def __array__(self, dtype=None, copy=None):
+                return np.asarray(self.v)
+
+            def op(f, swap=False):
+                def apply(self, other):
+                    assert isinstance(other, Uint32), f"operand {other!r} is not uint32"
+                    a, b = (other.v, self.v) if swap else (self.v, other.v)
+                    return Uint32(f(a, b))
+                return apply
+
+            __xor__, __rxor__ = op(np.bitwise_xor), op(np.bitwise_xor, True)
+            __mul__, __rmul__ = op(np.multiply), op(np.multiply, True)
+            __sub__, __rsub__ = op(np.subtract), op(np.subtract, True)
+            __rshift__ = op(np.right_shift)
+
+        hash_steps = model._hash_steps
+        monkeypatch.setattr(
+            model, "_hash_steps", lambda *a: ((Uint32(x), Uint32(m)) for x, m in hash_steps(*a))
+        )
+        for name in ("_SHIFT", "_MIX_MULT_L", "_MIX_MULT_R"):
+            monkeypatch.setattr(model, name, Uint32(getattr(model, name)))
+        words = [Uint32(np.uint32(w)) for w in (7, 0, 0, 0, 3)]
+        keys = model._philox_keys(words + [Uint32(np.arange(3, dtype=np.uint32))])
+        for rep in range(3):
+            assert keys[rep].tolist() == reference_key(7, 3, rep).tolist()
+
+    def test_keys_are_derived_lazily(self):
+        first = next(stream_keys(5, 2, range(2**32)))
+        assert first.tolist() == reference_key(5, 2, 0).tolist()
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [((-1, 0, range(3)), "seed must be >= 0"),
+         ((0, -1, range(3)), "d_index must be >= 0"),
+         ((0, 0, range(-1, 3)), "unit-step range from 0 up"),
+         ((0, 0, range(2**32 + 1)), r"reps must be <= 2\*\*32, got 4294967297"),
+         ((0, 0, range(0, 6, 2)), "unit-step range from 0 up")],
+        ids=["seed", "d_index", "negative_rep", "rep_past_one_word", "step"],
+    )
+    def test_out_of_range_stream_is_domain_error(self, args, message):
+        # Checked on the call, before the first key is asked for.
+        with pytest.raises(DomainError, match=message):
+            stream_keys(*args)
 
 
 class TestFailureProbability:
