@@ -19,13 +19,14 @@ import multiprocessing
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
 from ._files import replace_text
-from .eigen import dual_first_component
+from .eigen import DualComponent, dual_first_component
 from .estimators import RSPCA_MAX_ITER, oracle_estimator, pca_first, rspca, st_estimator
 from .exceptions import ConfigError, DomainError
 from .figures import counterexample_figure, phase_figure, sweep_figure
@@ -51,8 +52,6 @@ from .model import (
 from .penalties import DEFAULT_SCAD_A, FAMILIES, PenaltySpec
 
 DEFAULT_SEED = 20260809
-
-METHODS = ("pca", "st", "rspca", "oracle")
 
 #: The default (alpha, beta) grid of the phase-diagram study.
 PAPER_PAIRS: tuple[tuple[float, float], ...] = tuple(
@@ -200,140 +199,95 @@ def _sort_key(r: ReplicationRecord):
     )
 
 
+@dataclass(frozen=True)
+class _Draw:
+    """What every method's runner reads from one (pair, replication) sample."""
+
+    cfg: ExperimentConfig
+    x: np.ndarray
+    dual: DualComponent
+    grid: np.ndarray
+    u1: np.ndarray
+    truth: np.ndarray
+
+    @cached_property
+    def fro2(self) -> float:
+        """||X||_F^2, computed once for every BIC selection of the draw."""
+        return frobenius_sq(self.x)
+
+
+# A runner yields one (estimate, lambda, bic_total, converged, final) row per
+# estimate.  Runners look the estimators up as module globals when they run,
+# so a caller that patches ``experiment.rspca`` and the like sees every call.
+
+
+def _run_pca(draw: _Draw):
+    yield pca_first(draw.x, dual=draw.dual), 0.0, None, None, True
+
+
+def _run_st(draw: _Draw):
+    cfg = draw.cfg
+    if cfg.bic:
+        selection = select_lambda_bic(
+            draw.x, draw.dual.v1, draw.grid, PenaltySpec.hard(0.0),
+            xv=draw.dual.u_tilde, fro2=draw.fro2,
+        )
+    if cfg.sweep:
+        totals = selection.totals.tolist() if cfg.bic else [None] * draw.grid.size
+        for lam, total in zip(draw.grid.tolist(), totals):
+            yield st_estimator(draw.x, lam, dual=draw.dual), lam, total, None, False
+    if cfg.bic:
+        lam = selection.lambda_star
+        yield st_estimator(draw.x, lam, dual=draw.dual), lam, selection.total, None, True
+
+
+def _run_rspca(draw: _Draw):
+    cfg = draw.cfg
+    penalty = PenaltySpec(cfg.penalty, 0.0, cfg.scad_a)
+    if cfg.sweep:
+        for lam in draw.grid.tolist():
+            vec, trace = rspca(draw.x, penalty.with_lambda(lam), max_iter=cfg.max_iter, dual=draw.dual)
+            yield vec, lam, None, trace.converged, False
+    if cfg.bic:
+        vec, trace = rspca(
+            draw.x, penalty, max_iter=cfg.max_iter, bic_per_iteration=True,
+            lambda_grid=draw.grid, dual=draw.dual, fro2=draw.fro2,
+        )
+        last = trace.iterations[-1]
+        yield vec, last.lam, last.bic_total, trace.converged, True
+
+
+def _run_oracle(draw: _Draw):
+    yield oracle_estimator(draw.x, draw.truth), None, None, None, True
+
+
+#: Each method's runner; ``--method`` names are these keys.
+RUNNERS = {"pca": _run_pca, "st": _run_st, "rspca": _run_rspca, "oracle": _run_oracle}
+METHODS = tuple(RUNNERS)
+
+
 def _run_replication(cfg: ExperimentConfig, pair_index: int, rep: int) -> list[ReplicationRecord]:
     alpha, beta = cfg.pairs[pair_index]
-    spec = SpikedSpec(cfg.d, cfg.n, alpha, beta)
-    system = build_eigensystem(spec)
+    system = build_eigensystem(SpikedSpec(cfg.d, cfg.n, alpha, beta))
     seed = np.random.SeedSequence(cfg.base_seed, spawn_key=(pair_index, rep))
-    dm = sample_gaussian(system, seed)
-    u1 = system.u1
-    truth = system.u1_support
-
-    dc = dual_first_component(dm.x)
-    grid = default_lambda_grid(dc.u_tilde, cfg.lambda_min, cfg.lambda_max, cfg.lambda_points)
-    penalty = PenaltySpec(cfg.penalty, 0.0, cfg.scad_a)
-    # ||X||_F^2 feeds every BIC selection of this replication; one pass over X.
-    fro2 = frobenius_sq(dm.x) if cfg.bic and {"st", "rspca"} & set(cfg.methods) else None
-
-    def clock():
-        return time.perf_counter() if cfg.timing else None
-
-    def elapsed_ms(t0):
-        return None if t0 is None else (time.perf_counter() - t0) * 1e3
-
-    def make_record(method, est, lam, *, bic_total=None, converged=None, runtime=None, final=False):
-        row = evaluate_estimate(est, u1, truth, lam)
-        return ReplicationRecord(
-            alpha=alpha,
-            beta=beta,
-            method=method,
-            rep=rep,
-            lam=lam,
-            angle_deg=row.angle_deg,
-            type1=row.type1,
-            type2=row.type2,
-            df=row.df,
-            bic_total=bic_total,
-            converged=converged,
-            runtime_ms=runtime,
-            final=final,
-        )
+    x = sample_gaussian(system, seed).x
+    dual = dual_first_component(x)
+    grid = default_lambda_grid(dual.u_tilde, cfg.lambda_min, cfg.lambda_max, cfg.lambda_points)
+    draw = _Draw(cfg, x, dual, grid, system.u1, system.u1_support)
 
     records: list[ReplicationRecord] = []
     for method in cfg.methods:
-        if method == "pca":
-            t0 = clock()
-            est = pca_first(dm.x, dual=dc)
-            records.append(
-                make_record("pca", est, 0.0, runtime=elapsed_ms(t0), final=True)
-            )
-        elif method == "st":
-            bic_by_lam = {}
-            selection = None
-            if cfg.bic:
-                selection = select_lambda_bic(
-                    dm.x,
-                    dc.v1,
-                    grid,
-                    PenaltySpec.hard(0.0),
-                    xv=dc.u_tilde,
-                    fro2=fro2,
-                )
-                bic_by_lam = dict(zip(selection.lambdas.tolist(), selection.totals.tolist()))
-            if cfg.sweep:
-                for lam in grid:
-                    t0 = clock()
-                    est = st_estimator(dm.x, float(lam), dual=dc)
-                    records.append(
-                        make_record(
-                            "st",
-                            est,
-                            float(lam),
-                            bic_total=bic_by_lam.get(float(lam)),
-                            runtime=elapsed_ms(t0),
-                        )
-                    )
-            if cfg.bic:
-                t0 = clock()
-                est = st_estimator(dm.x, selection.lambda_star, dual=dc)
-                records.append(
-                    make_record(
-                        "st",
-                        est,
-                        selection.lambda_star,
-                        bic_total=selection.total,
-                        runtime=elapsed_ms(t0),
-                        final=True,
-                    )
-                )
-        elif method == "rspca":
-            if cfg.sweep:
-                for lam in grid:
-                    t0 = clock()
-                    vec, trace = rspca(
-                        dm.x,
-                        penalty.with_lambda(float(lam)),
-                        max_iter=cfg.max_iter,
-                        dual=dc,
-                    )
-                    records.append(
-                        make_record(
-                            "rspca",
-                            vec,
-                            float(lam),
-                            converged=trace.converged,
-                            runtime=elapsed_ms(t0),
-                        )
-                    )
-            if cfg.bic:
-                t0 = clock()
-                vec, trace = rspca(
-                    dm.x,
-                    penalty,
-                    max_iter=cfg.max_iter,
-                    bic_per_iteration=True,
-                    lambda_grid=grid,
-                    dual=dc,
-                    fro2=fro2,
-                )
-                last = trace.iterations[-1]
-                records.append(
-                    make_record(
-                        "rspca",
-                        vec,
-                        last.lam,
-                        bic_total=last.bic_total,
-                        converged=trace.converged,
-                        runtime=elapsed_ms(t0),
-                        final=True,
-                    )
-                )
-        elif method == "oracle":
-            t0 = clock()
-            est = oracle_estimator(dm.x, truth)
-            records.append(
-                make_record("oracle", est, None, runtime=elapsed_ms(t0), final=True)
-            )
+        # A row's runtime covers its runner's work since the previous row.
+        t0 = time.perf_counter()
+        for est, lam, bic_total, converged, final in RUNNERS[method](draw):
+            runtime = (time.perf_counter() - t0) * 1e3 if cfg.timing else None
+            row = evaluate_estimate(est, draw.u1, draw.truth, lam)
+            records.append(ReplicationRecord(
+                alpha=alpha, beta=beta, method=method, rep=rep, lam=lam,
+                angle_deg=row.angle_deg, type1=row.type1, type2=row.type2, df=row.df,
+                bic_total=bic_total, converged=converged, runtime_ms=runtime, final=final,
+            ))
+            t0 = time.perf_counter()
     return records
 
 

@@ -30,11 +30,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import DegenerateInputError, DimensionError, DomainError
+from .exceptions import DimensionError, DomainError
 
 SeedLike = "int | np.random.SeedSequence"
 
@@ -402,27 +401,3 @@ def failure_probability(d: int, alpha: float) -> float:
     p = counterexample_tail_probability(d, alpha)
     return float((1.0 - 2.0 * p) ** (d - 1))
 
-
-class Sphericity(NamedTuple):
-    """Sphericity epsilon and the statistic (d*epsilon)**-1."""
-
-    epsilon: float
-    inv_d_epsilon: float
-
-
-def sphericity(eigenvalues) -> Sphericity:
-    """Measure of sphericity (sum lam)^2 / (d * sum lam^2) of a spectrum.
-
-    Also returns (d*eps)**-1 = sum(lam^2)/ (sum lam)^2, the quantity whose
-    vanishing makes the dual matrix concentrate.
-    """
-    lam = np.asarray(eigenvalues, dtype=float)
-    if lam.ndim != 1 or lam.size == 0:
-        raise DimensionError("eigenvalues must be a non-empty vector")
-    if np.any(lam < 0):
-        raise DomainError("eigenvalues must be non-negative")
-    s1 = float(lam.sum())
-    s2 = float(np.square(lam).sum())
-    if s2 == 0.0:
-        raise DegenerateInputError("all eigenvalues are zero")
-    return Sphericity(epsilon=s1 * s1 / (lam.size * s2), inv_d_epsilon=s2 / (s1 * s1))

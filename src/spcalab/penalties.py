@@ -6,9 +6,6 @@ surrogate  0.5*(x - u)**2 + p_lambda(|u|):
 * hard:  h(x) = x * 1{|x| > lam}
 * soft:  h(x) = sign(x) * max(|x| - lam, 0)
 * scad:  soft for |x| <= 2*lam, a linear blend up to a*lam, identity beyond
-
-``penalty_value`` evaluates the matching p_lambda so the rules can be
-checked against brute-force minimization.
 """
 
 from __future__ import annotations
@@ -76,18 +73,3 @@ def threshold_scalar(x: float, penalty: PenaltySpec) -> float:
     """Scalar form of ``threshold``."""
     return float(threshold(np.asarray(x, dtype=float), penalty))
 
-
-def penalty_value(t, penalty: PenaltySpec) -> np.ndarray:
-    """p_lambda(|t|) for the 0.5-quadratic surrogate, componentwise."""
-    at = np.abs(np.asarray(t, dtype=float))
-    lam = penalty.lam
-    if penalty.family == "soft":
-        return lam * at
-    if penalty.family == "hard":
-        return 0.5 * (lam * lam - np.square(np.maximum(lam - at, 0.0)))
-    a = penalty.scad_a
-    low = lam * at
-    with np.errstate(invalid="ignore"):
-        mid = (2.0 * a * lam * at - at * at - lam * lam) / (2.0 * (a - 1.0))
-    high = (a + 1.0) * lam * lam / 2.0
-    return np.where(at <= lam, low, np.where(at <= a * lam, mid, high))

@@ -28,7 +28,7 @@ from spcalab.estimators import (
 )
 from spcalab.metrics import default_lambda_grid, frobenius_sq, select_lambda_bic
 from spcalab.model import as_matrix, sample_counterexample
-from spcalab.penalties import PenaltySpec, penalty_value, threshold
+from spcalab.penalties import PenaltySpec, threshold
 
 
 def charpoly_coefficients(a: np.ndarray) -> np.ndarray:
@@ -73,6 +73,25 @@ def eigenvalues_by_bisection(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
         roots.append(0.5 * (lo + hi))
     return np.array(sorted(roots, reverse=True))
 
+
+def penalty_value(t, penalty: PenaltySpec) -> np.ndarray:
+    """p_lambda(|t|) for the 0.5-quadratic surrogate, componentwise.
+
+    The objective ``brute_force_prox`` minimizes; each family's closed-form
+    rule in ``spcalab.penalties.threshold`` is its minimizer.
+    """
+    at = np.abs(np.asarray(t, dtype=float))
+    lam = penalty.lam
+    if penalty.family == "soft":
+        return lam * at
+    if penalty.family == "hard":
+        return 0.5 * (lam * lam - np.square(np.maximum(lam - at, 0.0)))
+    a = penalty.scad_a
+    low = lam * at
+    with np.errstate(invalid="ignore"):
+        mid = (2.0 * a * lam * at - at * at - lam * lam) / (2.0 * (a - 1.0))
+    high = (a + 1.0) * lam * lam / 2.0
+    return np.where(at <= lam, low, np.where(at <= a * lam, mid, high))
 
 def brute_force_prox(x: float, penalty: PenaltySpec, stages: int = 3, points: int = 2001) -> float:
     """argmin_u 0.5*(x-u)^2 + p_lambda(|u|) by staged grid refinement."""

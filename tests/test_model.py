@@ -11,8 +11,6 @@ import numpy as np
 import pytest
 
 from spcalab import (
-    DegenerateInputError,
-    DimensionError,
     DomainError,
     SpikedSpec,
     build_eigensystem,
@@ -20,7 +18,6 @@ from spcalab import (
     model,
     sample_counterexample,
     sample_gaussian,
-    sphericity,
 )
 from spcalab.model import (
     KEY_BLOCK,
@@ -351,33 +348,3 @@ class TestFailureProbability:
         with pytest.raises(DomainError):
             failure_probability(100, 0.0)
 
-
-class TestSphericity:
-    def test_isotropic(self):
-        eps, inv = sphericity(np.ones(7))
-        assert eps == pytest.approx(1.0, abs=1e-15)
-        assert inv == pytest.approx(1.0 / 7.0, abs=1e-15)
-
-    def test_single_small_spike(self):
-        eps, _ = sphericity([2.0, 1.0, 1.0, 1.0])
-        assert eps == pytest.approx(25.0 / 28.0, abs=1e-15)
-
-    def test_epsilon_condition_vanishes_for_subcritical_spike(self):
-        alpha = 0.7
-        prev = None
-        for d in (100, 1000, 10000):
-            lam = np.ones(d)
-            lam[0] = d**alpha
-            inv = sphericity(lam).inv_d_epsilon
-            if prev is not None:
-                assert inv < prev
-            prev = inv
-        assert prev < 0.01
-
-    def test_errors(self):
-        with pytest.raises(DimensionError):
-            sphericity([])
-        with pytest.raises(DomainError):
-            sphericity([1.0, -0.5])
-        with pytest.raises(DegenerateInputError):
-            sphericity([0.0, 0.0])
