@@ -16,7 +16,6 @@ import numpy as np
 from .eigen import DualComponent, dual_first_component
 from .exceptions import DomainError
 from .metrics import _angle, _norm, default_lambda_grid, frobenius_sq, select_lambda_bic
-from .model import as_matrix
 from .penalties import PenaltySpec, threshold
 
 #: Convergence tolerance on the angle change between iterates, degrees.
@@ -95,8 +94,7 @@ def pca_first(x, *, dual: DualComponent | None = None) -> LoadingVector:
     ``dual`` lets a harness reuse a precomputed dual factorization; the
     result is identical to computing it here.
     """
-    xm = as_matrix(x)
-    dc = dual if dual is not None else dual_first_component(xm)
+    dc = dual if dual is not None else dual_first_component(x)
     return LoadingVector.from_raw(dc.u_tilde)
 
 
@@ -106,12 +104,9 @@ def st_estimator(x, lam: float, *, dual: DualComponent | None = None) -> Loading
     Entries with |u_tilde_i| <= lam become exact zeros.  If everything is
     thresholded away the returned vector is the flagged all-zero vector.
     """
-    if lam < 0:
-        raise DomainError(f"lambda must be >= 0, got {lam}")
-    xm = as_matrix(x)
-    dc = dual if dual is not None else dual_first_component(xm)
-    breve = threshold(dc.u_tilde, PenaltySpec.hard(lam))
-    return LoadingVector.from_raw(breve)
+    penalty = PenaltySpec.hard(lam)  # raises on lam < 0, before any dual work
+    dc = dual if dual is not None else dual_first_component(x)
+    return LoadingVector.from_raw(threshold(dc.u_tilde, penalty))
 
 
 def rspca(
@@ -149,7 +144,7 @@ def rspca(
     """
     if max_iter < 1:
         raise DomainError(f"max_iter must be >= 1, got {max_iter}")
-    xm = as_matrix(x)
+    xm = np.asarray(x, dtype=float)
     dc = dual if dual is not None else dual_first_component(xm)
     trace = RspcaTrace(init_ambiguous=dc.ambiguous)
 
@@ -219,7 +214,7 @@ def rspca(
 
 def oracle_estimator(x, support) -> LoadingVector:
     """Subspace PCA restricted to a known support, embedded with exact zeros."""
-    xm = as_matrix(x)
+    xm = np.asarray(x, dtype=float)
     idx = np.unique(np.asarray(support, dtype=int))
     if idx.size == 0:
         raise DomainError("support must be non-empty")

@@ -31,6 +31,8 @@ from .estimators import RSPCA_MAX_ITER, oracle_estimator, pca_first, rspca, st_e
 from .exceptions import ConfigError, DomainError
 from .figures import counterexample_figure, phase_figure, sweep_figure
 from .metrics import (
+    DEFAULT_LAMBDA_MIN,
+    DEFAULT_LAMBDA_POINTS,
     LambdaBounds,
     default_gamma,
     default_lambda_grid,
@@ -72,9 +74,9 @@ class ExperimentConfig:
     methods: tuple[str, ...] = ("pca", "st", "rspca")
     penalty: str = "hard"
     scad_a: float = DEFAULT_SCAD_A
-    lambda_min: float = 1e-3
+    lambda_min: float = DEFAULT_LAMBDA_MIN
     lambda_max: float | None = None
-    lambda_points: int = 50
+    lambda_points: int = DEFAULT_LAMBDA_POINTS
     bic: bool = True
     sweep: bool = False
     base_seed: int = DEFAULT_SEED
@@ -94,9 +96,11 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be >= 0, got {self.base_seed}")
         if not self.methods:
             raise ConfigError("at least one method is required")
-        for m in self.methods:
+        for i, m in enumerate(self.methods):
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}; expected subset of {METHODS}")
+            if m in self.methods[:i]:
+                raise ConfigError(f"method {m!r} is listed twice")
         if self.penalty not in FAMILIES:
             raise ConfigError(f"unknown penalty {self.penalty!r}")
         if self.scad_a <= 2.0:
@@ -486,7 +490,9 @@ def check_counterexample(dims, alpha: float, reps: int, base_seed: int) -> list[
     if reps < 1:
         raise DomainError("reps must be >= 1")
     stream_keys(base_seed, 0, range(reps))  # checks the seed and the rep count
-    for d in dims:
+    for i, d in enumerate(dims):
+        if d in dims[:i]:
+            raise DomainError(f"d={d} is listed twice")
         counterexample_tail_probability(d, alpha)
     return dims
 
@@ -494,7 +500,7 @@ def check_counterexample(dims, alpha: float, reps: int, base_seed: int) -> list[
 def run_counterexample(
     dims, alpha: float, reps: int, base_seed: int = DEFAULT_SEED
 ) -> CounterexampleResult:
-    """Empirical frequency of argmax_i |u_hat_i| = 1 under the discrete model.
+    """Empirical frequency of argmax_i |u_hat_i| = 1 under ``counterexample_hits``'s law.
 
     One n=1 sample x per replication, drawn from the Philox stream of
     ``SeedSequence(base_seed, spawn_key=(d_index, rep))``; ``stream_keys``

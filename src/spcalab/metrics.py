@@ -14,6 +14,10 @@ from .penalties import PenaltySpec
 #: Floor applied to alignment gaps before taking logs in fit_rate.
 GAP_FLOOR = 1e-15
 
+#: Smallest non-zero lambda and number of log-spaced lambdas of the default grid.
+DEFAULT_LAMBDA_MIN = 1e-3
+DEFAULT_LAMBDA_POINTS = 50
+
 
 def _entries(u) -> np.ndarray:
     return np.asarray(getattr(u, "entries", u), dtype=float)
@@ -60,7 +64,7 @@ def angle_degrees(u, v) -> float:
     return _angle(a, b, _norm(a), _norm(b))
 
 
-def support_errors(estimate, truth_support, d: int | None = None) -> tuple[float, float]:
+def support_errors(estimate, truth_support) -> tuple[float, float]:
     """Support-recovery errors of an estimate against the true support.
 
     Type I is the fraction of true non-zero positions estimated as exactly
@@ -71,10 +75,9 @@ def support_errors(estimate, truth_support, d: int | None = None) -> tuple[float
     truth = np.asarray(truth_support, dtype=int)
     if truth.size == 0:
         raise DomainError("truth support must be non-empty")
-    if d is None:
-        d = e.shape[0]
-    if e.shape != (d,):
-        raise DimensionError(f"estimate has length {e.shape[0]}, expected {d}")
+    if e.ndim != 1:
+        raise DimensionError(f"estimate must be 1-d, got shape {e.shape}")
+    d = e.shape[0]
     if truth.min() < 0 or truth.max() >= d:
         raise DomainError("truth support indices outside [0, d)")
     mask = np.zeros(d, dtype=bool)
@@ -101,7 +104,7 @@ class MetricRow:
 def evaluate_estimate(estimate, u1, truth_support, lam: float | None = None) -> MetricRow:
     """Bundle angle + support errors + sparsity for one estimate."""
     e = _entries(estimate)
-    t1, t2 = support_errors(e, truth_support, e.shape[0])
+    t1, t2 = support_errors(e, truth_support)
     return MetricRow(
         angle_deg=angle_degrees(e, u1),
         type1=t1,
@@ -166,61 +169,21 @@ class LambdaSelection:
 
     @cached_property
     def values(self) -> tuple[BicValue, ...]:
-        return tuple(
-            _bic_from_parts(lam, rss, df, self.nd, self.sigma2)
-            for lam, rss, df in zip(self.lambdas.tolist(), self.rss.tolist(), self.dfs.tolist())
-        )
+        nd, sigma2 = self.nd, self.sigma2
+        # sigma2 = 0 is a perfect rank-one fit: the residual scale is empty, keep the df term.
+        degenerate = not sigma2 > 0.0
+        out = []
+        for lam, rss, df in zip(self.lambdas.tolist(), self.rss.tolist(), self.dfs.tolist()):
+            df_term = math.log(nd) / nd * df
+            rss_term = 0.0 if degenerate else rss / (nd * sigma2)
+            out.append(BicValue(lam, rss_term, df_term, rss_term + df_term, df, sigma2, degenerate))
+        return tuple(out)
 
 
 def frobenius_sq(x) -> float:
     """||X||_F^2, the ``fro2`` input of ``select_lambda_bic``."""
-    xm = np.asarray(getattr(x, "x", x), dtype=float)
+    xm = np.asarray(x, dtype=float)
     return float(np.einsum("ij,ij->", xm, xm))
-
-
-def _bic_context(x, v1, xv=None, fro2=None) -> tuple[np.ndarray, float, float, int, int, float]:
-    """(X v1, ||X||_F^2, RSS_ols, d, n, sigma2); ``xv``/``fro2`` reuse known values."""
-    xm = np.asarray(getattr(x, "x", x), dtype=float)
-    v = np.asarray(v1, dtype=float)
-    if xm.ndim != 2:
-        raise DimensionError("x must be a 2-d data matrix")
-    d, n = xm.shape
-    if v.shape != (n,):
-        raise DimensionError(f"v1 has shape {v.shape}, expected ({n},)")
-    if abs(_norm(v) - 1.0) > 1e-8:
-        raise DomainError("v1 must be unit-norm")
-    if xv is None:
-        xv = xm @ v
-    else:
-        xv = np.asarray(xv, dtype=float)
-        if xv.shape != (d,):
-            raise DimensionError(f"xv has shape {xv.shape}, expected ({d},)")
-    if fro2 is None:
-        fro2 = frobenius_sq(xm)
-    nd = n * d
-    rss_ols = max(fro2 - float(xv @ xv), 0.0)
-    sigma2 = rss_ols / (nd - d) if nd > d else 0.0
-    return xv, fro2, rss_ols, d, n, sigma2
-
-
-def _bic_from_parts(lam, rss, df, nd, sigma2) -> BicValue:
-    df_term = math.log(nd) / nd * df
-    if sigma2 > 0.0:
-        rss_term = rss / (nd * sigma2)
-        return BicValue(lam, rss_term, df_term, rss_term + df_term, df, sigma2)
-    # Perfect rank-one fit: the residual scale is empty, keep the df term.
-    return BicValue(lam, 0.0, df_term, df_term, df, sigma2, degenerate=True)
-
-
-def bic(x, v1, candidate, lam: float) -> BicValue:
-    """BIC of one thresholded candidate u for the regression with design v1."""
-    xv, fro2, _, d, n, sigma2 = _bic_context(x, v1)
-    u = _entries(candidate)
-    if u.shape != (d,):
-        raise DimensionError(f"candidate has length {u.shape[0]}, expected {d}")
-    rss = max(fro2 - 2.0 * float(u @ xv) + float(u @ u), 0.0)
-    df = int(np.count_nonzero(u))
-    return _bic_from_parts(lam, rss, df, n * d, sigma2)
 
 
 def select_lambda_bic(
@@ -248,8 +211,26 @@ def select_lambda_bic(
         raise DomainError("lambda grid must be non-negative")
     fam = penalty if penalty is not None else PenaltySpec.hard(0.0)
 
-    xv, _, rss_ols, d, n, sigma2 = _bic_context(x, v1, xv, fro2)
+    xm = np.asarray(x, dtype=float)
+    v = np.asarray(v1, dtype=float)
+    if xm.ndim != 2:
+        raise DimensionError("x must be a 2-d data matrix")
+    d, n = xm.shape
+    if v.shape != (n,):
+        raise DimensionError(f"v1 has shape {v.shape}, expected ({n},)")
+    if abs(_norm(v) - 1.0) > 1e-8:
+        raise DomainError("v1 must be unit-norm")
+    if xv is None:
+        xv = xm @ v
+    else:
+        xv = np.asarray(xv, dtype=float)
+        if xv.shape != (d,):
+            raise DimensionError(f"xv has shape {xv.shape}, expected ({d},)")
+    if fro2 is None:
+        fro2 = frobenius_sq(xm)
     nd = n * d
+    rss_ols = max(fro2 - float(xv @ xv), 0.0)
+    sigma2 = rss_ols / (nd - d) if nd > d else 0.0
     au = np.sort(np.abs(xv))
     sq = np.concatenate(([0.0], np.cumsum(au * au)))
     k = np.searchsorted(au, g, side="right")  # entries thresholded to zero
@@ -283,9 +264,9 @@ def select_lambda_bic(
 
 def default_lambda_grid(
     u_tilde,
-    lambda_min: float = 1e-3,
+    lambda_min: float = DEFAULT_LAMBDA_MIN,
     lambda_max: float | None = None,
-    points: int = 50,
+    points: int = DEFAULT_LAMBDA_POINTS,
 ) -> np.ndarray:
     """lambda = 0 plus ``points`` log-spaced values up to 1.5 * max|u_tilde|."""
     if points < 1:

@@ -10,13 +10,13 @@ dimension d with sample size n:
   followed by -k), i.e. a Helmert-style completion of the head block;
 * eigenvectors beyond m equal to coordinate vectors e_i.
 
-Eigenvectors are materialized lazily from this pattern; no dense d x d
-basis is ever stored.  Sampling accumulates the identity tail directly as
-i.i.d. Gaussian noise and applies the head completion in closed form, so
-the cost is O(n*d).
+The studies read only u1 and its support, so ``EigenSystem`` forms just
+u1 (in closed form) and no other eigenvector or the d x d basis.  Sampling
+accumulates the identity tail directly as i.i.d. Gaussian noise and
+applies the head completion in closed form, so the cost is O(n*d).
 
-Randomness: all samplers take an integer seed or a ``numpy.random
-.SeedSequence`` and drive a counter-based Philox generator through numpy's
+Randomness: ``sample_gaussian`` takes an integer seed or a ``numpy.random
+.SeedSequence`` and drives a counter-based Philox generator through numpy's
 ``Generator`` (normals via numpy's ziggurat transform).  For a fixed numpy
 version, identical seeds give bit-identical samples on any platform and
 under any scheduling.  A Philox stream is fixed by its 128-bit key alone,
@@ -29,13 +29,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
 from .exceptions import DimensionError, DomainError
-
-SeedLike = "int | np.random.SeedSequence"
 
 
 def _make_rng(seed) -> np.random.Generator:
@@ -65,13 +63,6 @@ class DataMatrix:
     @property
     def n(self) -> int:
         return self.x.shape[1]
-
-
-def as_matrix(x) -> np.ndarray:
-    """Accept a DataMatrix or a plain array and return the ndarray view."""
-    if isinstance(x, DataMatrix):
-        return x.x
-    return np.asarray(x, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -122,40 +113,21 @@ class SpikedSpec:
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Population eigensystem, materialized lazily from its pattern."""
+    """Population eigensystem: u1 and its support, the parts the studies read."""
 
     spec: SpikedSpec
-
-    @cached_property
-    def eigenvalues(self) -> np.ndarray:
-        lam = np.ones(self.spec.d)
-        lam[0] = self.spec.lambda1
-        return lam
 
     @property
     def u1_support(self) -> np.ndarray:
         return np.arange(self.spec.support_size)
 
-    def eigenvector(self, i: int) -> np.ndarray:
-        """Materialize the i-th population eigenvector (0-based)."""
-        d = self.spec.d
-        m = self.spec.support_size
-        if not 0 <= i < d:
-            raise DomainError(f"eigenvector index {i} outside [0, {d})")
-        u = np.zeros(d)
-        if i == 0:
-            u[:m] = m ** -0.5
-        elif i < m:
-            c = 1.0 / math.sqrt(i * (i + 1.0))
-            u[:i] = c
-            u[i] = -i * c
-        else:
-            u[i] = 1.0
-        return u
-
     @property
     def u1(self) -> np.ndarray:
-        return self.eigenvector(0)
+        """The leading eigenvector: ``m**-0.5`` on the first m coordinates, else 0."""
+        m = self.spec.support_size
+        u = np.zeros(self.spec.d)
+        u[:m] = m ** -0.5
+        return u
 
 
 def _helmert_head_times(z: np.ndarray) -> np.ndarray:
@@ -224,30 +196,6 @@ def counterexample_tail_probability(d: int, alpha: float) -> float:
             f" in floating point at d={d}, alpha={alpha!r}"
         )
     return p
-
-
-def sample_counterexample(d: int, alpha: float, n: int, seed) -> DataMatrix:
-    """Discrete heavy-coordinate sampler that defeats thresholding.
-
-    Coordinates are independent: the first is +-d**(alpha/2) with equal
-    probability, and each of the others is +-d**((alpha+1)/4) with
-    probability d**(-(alpha+1)/2) each, else 0.
-
-    Note: the tail coordinates have second moment exactly 2 (direct
-    evaluation of the two-point mass), not 1.
-    """
-    p = counterexample_tail_probability(d, alpha)
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-
-    rng = _make_rng(seed)
-    u = rng.random((d, n))
-    x = np.zeros((d, n))
-    spike = d ** (alpha / 2.0)
-    x[0] = np.where(u[0] < 0.5, spike, -spike)
-    mag = d ** ((alpha + 1.0) / 4.0)
-    x[1:] = np.where(u[1:] < p, mag, np.where(u[1:] < 2.0 * p, -mag, 0.0))
-    return DataMatrix(x=x)
 
 
 #: Reps whose keys ``stream_keys`` derives in one numpy pass.  It bounds the
@@ -370,13 +318,13 @@ def counterexample_hits(d: int, alpha: float, keys) -> int:
 
     ``keys`` are 128-bit Philox keys, two uint64 words each, as
     ``stream_keys`` yields them; each draw reads a Philox stream under its key.
-    Each draw is scored from the uniforms ``sample_counterexample`` would
-    build it from, without building it: ``random(d)`` gives the same
-    uniforms as the sampler's ``random((d, 1))``.  Tail coordinate i is
-    zero exactly when its uniform is >= 2p, and
-    ``counterexample_tail_probability`` ensures that a non-zero tail
-    magnitude strictly exceeds the spike's.  So the first coordinate
-    carries the largest |entry| exactly when every tail uniform is >= 2p.
+    A draw's coordinates are independent: the first is +-d**(alpha/2), and
+    tail coordinate i is +-d**((alpha+1)/4) with probability p each, else 0,
+    read from the i-th uniform of ``random(d)``; it is zero exactly when
+    that uniform is >= 2p.  ``counterexample_tail_probability`` gives p and
+    ensures that a non-zero tail magnitude strictly exceeds the spike's.
+    So the first coordinate carries the largest |entry| exactly when every
+    tail uniform is >= 2p.
     This is also ``pca_first``'s answer: at n=1 the 1 x 1 dual has
     eigenvector [1], so the estimate is x / ||x||, with the argmax of |x|.
     """
@@ -396,7 +344,7 @@ def failure_probability(d: int, alpha: float) -> float:
     This is the chance that every tail coordinate of one draw from the
     counterexample model is zero, which is the only way the first
     coordinate can carry the largest |entry|.  It decays to 0 as d grows.
-    Raises DomainError where ``sample_counterexample`` does.
+    Raises DomainError where ``counterexample_tail_probability`` does.
     """
     p = counterexample_tail_probability(d, alpha)
     return float((1.0 - 2.0 * p) ** (d - 1))

@@ -8,6 +8,16 @@ through the full dual PCA estimator.  The rspca, angle and support-error
 references are the straightforward forms (``np.linalg.norm`` angles, a new
 penalty every step, boolean-mask counts) that the library's kernels must
 match bit for bit.
+
+The package keeps only what its studies read; these are the definitions it
+dropped, kept here as references:
+
+* ``population_eigenvalues`` and ``population_basis``: the spiked model's
+  full spectrum and d x d eigenbasis (the package forms only u1);
+* ``bic``: the BIC of one candidate at one lambda, from its own X v1,
+  ||X||_F^2 and sigma2, the brute-force reference for ``select_lambda_bic``;
+* ``sample_counterexample``: the counterexample law as a d x n matrix
+  sampler, the reference for ``counterexample_hits``.
 """
 
 from __future__ import annotations
@@ -26,9 +36,89 @@ from spcalab.estimators import (
     RspcaTrace,
     pca_first,
 )
-from spcalab.metrics import default_lambda_grid, frobenius_sq, select_lambda_bic
-from spcalab.model import as_matrix, sample_counterexample
+from spcalab.exceptions import DimensionError, DomainError
+from spcalab.metrics import BicValue, default_lambda_grid, frobenius_sq, select_lambda_bic
+from spcalab.model import DataMatrix, SpikedSpec, counterexample_tail_probability
 from spcalab.penalties import PenaltySpec, threshold
+
+
+def population_eigenvalues(spec: SpikedSpec) -> np.ndarray:
+    """The population spectrum ``(d**alpha, 1, ..., 1)``."""
+    lam = np.ones(spec.d)
+    lam[0] = spec.lambda1
+    return lam
+
+
+def population_basis(spec: SpikedSpec) -> np.ndarray:
+    """The d x d population eigenbasis, eigenvector i in column i.
+
+    Column 0 is u1, ``m**-0.5`` on the first m coordinates; column i < m is
+    c on rows 0..i-1 and -i c on row i with c = 1/sqrt(i(i+1)), the Helmert
+    completion of the head block; column i >= m is the coordinate vector e_i.
+    """
+    d, m = spec.d, spec.support_size
+    u = np.zeros((d, d))
+    u[:m, 0] = m ** -0.5
+    for i in range(1, m):
+        c = 1.0 / math.sqrt(i * (i + 1.0))
+        u[:i, i] = c
+        u[i, i] = -i * c
+    tail = np.arange(m, d)
+    u[tail, tail] = 1.0
+    return u
+
+
+def bic(x, v1, candidate, lam: float) -> BicValue:
+    """BIC of one thresholded candidate u for the regression with design v1.
+
+    RSS = ||X - u v1^T||_F^2 = ||X||_F^2 - 2 u.(X v1) + ||u||^2 for unit v1,
+    scaled by nd sigma2 with sigma2 the OLS residual variance, plus
+    log(nd)/nd per non-zero entry of u.
+    """
+    xm = np.asarray(x, dtype=float)
+    v = np.asarray(v1, dtype=float)
+    u = np.asarray(getattr(candidate, "entries", candidate), dtype=float)
+    d, n = xm.shape
+    if v.shape != (n,) or u.shape != (d,):
+        raise DimensionError(f"v1 {v.shape} and candidate {u.shape} do not fit x {xm.shape}")
+    xv = xm @ v
+    fro2 = frobenius_sq(xm)
+    nd = n * d
+    rss_ols = max(fro2 - float(xv @ xv), 0.0)
+    sigma2 = rss_ols / (nd - d) if nd > d else 0.0
+    rss = max(fro2 - 2.0 * float(u @ xv) + float(u @ u), 0.0)
+    df = int(np.count_nonzero(u))
+    df_term = math.log(nd) / nd * df
+    if sigma2 > 0.0:
+        rss_term = rss / (nd * sigma2)
+        return BicValue(lam, rss_term, df_term, rss_term + df_term, df, sigma2)
+    # Perfect rank-one fit: the residual scale is empty, keep the df term.
+    return BicValue(lam, 0.0, df_term, df_term, df, sigma2, degenerate=True)
+
+
+def sample_counterexample(d: int, alpha: float, n: int, seed) -> DataMatrix:
+    """Discrete heavy-coordinate sampler that defeats thresholding.
+
+    Coordinates are independent: the first is +-d**(alpha/2) with equal
+    probability, and each of the others is +-d**((alpha+1)/4) with
+    probability d**(-(alpha+1)/2) each, else 0.  Coordinate i of column j
+    is read from uniform (i, j) of ``random((d, n))`` on the Philox stream
+    of ``seed`` (an int or a ``SeedSequence``).
+
+    Note: the tail coordinates have second moment exactly 2 (direct
+    evaluation of the two-point mass), not 1.
+    """
+    p = counterexample_tail_probability(d, alpha)
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
+
+    u = np.random.Generator(np.random.Philox(seed)).random((d, n))
+    x = np.zeros((d, n))
+    spike = d ** (alpha / 2.0)
+    x[0] = np.where(u[0] < 0.5, spike, -spike)
+    mag = d ** ((alpha + 1.0) / 4.0)
+    x[1:] = np.where(u[1:] < p, mag, np.where(u[1:] < 2.0 * p, -mag, 0.0))
+    return DataMatrix(x=x)
 
 
 def charpoly_coefficients(a: np.ndarray) -> np.ndarray:
@@ -131,7 +221,7 @@ def counterexample_hits_by_pca(dims, alpha: float, reps: int, base_seed: int) ->
         count = 0
         for rep in range(reps):
             seed = np.random.SeedSequence(base_seed, spawn_key=(di, rep))
-            est = pca_first(sample_counterexample(d, alpha, 1, seed))
+            est = pca_first(sample_counterexample(d, alpha, 1, seed).x)
             count += int(np.argmax(np.abs(est.entries))) == 0
         hits.append(count)
     return hits
@@ -185,7 +275,7 @@ def rspca_reference(
 ):
     """``rspca`` as a plain loop: every norm by ``np.linalg.norm`` and the
     penalty rebuilt with ``with_lambda`` at every step."""
-    xm = as_matrix(x)
+    xm = np.asarray(x, dtype=float)
     dc = dual if dual is not None else dual_first_component(xm)
     trace = RspcaTrace(init_ambiguous=dc.ambiguous)
 

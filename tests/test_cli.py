@@ -95,6 +95,15 @@ class TestExitCodes:
         assert "share the label 0.6:0.1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_repeated_method_is_config_error(self, tmp_path, capsys):
+        code = run_cli(
+            "bic", "--alpha", "0.6", "--beta", "0.1", "--d", "50", "--n", "4", "--reps", "2",
+            "--method", "pca,pca", "--out", str(tmp_path / "out"),
+        )
+        assert code == EXIT_CONFIG
+        assert "method 'pca' is listed twice" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "flag, value, message",
         [
@@ -104,8 +113,10 @@ class TestExitCodes:
             ("--alpha", "1.5", "alpha must lie in (0, 1), got 1.5"),
             ("--seed", "-1", "seed must be >= 0, got -1"),
             ("--reps", str(2**32 + 1), "reps must be <= 2**32, got 4294967297"),
+            ("--d-grid", "50,100,50", "d=50 is listed twice"),
         ],
-        ids=["reps", "d_grid_small", "d_grid_malformed", "alpha", "seed", "reps_past_one_word"],
+        ids=["reps", "d_grid_small", "d_grid_malformed", "alpha", "seed", "reps_past_one_word",
+             "d_grid_repeated"],
     )
     def test_counterexample_bad_value_is_config_error(self, tmp_path, capsys, flag, value, message):
         code = run_cli("counterexample", flag, value, "--out", str(tmp_path / "out"))

@@ -16,7 +16,6 @@ from spcalab import (
     LoadingVector,
     PenaltySpec,
     angle_degrees,
-    bic,
     default_gamma,
     default_lambda_grid,
     dual_first_component,
@@ -30,7 +29,7 @@ from spcalab import (
 )
 from spcalab.metrics import frobenius_sq
 from spcalab.penalties import FAMILIES
-from _oracles import angle_degrees_reference, support_errors_reference
+from _oracles import angle_degrees_reference, bic, support_errors_reference
 
 
 class TestAngle:
@@ -137,11 +136,11 @@ class TestSupportErrorsMatchReference:
 
     def test_all_zero_estimate(self):
         e = np.zeros(30)
-        assert support_errors(e, [2, 5, 7], 30) == support_errors_reference(e, [2, 5, 7])
+        assert support_errors(e, [2, 5, 7]) == support_errors_reference(e, [2, 5, 7])
 
     def test_full_support_truth(self):
         e = np.array([0.0, 1.0, -2.0, 0.0])
-        got = support_errors(e, [0, 1, 2, 3], 4)
+        got = support_errors(e, [0, 1, 2, 3])
         assert got == support_errors_reference(e, [0, 1, 2, 3])
         assert got[1] == 0.0
 
@@ -151,7 +150,7 @@ class TestSupportErrorsMatchReference:
             d = int(rng.integers(2, 60))
             e = rng.standard_normal(d) * (rng.random(d) < rng.random())
             truth = rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False)
-            got = support_errors(e, truth, d)
+            got = support_errors(e, truth)
             ref = support_errors_reference(e, truth)
             assert repr(got) == repr(ref)
 
@@ -159,29 +158,29 @@ class TestSupportErrorsMatchReference:
 class TestSupportErrors:
     def test_exact_recovery(self):
         e = np.array([0.5, 0.5, 0.0, 0.0])
-        assert support_errors(e, [0, 1], 4) == (0.0, 0.0)
+        assert support_errors(e, [0, 1]) == (0.0, 0.0)
 
     def test_all_zero_estimate(self):
-        assert support_errors(np.zeros(5), [0, 1], 5) == (1.0, 0.0)
+        assert support_errors(np.zeros(5), [0, 1]) == (1.0, 0.0)
 
     def test_dense_estimate(self):
-        assert support_errors(np.ones(5), [0, 1], 5) == (0.0, 1.0)
+        assert support_errors(np.ones(5), [0, 1]) == (0.0, 1.0)
 
     def test_partial(self):
         e = np.array([0.7, 0.0, 0.3, 0.0])
-        t1, t2 = support_errors(e, [0, 1], 4)
+        t1, t2 = support_errors(e, [0, 1])
         assert t1 == 0.5 and t2 == 0.5
 
     def test_full_truth_type2_zero(self):
-        assert support_errors(np.ones(3), [0, 1, 2], 3) == (0.0, 0.0)
+        assert support_errors(np.ones(3), [0, 1, 2]) == (0.0, 0.0)
 
     def test_empty_truth_rejected(self):
         with pytest.raises(DomainError):
-            support_errors(np.ones(3), [], 3)
+            support_errors(np.ones(3), [])
 
     def test_out_of_range_truth(self):
         with pytest.raises(DomainError):
-            support_errors(np.ones(3), [3], 3)
+            support_errors(np.ones(3), [3])
 
 
 def _bic_kron_oracle(x, v1, candidate, lam):

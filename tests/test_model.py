@@ -16,7 +16,6 @@ from spcalab import (
     build_eigensystem,
     failure_probability,
     model,
-    sample_counterexample,
     sample_gaussian,
 )
 from spcalab.model import (
@@ -25,6 +24,7 @@ from spcalab.model import (
     counterexample_tail_probability,
     stream_keys,
 )
+from _oracles import population_basis, population_eigenvalues, sample_counterexample
 
 
 class TestSpikedSpec:
@@ -52,13 +52,14 @@ class TestSpikedSpec:
 
 class TestEigenSystem:
     def test_small_construction(self):
-        sys = build_eigensystem(SpikedSpec(4, 5, 0.5, 0.5))
+        spec = SpikedSpec(4, 5, 0.5, 0.5)
+        basis = population_basis(spec)
         s = 1.0 / math.sqrt(2.0)
-        np.testing.assert_allclose(sys.eigenvector(0), [s, s, 0, 0], atol=1e-15)
-        np.testing.assert_allclose(sys.eigenvector(1), [s, -s, 0, 0], atol=1e-15)
-        np.testing.assert_array_equal(sys.eigenvector(2), [0, 0, 1, 0])
-        np.testing.assert_array_equal(sys.eigenvector(3), [0, 0, 0, 1])
-        np.testing.assert_array_equal(sys.eigenvalues, [2.0, 1.0, 1.0, 1.0])
+        np.testing.assert_allclose(basis[:, 0], [s, s, 0, 0], atol=1e-15)
+        np.testing.assert_allclose(basis[:, 1], [s, -s, 0, 0], atol=1e-15)
+        np.testing.assert_array_equal(basis[:, 2], [0, 0, 1, 0])
+        np.testing.assert_array_equal(basis[:, 3], [0, 0, 0, 1])
+        np.testing.assert_array_equal(population_eigenvalues(spec), [2.0, 1.0, 1.0, 1.0])
 
     def test_beta_zero_gives_first_coordinate(self):
         sys = build_eigensystem(SpikedSpec(50, 5, 0.6, 0.0))
@@ -75,22 +76,27 @@ class TestEigenSystem:
         assert list(sys.u1_support) == list(range(m))
 
     def test_head_block_gram_is_identity(self):
-        sys = build_eigensystem(SpikedSpec(300, 5, 0.4, 0.7))
-        m = sys.spec.support_size
-        basis = np.column_stack([sys.eigenvector(i) for i in range(m)])
+        spec = SpikedSpec(300, 5, 0.4, 0.7)
+        m = spec.support_size
+        basis = population_basis(spec)[:, :m]
         np.testing.assert_allclose(basis.T @ basis, np.eye(m), atol=1e-12)
 
     def test_trace_identity(self):
         spec = SpikedSpec(2000, 25, 0.6, 0.1)
-        sys = build_eigensystem(spec)
-        assert sys.eigenvalues[0] == 2000**0.6
-        assert np.all(sys.eigenvalues[1:] == 1.0)
-        assert math.fsum(sys.eigenvalues) == 2000**0.6 + 1999.0
+        eigenvalues = population_eigenvalues(spec)
+        assert eigenvalues[0] == 2000**0.6
+        assert np.all(eigenvalues[1:] == 1.0)
+        assert math.fsum(eigenvalues) == 2000**0.6 + 1999.0
 
-    def test_eigenvector_index_bounds(self):
-        sys = build_eigensystem(SpikedSpec(10, 5, 0.5, 0.5))
-        with pytest.raises(DomainError):
-            sys.eigenvector(10)
+    @pytest.mark.parametrize("d", [1, 2, 7, 300])
+    @pytest.mark.parametrize("beta", [0.0, 0.3, 0.5, 0.7, 1.0])
+    def test_u1_is_the_oracle_basis_first_column(self, d, beta):
+        # beta = 0 gives m = 1 and beta = 1 gives m = d.
+        spec = SpikedSpec(d, 5, 0.6, beta)
+        system = build_eigensystem(spec)
+        first = population_basis(spec)[:, 0]
+        assert system.u1.tobytes() == first.tobytes()
+        assert system.u1_support.tolist() == np.flatnonzero(first).tolist()
 
 
 class TestSampleGaussian:
@@ -150,9 +156,10 @@ class TestSampleGaussian:
         emp = dm.x @ dm.x.T / dm.n
         m = spec.support_size
         pop = np.zeros((6, 6))
+        basis = population_basis(spec)
         for i in range(6):
             lam = spec.lambda1 if i == 0 else 1.0
-            u = sys.eigenvector(i)
+            u = basis[:, i]
             pop += lam * np.outer(u, u)
         np.testing.assert_allclose(emp, pop, atol=0.25 * spec.lambda1**0.5 + 0.15)
 

@@ -9,6 +9,8 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
+
 import spcalab
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -50,3 +52,27 @@ def test_cli_import_leaves_lazy_numpy_modules_unloaded():
     result = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                             capture_output=True, text=True)
     assert result.stdout == "[]\n"
+
+
+def test_names_the_benchmark_reads_are_kept(tmp_path):
+    # perfbench builds samples and counts per-layer work through these; a trim
+    # that drops one would otherwise surface only as a crash in a traced run.
+    from spcalab.estimators import rspca
+    from spcalab.experiment import ReplicationRecord, emit_csv
+    from spcalab.metrics import default_lambda_grid, select_lambda_bic
+    from spcalab.model import SpikedSpec, build_eigensystem, sample_gaussian
+    from spcalab.penalties import PenaltySpec
+
+    system = build_eigensystem(SpikedSpec(200, 6, 0.6, 0.3))
+    x = sample_gaussian(system, np.random.SeedSequence(1, spawn_key=(0, 0))).x
+    assert isinstance(x, np.ndarray) and x.shape == (200, 6)
+    dual = spcalab.dual_first_component(x)
+    grid = default_lambda_grid(dual.u_tilde, points=7)
+    assert len(select_lambda_bic(x, dual.v1, grid).values) == grid.size == 8
+    trace = rspca(x, PenaltySpec.hard(0.0), bic_per_iteration=True, lambda_grid=grid)[1]
+    assert trace.n_iterations >= 1
+    assert isinstance(trace.zero_terminated, bool)
+    record = ReplicationRecord(alpha=0.6, beta=0.3, method="pca", rep=0, lam=0.0,
+                               angle_deg=1.0, type1=0.0, type2=0.0, df=6, final=True)
+    path = tmp_path / "replications.csv"
+    assert emit_csv([record], path) == path and path.is_file()
