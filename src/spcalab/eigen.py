@@ -75,7 +75,8 @@ def dual_first_component(x: np.ndarray) -> DualComponent:
     DimensionError
         If ``x`` is not a 2-d array.
     NumericError
-        If ``x`` or S has non-finite entries, or the eigensolve fails.
+        If S has non-finite entries (which it has whenever ``x`` has one, or
+        when a finite ``x`` overflows it), or the eigensolve fails.
     DegenerateInputError
         If ``x`` is identically zero.
     """
@@ -84,19 +85,18 @@ def dual_first_component(x: np.ndarray) -> DualComponent:
         raise DimensionError(f"expected a 2-d data matrix, got shape {a.shape}")
     if a.shape[0] < 1 or a.shape[1] < 1:
         raise DimensionError("data matrix must have at least one row and column")
-    if not np.isfinite(a).all():
-        raise NumericError("data matrix contains non-finite entries")
     if not a.any():
         raise DegenerateInputError("data matrix is identically zero")
 
     n = a.shape[1]
-    # Finite X can still overflow its Gram matrix; the check below turns
-    # that into a NumericError instead of a warning.
+    # Each x_ij^2 lands on S's diagonal, so a NaN or inf in X makes S
+    # non-finite, and so does a finite X that overflows its Gram matrix; the
+    # check below turns either into a NumericError instead of a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         g = a.T @ a
         s = (g + g.T) / (2.0 * n)
     if not np.isfinite(s).all():
-        raise NumericError("dual matrix X^T X / n contains non-finite entries")
+        raise NumericError("data matrix or its dual X^T X / n contains non-finite entries")
     try:
         values, vectors = np.linalg.eigh(s)
     except np.linalg.LinAlgError as exc:

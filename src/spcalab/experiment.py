@@ -15,7 +15,6 @@ column stays empty by default so repeated runs are byte-identical.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
@@ -339,6 +338,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     cfg.validate()
     tasks = [(cfg, pi, rep) for pi in range(len(cfg.pairs)) for rep in range(cfg.replications)]
     if cfg.threads > 1 and len(tasks) > 1:
+        # Imported here: the pool's modules would add to every study's start-up.
+        import multiprocessing
+
         with multiprocessing.Pool(processes=cfg.threads) as pool:
             chunks = pool.starmap(_run_replication, tasks)
     else:

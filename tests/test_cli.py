@@ -19,6 +19,13 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def subprocess_env(**extra):
+    """The environment of a fresh interpreter that imports this checkout's spcalab."""
+    src = str(Path(spcalab.__file__).resolve().parents[1])
+    return dict(os.environ, **extra,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 class TestExitCodes:
     def test_bic_small_run(self, tmp_path):
         code = run_cli(
@@ -292,12 +299,10 @@ class TestBlasThreads:
     def test_output_bytes_do_not_depend_on_blas_threads(self, tmp_path):
         # At d=5000, beta=0.7 the head block has m=388 rows: a BLAS product
         # of that size runs threaded and rounds differently at 2 threads.
-        src = str(Path(spcalab.__file__).resolve().parents[1])
         outputs = []
         for threads in ("1", "2"):
             out = tmp_path / f"blas{threads}"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            env = subprocess_env(OPENBLAS_NUM_THREADS=threads)
             subprocess.run(
                 [sys.executable, "-m", "spcalab.cli", "bic", "--alpha", "0.2", "--beta", "0.7",
                  "--d", "5000", "--reps", "2", "--method", "pca,oracle", "--out", str(out)],
@@ -305,6 +310,38 @@ class TestBlasThreads:
             )
             outputs.append([(out / f).read_bytes() for f in ("replications.csv", "summary.csv")])
         assert outputs[0] == outputs[1]
+
+
+class TestFrozenHeap:
+    """``main`` freezes the heap it starts from; these run it as a study does, in a fresh process."""
+
+    def test_forked_pool_gives_the_same_bytes_as_one_worker(self, tmp_path):
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "spcalab.cli", "phase", "--pairs", "0.6:0.1,0.2:0.7",
+                 "--d", "100", "--n", "6", "--reps", "2", "--lambda-points", "4",
+                 "--threads", threads, "--out", str(out)],
+                env=subprocess_env(), check=True,
+            )
+            outputs.append([(out / f).read_bytes()
+                            for f in ("replications.csv", "summary.csv", "phase.svg")])
+        assert outputs[0] == outputs[1]
+
+    def test_main_freezes_the_heap(self, tmp_path):
+        code = (
+            "import gc, sys, spcalab.cli\n"
+            "before = gc.get_freeze_count()\n"
+            "code = spcalab.cli.main(sys.argv[1:])\n"
+            "print(code, before, gc.get_freeze_count() > 0)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code, "counterexample", "--d-grid", "30", "--reps", "20",
+             "--out", str(tmp_path / "out")],
+            env=subprocess_env(), check=True, capture_output=True, text=True,
+        )
+        assert result.stdout == "0 0 True\n"
 
 
 class TestCounterexampleCommand:

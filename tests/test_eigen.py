@@ -145,6 +145,17 @@ class TestDualFirstComponent:
         with pytest.raises(NumericError):
             dual_first_component(x)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("shape", [(1, 1), (4, 2), (5, 3)], ids=["1x1", "4x2", "5x3"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_every_non_finite_entry_raises_without_a_warning(self, shape, bad):
+        # The check on S alone catches it: x_ij^2 lands on S's diagonal.
+        for index in np.ndindex(shape):
+            x = np.ones(shape)
+            x[index] = bad
+            with pytest.raises(NumericError, match="non-finite"):
+                dual_first_component(x)
+
     def test_lapack_failure_is_numeric_error(self, monkeypatch):
         def fail(_):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")

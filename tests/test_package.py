@@ -44,11 +44,13 @@ def test_readme_library_example_runs():
 
 
 def test_cli_import_leaves_lazy_numpy_modules_unloaded():
-    # numpy loads these on first use, at several ms each; the CLI's startup
-    # must not pay for them before a study needs them.
+    # numpy loads these on first use, at several ms each, and only a study
+    # with a worker pool needs multiprocessing; the CLI's startup must not pay
+    # for them before a study needs them.
     src = str(Path(spcalab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, spcalab.cli; print([m for m in ('numpy.random', 'numpy.ma') if m in sys.modules])"
+    lazy = ("numpy.random", "numpy.ma", "multiprocessing")
+    code = f"import sys, spcalab.cli; print([m for m in {lazy!r} if m in sys.modules])"
     result = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                             capture_output=True, text=True)
     assert result.stdout == "[]\n"
