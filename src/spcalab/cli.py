@@ -84,7 +84,7 @@ def main(argv=None) -> int:
     argparse and the rest of the import graph) into the garbage collector's
     permanent generation.  Its collections then skip those objects, both the
     one at interpreter exit, which would otherwise walk the whole import graph,
-    and those in forked pool workers, which would otherwise write to the
+    and those in forked ``--threads`` workers, which would otherwise write to the
     parent's object headers and so copy the pages that hold them.  An
     in-process caller, such as a test, should know that the objects alive when
     it calls ``main`` are never cyclic-collected afterwards.

@@ -23,3 +23,7 @@ class DomainError(SpcaLabError, ValueError):
 
 class ConfigError(SpcaLabError, ValueError):
     """Invalid experiment configuration (bad file, bad flag, bad value)."""
+
+
+class WorkerError(SpcaLabError, RuntimeError):
+    """A forked ``--threads`` worker ended without sending its records."""

@@ -10,11 +10,20 @@ are buffered, canonically sorted, and only then written.
 
 Wall-clock timing is therefore opt-in (``timing=True``): the runtime_ms
 column stays empty by default so repeated runs are byte-identical.
+
+With ``threads`` > 1 and more than one task, the tasks run in ``os.fork``
+children, so that setting is POSIX-only.  Worker ``i`` of ``k`` runs the
+strided share ``tasks[i::k]`` and pickles its records, or the exception that
+stopped it, into its own pipe.  The parent runs no replication: it forks,
+reads each pipe to EOF, reaps each worker, then sorts and summarizes as a
+one-worker run does.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
@@ -27,7 +36,7 @@ import numpy as np
 from ._files import replace_text
 from .eigen import DualComponent, dual_first_component
 from .estimators import RSPCA_MAX_ITER, oracle_estimator, pca_first, rspca, st_estimator
-from .exceptions import ConfigError, DomainError
+from .exceptions import ConfigError, DomainError, WorkerError
 from .figures import counterexample_figure, phase_figure, sweep_figure
 from .metrics import (
     DEFAULT_LAMBDA_MIN,
@@ -115,6 +124,8 @@ class ExperimentConfig:
             raise ConfigError(f"n must be >= 1, got {self.n}")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
+        if self.threads > 1 and not hasattr(os, "fork"):
+            raise ConfigError("threads > 1 needs os.fork, which this platform lacks")
         if self.lambda_points < 1:
             raise ConfigError("lambda_points must be >= 1")
         if self.lambda_min <= 0:
@@ -295,57 +306,119 @@ def _run_replication(cfg: ExperimentConfig, pair_index: int, rep: int) -> list[R
 
 
 def _summarize(records: list[ReplicationRecord]) -> list[SummaryRow]:
-    groups: dict[tuple, list[ReplicationRecord]] = {}
+    """Quartiles per (pair, method) over the final rows.
+
+    Every runner yields one final row per replication or none, so the groups
+    stack into one (group, replication, column) array, reduced along its
+    replication axis by one ``np.percentile`` and one ``np.median`` call.
+    """
+    groups: dict[tuple, list[tuple]] = {}
     for r in records:
         if r.final:
-            groups.setdefault((r.alpha, r.beta, r.method), []).append(r)
-    out = []
-    for (alpha, beta, method), rows in sorted(groups.items()):
-        ang = np.array([r.angle_deg for r in rows])
-        t1 = np.array([r.type1 for r in rows])
-        t2 = np.array([r.type2 for r in rows])
-        dfv = np.array([r.df for r in rows], dtype=float)
-        lams = [r.lam for r in rows if r.lam is not None]
-        out.append(
-            SummaryRow(
-                alpha=alpha,
-                beta=beta,
-                method=method,
-                count=len(rows),
-                lambda_median=float(np.median(lams)) if lams else None,
-                df_median=float(np.median(dfv)),
-                angle_q25=float(np.percentile(ang, 25)),
-                angle_median=float(np.percentile(ang, 50)),
-                angle_q75=float(np.percentile(ang, 75)),
-                type1_q25=float(np.percentile(t1, 25)),
-                type1_median=float(np.percentile(t1, 50)),
-                type1_q75=float(np.percentile(t1, 75)),
-                type2_q25=float(np.percentile(t2, 25)),
-                type2_median=float(np.percentile(t2, 50)),
-                type2_q75=float(np.percentile(t2, 75)),
+            groups.setdefault((r.alpha, r.beta, r.method), []).append(
+                (r.angle_deg, r.type1, r.type2, r.df, math.nan if r.lam is None else r.lam)
             )
-        )
-    return out
+    if not groups:
+        return []
+    keys = sorted(groups)
+    values = np.array([groups[k] for k in keys])
+    # quartiles[g] holds angle, type1 and type2's q25, median and q75, in that order.
+    quartiles = np.percentile(values[:, :, :3], (25, 50, 75), axis=1).transpose(1, 2, 0)
+    quartiles = quartiles.reshape(len(keys), 9).tolist()
+    medians = np.median(values[:, :, 3:], axis=1).tolist()
+    return [
+        SummaryRow(alpha, beta, method, values.shape[1],
+                   None if math.isnan(lam) else lam, df, *q)
+        for (alpha, beta, method), (df, lam), q in zip(keys, medians, quartiles)
+    ]
+
+
+def _work(share: list[tuple], fd: int) -> None:
+    """Run a forked worker's ``share`` and pickle its outcome into ``fd``.
+
+    The outcome is (True, the share's records) or (False, the exception that
+    stopped the share).
+    """
+    try:
+        outcome = (True, [r for task in share for r in _run_replication(*task)])
+    except Exception as exc:
+        outcome = (False, exc)
+    with open(fd, "wb") as pipe:
+        pickle.dump(outcome, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def _fan_out(tasks: list[tuple], workers: int) -> list[ReplicationRecord]:
+    """The records of ``tasks``, from ``workers`` forked children.
+
+    Child ``i`` runs ``tasks[i::workers]``; its records follow those of
+    child ``i - 1``, each task's together and in the order they were made.
+    A child's exception is raised here as it was raised there; a child that
+    ends without sending its outcome raises ``WorkerError``.  Every child is
+    reaped before this returns or raises; on an error, those still running
+    are killed first.
+    """
+    pids: list[int] = []
+    pipes = []
+    records: list[ReplicationRecord] = []
+    try:
+        for i in range(workers):
+            r, w = os.pipe()
+            pipes.append(open(r, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    # The child never returns into the caller's frames.
+                    code = 1
+                    try:
+                        _work(tasks[i::workers], w)
+                        code = 0
+                    finally:
+                        os._exit(code)
+            finally:
+                os.close(w)
+            pids.append(pid)
+        for i, pipe in enumerate(pipes):
+            data = pipe.read()
+            status = os.waitpid(pids[i], 0)[1]
+            pids[i] = 0  # no signal is handled between the reap and this store
+            status = os.waitstatus_to_exitcode(status)
+            if status or not data:
+                how = (f"was killed by signal {-status}" if status < 0
+                       else f"exited with status {status}")
+                raise WorkerError(f"worker {i} of {workers} {how} before sending its records")
+            ok, outcome = pickle.loads(data)
+            if not ok:
+                raise outcome
+            records += outcome
+        return records
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in filter(None, pids):
+            import signal  # imported here: only an error path needs it, at ~1 ms per study
+
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run all (pair, replication) tasks and return canonically sorted records.
 
-    Replications are the unit of parallelism; aggregation is
-    order-insensitive and followed by a canonical sort, so the result is
-    identical for any ``threads`` value.
+    Replications are the unit of parallelism.  With ``threads`` > 1 and more
+    than one task, ``min(threads, tasks)`` forked workers each run a strided
+    share of the tasks while this process only collects them (see
+    ``_fan_out``).  The records are then sorted canonically.  Two records
+    tie on the sort key only when they come from one task, whose records stay
+    in the order they were made, so the result is identical for any
+    ``threads`` value.
     """
     cfg.validate()
     tasks = [(cfg, pi, rep) for pi in range(len(cfg.pairs)) for rep in range(cfg.replications)]
-    if cfg.threads > 1 and len(tasks) > 1:
-        # Imported here: the pool's modules would add to every study's start-up.
-        import multiprocessing
-
-        with multiprocessing.Pool(processes=cfg.threads) as pool:
-            chunks = pool.starmap(_run_replication, tasks)
+    workers = min(cfg.threads, len(tasks))
+    if workers > 1:
+        records = _fan_out(tasks, workers)
     else:
-        chunks = [_run_replication(*t) for t in tasks]
-    records = [r for chunk in chunks for r in chunk]
+        records = [r for t in tasks for r in _run_replication(*t)]
     records.sort(key=_sort_key)
     return ExperimentResult(config=cfg, records=records, summary=_summarize(records))
 

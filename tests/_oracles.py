@@ -17,7 +17,10 @@ dropped, kept here as references:
 * ``bic``: the BIC of one candidate at one lambda, from its own X v1,
   ||X||_F^2 and sigma2, the brute-force reference for ``select_lambda_bic``;
 * ``sample_counterexample``: the counterexample law as a d x n matrix
-  sampler, the reference for ``counterexample_hits``.
+  sampler, the reference for ``counterexample_hits``;
+* ``summarize_reference``: the summary table from one ``np.percentile`` and
+  ``np.median`` call per statistic and group, the reference for the
+  batched ``experiment._summarize``.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from spcalab.estimators import (
     pca_first,
 )
 from spcalab.exceptions import DimensionError, DomainError
+from spcalab.experiment import SummaryRow
 from spcalab.metrics import BicValue, default_lambda_grid, frobenius_sq, select_lambda_bic
 from spcalab.model import DataMatrix, SpikedSpec, counterexample_tail_probability
 from spcalab.penalties import PenaltySpec, threshold
@@ -336,3 +340,32 @@ def rspca_reference(
         v = xtu / nrm
 
     return _loading_reference(u_old), trace
+
+
+def summarize_reference(records) -> list[SummaryRow]:
+    groups: dict[tuple, list] = {}
+    for r in records:
+        if r.final:
+            groups.setdefault((r.alpha, r.beta, r.method), []).append(r)
+    out = []
+    for (alpha, beta, method), rows in sorted(groups.items()):
+        ang = np.array([r.angle_deg for r in rows])
+        t1 = np.array([r.type1 for r in rows])
+        t2 = np.array([r.type2 for r in rows])
+        dfv = np.array([r.df for r in rows], dtype=float)
+        lams = [r.lam for r in rows if r.lam is not None]
+        out.append(SummaryRow(
+            alpha=alpha, beta=beta, method=method, count=len(rows),
+            lambda_median=float(np.median(lams)) if lams else None,
+            df_median=float(np.median(dfv)),
+            angle_q25=float(np.percentile(ang, 25)),
+            angle_median=float(np.percentile(ang, 50)),
+            angle_q75=float(np.percentile(ang, 75)),
+            type1_q25=float(np.percentile(t1, 25)),
+            type1_median=float(np.percentile(t1, 50)),
+            type1_q75=float(np.percentile(t1, 75)),
+            type2_q25=float(np.percentile(t2, 25)),
+            type2_median=float(np.percentile(t2, 50)),
+            type2_q75=float(np.percentile(t2, 75)),
+        ))
+    return out

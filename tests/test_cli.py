@@ -2,6 +2,7 @@
 
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 import spcalab
-from spcalab.cli import EXIT_CONFIG, EXIT_OK, build_parser, main, study_config
+from spcalab import NumericError, experiment
+from spcalab.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, build_parser, main, study_config
 from spcalab.experiment import CONFIG_KEYS
 from _oracles import rspca_reference
 
@@ -342,6 +344,44 @@ class TestFrozenHeap:
             env=subprocess_env(), check=True, capture_output=True, text=True,
         )
         assert result.stdout == "0 0 True\n"
+
+
+class TestForkedWorkers:
+    PHASE = ("phase", "--pairs", "0.6:0.1,0.2:0.7", "--d", "100", "--n", "6", "--reps", "2",
+             "--lambda-points", "4", "--threads", "2")
+
+    @pytest.mark.parametrize(
+        "failure, message",
+        [
+            (NumericError("replication failed in a worker"), "replication failed in a worker"),
+            (None, "worker 0 of 2 was killed by signal"),
+        ],
+        ids=["exception", "sigkill"],
+    )
+    def test_worker_failure_is_runtime_error(self, tmp_path, monkeypatch, capsys, failure, message):
+        parent = os.getpid()
+        real = experiment._run_replication
+
+        def patched(*task):
+            if os.getpid() != parent:
+                if failure is None:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise failure
+            return real(*task)
+
+        monkeypatch.setattr(experiment, "_run_replication", patched)
+        assert run_cli(*self.PHASE, "--out", str(tmp_path / "out")) == EXIT_RUNTIME
+        assert capsys.readouterr().err.startswith(f"spcalab: error: {message}")
+        assert not (tmp_path / "out" / "replications.csv").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_threads_without_fork_is_config_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delattr(os, "fork")
+        assert run_cli(*self.PHASE, "--out", str(tmp_path / "out")) == EXIT_CONFIG
+        assert "threads > 1 needs os.fork" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert run_cli(*self.PHASE[:-1], "1", "--out", str(tmp_path / "one")) == EXIT_OK
 
 
 class TestCounterexampleCommand:

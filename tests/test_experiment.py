@@ -1,7 +1,10 @@
 """Harness tests: config resolution, runner determinism, CSV emission."""
 
+import errno
 import hashlib
 import math
+import os
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +14,12 @@ from spcalab import (
     ConfigError,
     DomainError,
     ExperimentConfig,
+    NumericError,
     ReplicationRecord,
+    SpcaLabError,
     SpikedSpec,
     SummaryRow,
+    WorkerError,
     angle_degrees,
     build_eigensystem,
     dual_first_component,
@@ -36,7 +42,7 @@ from spcalab.experiment import (
     run_and_emit,
     write_resolved_config,
 )
-from _oracles import counterexample_hits_by_pca
+from _oracles import counterexample_hits_by_pca, summarize_reference
 
 
 def small_config(**overrides):
@@ -221,6 +227,36 @@ class TestRunExperiment:
         assert row.angle_median == angles[2]
         assert row.angle_q25 <= row.angle_median <= row.angle_q75
 
+    @pytest.mark.parametrize("sweep", [False, True], ids=["no_sweep", "sweep"])
+    @pytest.mark.parametrize("bic", [True, False], ids=["bic", "no_bic"])
+    def test_each_method_gives_one_final_row_per_replication(self, bic, sweep):
+        # The batched summary stacks each (pair, method)'s final rows as one
+        # row of a (group, replication) array, so it needs exactly this.
+        cfg = small_config(pairs=((0.6, 0.1), (0.2, 0.7)), replications=2, bic=bic, sweep=sweep)
+        records = run_experiment(cfg).records
+        for method in METHODS:
+            expected = 1 if bic or method in ("pca", "oracle") else 0
+            for alpha, beta in cfg.pairs:
+                for rep in range(cfg.replications):
+                    finals = [r for r in records if r.final and r.method == method
+                              and (r.alpha, r.beta, r.rep) == (alpha, beta, rep)]
+                    assert len(finals) == expected, (method, alpha, beta, rep)
+
+    def test_summary_matches_per_group_reductions(self):
+        records = run_experiment(small_config(pairs=((0.6, 0.1), (0.2, 0.7)), replications=5)).records
+        rng = np.random.default_rng(5)
+        # Ties and exact zeros, as Type I/II rates and small dfs have them.
+        synthetic = [
+            ReplicationRecord(alpha=a, beta=0.1, method=m, rep=rep,
+                              lam=None if m == "oracle" else float(rng.integers(0, 4)) / 4,
+                              angle_deg=float(rng.random() * 90), type1=float(rng.integers(0, 3)) / 2,
+                              type2=float(rng.integers(0, 5)) / 4, df=int(rng.integers(0, 6)), final=True)
+            for a in (0.4, 0.8) for m in ("oracle", "st") for rep in range(7)
+        ]
+        for batch in (records, synthetic):
+            assert experiment._summarize(batch) == summarize_reference(batch)
+        assert experiment._summarize([r for r in records if not r.final]) == []
+
     def test_bic_selected_lambdas_cluster(self):
         # (0.6, 0.1) at desk scale: the per-replication BIC choices land
         # in a narrow band (well under one decade IQR on the plot axis).
@@ -402,17 +438,98 @@ class TestCsvEmission:
         assert old.read_text() == "a stale and longer file\n" * 100
 
     def test_byte_identical_across_threads(self, tmp_path):
+        # 4 tasks: even and uneven strided shares, and more workers than tasks.
         texts = []
-        for threads, sub in ((1, "a"), (2, "b")):
-            cfg = small_config(output_dir=tmp_path / sub, threads=threads)
+        for threads in (1, 2, 3, 8):
+            out = tmp_path / f"threads{threads}"
+            cfg = small_config(output_dir=out, threads=threads,
+                               pairs=((0.6, 0.1), (0.2, 0.7)), replications=2)
             run_and_emit(cfg)
-            texts.append(
-                (
-                    (tmp_path / sub / "replications.csv").read_bytes(),
-                    (tmp_path / sub / "summary.csv").read_bytes(),
-                )
-            )
-        assert texts[0] == texts[1]
+            texts.append(((out / "replications.csv").read_bytes(),
+                          (out / "summary.csv").read_bytes()))
+        assert texts[1:] == [texts[0]] * 3
+
+
+def _patch_replication(monkeypatch, action, *, in_workers=True):
+    """Make ``_run_replication`` call ``action`` first in forked workers (or in this process)."""
+    parent = os.getpid()
+    real = experiment._run_replication
+
+    def patched(*task):
+        if (os.getpid() != parent) == in_workers:
+            action()
+        return real(*task)
+
+    monkeypatch.setattr(experiment, "_run_replication", patched)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedWorkers:
+    def test_the_parent_runs_no_replication(self, monkeypatch):
+        cfg = small_config(pairs=((0.6, 0.1), (0.2, 0.7)), replications=2)
+        expected = run_experiment(cfg)
+
+        def fail():
+            raise AssertionError("the parent ran a replication")
+
+        _patch_replication(monkeypatch, fail, in_workers=False)
+        result = run_experiment(small_config(pairs=cfg.pairs, replications=2, threads=2))
+        assert (result.records, result.summary) == (expected.records, expected.summary)
+        _assert_no_child_left()
+
+    def test_worker_exception_is_raised_in_the_parent(self, monkeypatch):
+        def fail():
+            raise NumericError("replication failed in a worker")
+
+        _patch_replication(monkeypatch, fail)
+        with pytest.raises(NumericError, match="^replication failed in a worker$"):
+            run_experiment(small_config(threads=2))
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "death, message",
+        [
+            (lambda: os._exit(1), "worker 0 of 2 exited with status 1 before sending its records"),
+            (lambda: os._exit(0), "worker 0 of 2 exited with status 0 before sending its records"),
+            (lambda: os.kill(os.getpid(), signal.SIGKILL),
+             f"worker 0 of 2 was killed by signal {int(signal.SIGKILL)} before sending its records"),
+        ],
+        ids=["exit1", "exit0", "sigkill"],
+    )
+    def test_worker_that_dies_without_writing_raises_worker_error(self, monkeypatch, death, message):
+        _patch_replication(monkeypatch, death)
+        with pytest.raises(WorkerError) as info:
+            run_experiment(small_config(threads=2))
+        assert str(info.value) == message
+        assert isinstance(info.value, SpcaLabError)
+        _assert_no_child_left()
+
+    def test_failed_fork_reaps_the_started_workers(self, monkeypatch):
+        real_fork = os.fork
+        forks = []
+
+        def fork():
+            if forks:
+                raise BlockingIOError(errno.EAGAIN, "fork refused")
+            forks.append(real_fork())
+            return forks[-1]
+
+        monkeypatch.setattr(os, "fork", fork)
+        fds = sorted(os.listdir("/dev/fd"))
+        with pytest.raises(BlockingIOError, match="fork refused"):
+            run_experiment(small_config(threads=3))
+        _assert_no_child_left()
+        assert sorted(os.listdir("/dev/fd")) == fds
+
+    def test_threads_above_one_need_fork(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        small_config(threads=1).validate()
+        with pytest.raises(ConfigError, match="threads > 1 needs os.fork"):
+            small_config(threads=2).validate()
 
 
 class TestSweepBounds:

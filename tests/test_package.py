@@ -43,17 +43,33 @@ def test_readme_library_example_runs():
     assert len(out.getvalue().splitlines()) == 2
 
 
-def test_cli_import_leaves_lazy_numpy_modules_unloaded():
-    # numpy loads these on first use, at several ms each, and only a study
-    # with a worker pool needs multiprocessing; the CLI's startup must not pay
-    # for them before a study needs them.
+def _run_python(code, *args):
+    """Standard output of ``python -c code args`` in a fresh interpreter on this checkout."""
     src = str(Path(spcalab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_cli_import_leaves_lazy_numpy_modules_unloaded():
+    # numpy loads these on first use, at several ms each; the CLI's startup
+    # must not pay for them before a study needs them.
     lazy = ("numpy.random", "numpy.ma", "multiprocessing")
     code = f"import sys, spcalab.cli; print([m for m in {lazy!r} if m in sys.modules])"
-    result = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                            capture_output=True, text=True)
-    assert result.stdout == "[]\n"
+    assert _run_python(code) == "[]\n"
+
+
+def test_forked_study_leaves_multiprocessing_unloaded(tmp_path):
+    # --threads forks its workers directly; the pool module would cost every
+    # such study its import.
+    code = ("import sys, spcalab.cli\n"
+            "code = spcalab.cli.main(sys.argv[1:])\n"
+            "print(code, 'multiprocessing' in sys.modules)\n")
+    out = _run_python(code, "phase", "--pairs", "0.6:0.1,0.2:0.7", "--d", "100", "--n", "6",
+                      "--reps", "2", "--lambda-points", "4", "--threads", "2",
+                      "--out", str(tmp_path / "out"))
+    assert out == "0 False\n"
+    assert (tmp_path / "out" / "summary.csv").is_file()
 
 
 def test_names_the_benchmark_reads_are_kept(tmp_path):
