@@ -51,13 +51,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    study = argparse.ArgumentParser(add_help=False)
+    study.add_argument("--config", type=Path, help="key=value config file")
+    # Flags stay strings so that they go through the config file's parsers.
+    for key in CONFIG_KEYS:
+        kind = {"action": argparse.BooleanOptionalAction} if key.is_bool else {"choices": key.choices}
+        study.add_argument(key.flag, dest=key.name, help=key.help, **kind)
     for command, (help_text, _, _) in STUDIES.items():
-        p = sub.add_parser(command, help=help_text)
-        p.add_argument("--config", type=Path, help="key=value config file")
-        # Flags stay strings so that they go through the config file's parsers.
-        for key in CONFIG_KEYS:
-            kind = {"action": argparse.BooleanOptionalAction} if key.is_bool else {"choices": key.choices}
-            p.add_argument(key.flag, dest=key.name, help=key.help, **kind)
+        sub.add_parser(command, help=help_text, parents=[study])
 
     p_ce = sub.add_parser("counterexample", help="non-Gaussian counterexample study")
     p_ce.add_argument("--d-grid", type=str, default="50,100,200,400",

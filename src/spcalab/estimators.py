@@ -215,11 +215,15 @@ def rspca(
 def oracle_estimator(x, support) -> LoadingVector:
     """Subspace PCA restricted to a known support, embedded with exact zeros."""
     xm = np.asarray(x, dtype=float)
-    idx = np.unique(np.asarray(support, dtype=int))
+    idx = np.asarray(support, dtype=int)
     if idx.size == 0:
         raise DomainError("support must be non-empty")
     if idx.min() < 0 or idx.max() >= xm.shape[0]:
         raise DomainError("support indices outside [0, d)")
+    # Sorted and deduplicated through a mask: np.unique would import numpy.ma.
+    mask = np.zeros(xm.shape[0], dtype=bool)
+    mask[idx] = True
+    idx = np.flatnonzero(mask)
     sub = xm[idx, :]
     star = LoadingVector.from_raw(dual_first_component(sub).u_tilde)
     full = np.zeros(xm.shape[0])

@@ -308,9 +308,14 @@ def _run_replication(cfg: ExperimentConfig, pair_index: int, rep: int) -> list[R
 def _summarize(records: list[ReplicationRecord]) -> list[SummaryRow]:
     """Quartiles per (pair, method) over the final rows.
 
-    Every runner yields one final row per replication or none, so the groups
-    stack into one (group, replication, column) array, reduced along its
-    replication axis by one ``np.percentile`` and one ``np.median`` call.
+    Every runner yields one final row per replication or none, and a method's
+    lambda is None in all of its rows or in none, so the groups stack into one
+    (group, replication, column) array.  One sort along its replication axis
+    gives every order statistic.  The quartiles are numpy's default
+    ``'linear'`` percentile (Hyndman-Fan type 7), and the medians of df and
+    lambda are the middle value, or the mean of the two middle values for an
+    even count.  Both are computed as ``np.percentile`` and ``np.median``
+    compute them, bit for bit.
     """
     groups: dict[tuple, list[tuple]] = {}
     for r in records:
@@ -321,14 +326,24 @@ def _summarize(records: list[ReplicationRecord]) -> list[SummaryRow]:
     if not groups:
         return []
     keys = sorted(groups)
-    values = np.array([groups[k] for k in keys])
+    values = np.sort(np.array([groups[k] for k in keys]), axis=1)
+    count = values.shape[1]
+    # Hand-written because np.percentile and np.median import numpy.ma on
+    # first use (numpy 2.4: through np.unique and _median_nancheck).  On a
+    # 2-core Xeon the first summary of a fresh interpreter took 21-23 ms with
+    # them and 1.1 ms without.  This is numpy's _lerp between the sorted
+    # neighbours of position (count - 1) q.
+    pos = (count - 1) * np.array([0.25, 0.5, 0.75])
+    lo = pos.astype(np.intp)  # floor, as pos >= 0
+    t = (pos - lo)[:, None]
+    a, b = values[:, lo, :3], values[:, np.minimum(lo + 1, count - 1), :3]
     # quartiles[g] holds angle, type1 and type2's q25, median and q75, in that order.
-    quartiles = np.percentile(values[:, :, :3], (25, 50, 75), axis=1).transpose(1, 2, 0)
-    quartiles = quartiles.reshape(len(keys), 9).tolist()
-    medians = np.median(values[:, :, 3:], axis=1).tolist()
+    quartiles = np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
+    quartiles = quartiles.transpose(0, 2, 1).reshape(len(keys), 9).tolist()
+    # For an odd count both middle indices are the same, and (a + a) / 2 == a.
+    medians = ((values[:, (count - 1) // 2, 3:] + values[:, count // 2, 3:]) / 2.0).tolist()
     return [
-        SummaryRow(alpha, beta, method, values.shape[1],
-                   None if math.isnan(lam) else lam, df, *q)
+        SummaryRow(alpha, beta, method, count, None if math.isnan(lam) else lam, df, *q)
         for (alpha, beta, method), (df, lam), q in zip(keys, medians, quartiles)
     ]
 

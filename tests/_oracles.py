@@ -19,8 +19,8 @@ dropped, kept here as references:
 * ``sample_counterexample``: the counterexample law as a d x n matrix
   sampler, the reference for ``counterexample_hits``;
 * ``summarize_reference``: the summary table from one ``np.percentile`` and
-  ``np.median`` call per statistic and group, the reference for the
-  batched ``experiment._summarize``.
+  ``np.median`` call per statistic and group, the reference for
+  ``experiment._summarize``'s quartiles and medians read from one sort.
 """
 
 from __future__ import annotations

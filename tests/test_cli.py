@@ -1,5 +1,6 @@
 """CLI behaviour: subcommands, flag/file precedence, exit codes."""
 
+import argparse
 import os
 import re
 import signal
@@ -12,7 +13,7 @@ import pytest
 
 import spcalab
 from spcalab import NumericError, experiment
-from spcalab.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, build_parser, main, study_config
+from spcalab.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, STUDIES, build_parser, main, study_config
 from spcalab.experiment import CONFIG_KEYS
 from _oracles import rspca_reference
 
@@ -440,7 +441,35 @@ def _as_flags(values):
     return argv
 
 
+def _per_command_parser():
+    """The study subcommands as they were built before sharing one parent parser."""
+    parser = argparse.ArgumentParser(prog="spcalab")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (help_text, _, _) in STUDIES.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", type=Path, help="key=value config file")
+        for key in CONFIG_KEYS:
+            kind = {"action": argparse.BooleanOptionalAction} if key.is_bool else {"choices": key.choices}
+            p.add_argument(key.flag, dest=key.name, help=key.help, **kind)
+    return parser
+
+
+def _help(parser, command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args([command, "--help"])
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
 class TestConfigSchema:
+    @pytest.mark.parametrize("command", list(STUDIES))
+    def test_help_is_unchanged_by_the_shared_parent_parser(self, command, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        text = _help(build_parser(), command, capsys)
+        assert text == _help(_per_command_parser(), command, capsys)
+        assert text.startswith(f"usage: spcalab {command} [-h] [--config CONFIG] [--pairs PAIRS]")
+        assert all(key.flag in text for key in CONFIG_KEYS)
+
     def test_every_key_has_a_sample_value(self):
         assert sorted(k for v in KEY_VALUES for k in v) == sorted(k.name for k in CONFIG_KEYS)
 

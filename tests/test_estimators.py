@@ -364,10 +364,16 @@ class TestOracleEstimator:
 
     def test_support_validation(self):
         dm, _ = spiked_data(20, 5, 0.6, 0.3, seed=24)
-        with pytest.raises(DomainError):
-            oracle_estimator(dm.x, [])
-        with pytest.raises(DomainError):
-            oracle_estimator(dm.x, [25])
+        for support in ([], [25], [20], [-1], [3, -1]):
+            with pytest.raises(DomainError):
+                oracle_estimator(dm.x, support)
+
+    def test_support_is_taken_as_its_sorted_set(self):
+        dm, _ = spiked_data(50, 8, 0.6, 0.5, seed=25)
+        a = oracle_estimator(dm.x, [7, 1, 4, 7, 1])
+        b = oracle_estimator(dm.x, [1, 4, 7])
+        assert a.entries.tobytes() == b.entries.tobytes()
+        assert a.normalized == b.normalized
 
     def test_strong_inconsistency_trend(self):
         # alpha < beta: even with the true support known, the restricted

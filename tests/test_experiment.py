@@ -245,15 +245,19 @@ class TestRunExperiment:
     def test_summary_matches_per_group_reductions(self):
         records = run_experiment(small_config(pairs=((0.6, 0.1), (0.2, 0.7)), replications=5)).records
         rng = np.random.default_rng(5)
-        # Ties and exact zeros, as Type I/II rates and small dfs have them.
-        synthetic = [
+        # Ties and exact zeros, as Type I/II rates and small dfs have them, and
+        # all-None lambdas, as the oracle has them.  Group sizes 1 to 12 meet
+        # every (count - 1) % 4 of the quartile positions and both parities of
+        # the median, three times each.
+        synthetic = [[
             ReplicationRecord(alpha=a, beta=0.1, method=m, rep=rep,
                               lam=None if m == "oracle" else float(rng.integers(0, 4)) / 4,
-                              angle_deg=float(rng.random() * 90), type1=float(rng.integers(0, 3)) / 2,
+                              angle_deg=float(rng.choice([0.0, 45.0, rng.random() * 90])),
+                              type1=float(rng.integers(0, 3)) / 2,
                               type2=float(rng.integers(0, 5)) / 4, df=int(rng.integers(0, 6)), final=True)
-            for a in (0.4, 0.8) for m in ("oracle", "st") for rep in range(7)
-        ]
-        for batch in (records, synthetic):
+            for a in (0.4, 0.8) for m in ("oracle", "st") for rep in range(count)
+        ] for count in (*range(1, 13), 50)]
+        for batch in (records, *synthetic):
             assert experiment._summarize(batch) == summarize_reference(batch)
         assert experiment._summarize([r for r in records if not r.final]) == []
 

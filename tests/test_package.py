@@ -10,6 +10,7 @@ import types
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import spcalab
 
@@ -70,6 +71,20 @@ def test_forked_study_leaves_multiprocessing_unloaded(tmp_path):
                       "--out", str(tmp_path / "out"))
     assert out == "0 False\n"
     assert (tmp_path / "out" / "summary.csv").is_file()
+
+
+@pytest.mark.parametrize("argv", [("phase", "--threads", "2"), ("bic", "--method", "rspca,oracle")],
+                         ids=["phase", "bic-oracle"])
+def test_gaussian_study_leaves_numpy_ma_unloaded(tmp_path, argv):
+    # np.percentile, np.median and np.unique import numpy.ma on first use, at
+    # 12-15 ms per study; the summary and the oracle must not call them.
+    code = ("import sys, spcalab.cli\n"
+            "code = spcalab.cli.main(sys.argv[1:])\n"
+            "print(code, 'numpy.ma' in sys.modules)\n")
+    out = _run_python(code, *argv, "--pairs", "0.6:0.1,0.2:0.7", "--d", "100", "--n", "6",
+                      "--reps", "3", "--lambda-points", "4", "--out", str(tmp_path / "out"))
+    assert out == "0 False\n"
+    assert (tmp_path / "out" / "summary.csv").read_text().count("\n") > 1
 
 
 def test_names_the_benchmark_reads_are_kept(tmp_path):
