@@ -5,13 +5,8 @@ oracle subspace), BIC threshold selection, spiked-model samplers, and a
 reproducible Monte-Carlo harness with CSV/SVG output.
 """
 
-from .eigen import (
-    DualComponent,
-    canonical_sign,
-    dual_first_component,
-)
+from .eigen import DualComponent, dual_first_component
 from .estimators import (
-    LoadingVector,
     RspcaIteration,
     RspcaTrace,
     oracle_estimator,
@@ -48,12 +43,10 @@ from .metrics import (
     LambdaBounds,
     LambdaSelection,
     MetricRow,
-    RateDiagnostic,
     angle_degrees,
     default_gamma,
     default_lambda_grid,
     evaluate_estimate,
-    fit_rate,
     gamma_is_valid,
     select_lambda_bic,
     support_errors,
@@ -67,7 +60,7 @@ from .model import (
     failure_probability,
     sample_gaussian,
 )
-from .penalties import PenaltySpec, threshold, threshold_scalar
+from .penalties import PenaltySpec, threshold
 
 __version__ = "0.1.0"
 
@@ -85,12 +78,10 @@ __all__ = [
     "ExperimentResult",
     "LambdaBounds",
     "LambdaSelection",
-    "LoadingVector",
     "MetricRow",
     "NumericError",
     "PAPER_PAIRS",
     "PenaltySpec",
-    "RateDiagnostic",
     "ReplicationRecord",
     "RspcaIteration",
     "RspcaTrace",
@@ -100,7 +91,6 @@ __all__ = [
     "WorkerError",
     "angle_degrees",
     "build_eigensystem",
-    "canonical_sign",
     "default_gamma",
     "default_lambda_grid",
     "dual_first_component",
@@ -110,7 +100,6 @@ __all__ = [
     "emit_summary_csv",
     "evaluate_estimate",
     "failure_probability",
-    "fit_rate",
     "gamma_is_valid",
     "oracle_estimator",
     "pca_first",
@@ -124,5 +113,4 @@ __all__ = [
     "support_errors",
     "theorem_lambda_bounds",
     "threshold",
-    "threshold_scalar",
 ]

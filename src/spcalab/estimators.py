@@ -4,7 +4,8 @@ penalized rank-one algorithm, and the oracle subspace estimator.
 All estimators are pure functions of the data matrix.  Sparsity is always
 judged on exact zeros: thresholding writes literal zeros and normalization
 preserves them, so the support of a returned vector is well-defined without
-any epsilon.
+any epsilon.  Each estimate is a 1-d float64 array of length d: unit-norm,
+or all exact zeros when thresholding removed every entry.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ import numpy as np
 
 from .eigen import DualComponent, dual_first_component
 from .exceptions import DomainError
-from .metrics import _angle, _norm, default_lambda_grid, frobenius_sq, select_lambda_bic
+from .metrics import (
+    _angle, _norm, _support_mask, default_lambda_grid, frobenius_sq, select_lambda_bic,
+)
 from .penalties import PenaltySpec, threshold
 
 #: Convergence tolerance on the angle change between iterates, degrees.
@@ -25,40 +28,12 @@ RSPCA_MAX_ITER = 200
 RSPCA_SUPPORT_STABLE = 2
 
 
-@dataclass(frozen=True)
-class LoadingVector:
-    """A loading vector with exact-zero support semantics.
-
-    ``entries`` is unit-norm when ``normalized`` is True; an all-zero vector
-    (every entry thresholded away) carries ``normalized=False`` and is
-    treated as 90 degrees from everything by the angle metric.
-    """
-
-    entries: np.ndarray
-    normalized: bool
-
-    @classmethod
-    def from_raw(cls, vec: np.ndarray) -> "LoadingVector":
-        nrm = _norm(vec)
-        if nrm == 0.0:
-            return cls(entries=np.zeros_like(vec), normalized=False)
-        return cls(entries=vec / nrm, normalized=True)
-
-    @property
-    def d(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def support(self) -> np.ndarray:
-        return np.flatnonzero(self.entries)
-
-    @property
-    def nnz(self) -> int:
-        return int(np.count_nonzero(self.entries))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.entries.any()
+def _unit(vec: np.ndarray) -> np.ndarray:
+    """``vec`` scaled to unit norm, or all exact zeros when ``vec`` is zero."""
+    nrm = _norm(vec)
+    if nrm == 0.0:
+        return np.zeros_like(vec)
+    return vec / nrm
 
 
 @dataclass(frozen=True)
@@ -88,25 +63,25 @@ class RspcaTrace:
         return self.iterations[-1].lam if self.iterations else None
 
 
-def pca_first(x, *, dual: DualComponent | None = None) -> LoadingVector:
+def pca_first(x, *, dual: DualComponent | None = None) -> np.ndarray:
     """Leading sample PC loading vector via the dual transformation.
 
     ``dual`` lets a harness reuse a precomputed dual factorization; the
     result is identical to computing it here.
     """
     dc = dual if dual is not None else dual_first_component(x)
-    return LoadingVector.from_raw(dc.u_tilde)
+    return _unit(dc.u_tilde)
 
 
-def st_estimator(x, lam: float, *, dual: DualComponent | None = None) -> LoadingVector:
+def st_estimator(x, lam: float, *, dual: DualComponent | None = None) -> np.ndarray:
     """Simple thresholding: zero small entries of X v1, then normalize.
 
     Entries with |u_tilde_i| <= lam become exact zeros.  If everything is
-    thresholded away the returned vector is the flagged all-zero vector.
+    thresholded away the returned vector is all zeros.
     """
     penalty = PenaltySpec.hard(lam)  # raises on lam < 0, before any dual work
     dc = dual if dual is not None else dual_first_component(x)
-    return LoadingVector.from_raw(threshold(dc.u_tilde, penalty))
+    return _unit(threshold(dc.u_tilde, penalty))
 
 
 def rspca(
@@ -118,7 +93,7 @@ def rspca(
     lambda_grid: np.ndarray | None = None,
     dual: DualComponent | None = None,
     fro2: float | None = None,
-) -> tuple[LoadingVector, RspcaTrace]:
+) -> tuple[np.ndarray, RspcaTrace]:
     """Alternating penalized rank-one approximation.
 
     Starting from the best rank-one approximation u_tilde v1^T of X, repeat
@@ -209,23 +184,17 @@ def rspca(
             break
         v = xtu / nrm
 
-    return LoadingVector.from_raw(u_old), trace
+    return _unit(u_old), trace
 
 
-def oracle_estimator(x, support) -> LoadingVector:
-    """Subspace PCA restricted to a known support, embedded with exact zeros."""
+def oracle_estimator(x, support) -> np.ndarray:
+    """Subspace PCA restricted to a known support, embedded with exact zeros.
+
+    ``support`` holds integer row indices; a boolean mask is rejected.
+    """
     xm = np.asarray(x, dtype=float)
-    idx = np.asarray(support, dtype=int)
-    if idx.size == 0:
-        raise DomainError("support must be non-empty")
-    if idx.min() < 0 or idx.max() >= xm.shape[0]:
-        raise DomainError("support indices outside [0, d)")
     # Sorted and deduplicated through a mask: np.unique would import numpy.ma.
-    mask = np.zeros(xm.shape[0], dtype=bool)
-    mask[idx] = True
-    idx = np.flatnonzero(mask)
-    sub = xm[idx, :]
-    star = LoadingVector.from_raw(dual_first_component(sub).u_tilde)
+    idx = np.flatnonzero(_support_mask(support, xm.shape[0], "support"))
     full = np.zeros(xm.shape[0])
-    full[idx] = star.entries
-    return LoadingVector(entries=full, normalized=star.normalized)
+    full[idx] = _unit(dual_first_component(xm[idx, :]).u_tilde)
+    return full

@@ -111,6 +111,10 @@ class ExperimentConfig:
                 raise ConfigError(f"method {m!r} is listed twice")
         if self.penalty not in FAMILIES:
             raise ConfigError(f"unknown penalty {self.penalty!r}")
+        for key in ("scad_a", "delta", "gamma", "lambda_min", "lambda_max"):
+            value = getattr(self, key)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
         if self.scad_a <= 2.0:
             raise ConfigError(f"SCAD shape a must be > 2, got {self.scad_a}")
         if self.max_iter < 1:

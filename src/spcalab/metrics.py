@@ -1,4 +1,4 @@
-"""Angles, support-recovery errors, BIC selection, and rate diagnostics."""
+"""Angles, support-recovery errors, BIC selection, and theorem threshold bounds."""
 
 from __future__ import annotations
 
@@ -11,16 +11,9 @@ import numpy as np
 from .exceptions import DimensionError, DomainError
 from .penalties import PenaltySpec
 
-#: Floor applied to alignment gaps before taking logs in fit_rate.
-GAP_FLOOR = 1e-15
-
 #: Smallest non-zero lambda and number of log-spaced lambdas of the default grid.
 DEFAULT_LAMBDA_MIN = 1e-3
 DEFAULT_LAMBDA_POINTS = 50
-
-
-def _entries(u) -> np.ndarray:
-    return np.asarray(getattr(u, "entries", u), dtype=float)
 
 
 def _norm(x: np.ndarray) -> float:
@@ -57,11 +50,40 @@ def angle_degrees(u, v) -> float:
     which is accurate down to ~1e-13 degrees.  If either argument is
     all-zero the angle is 90 by convention.
     """
-    a = _entries(u)
-    b = _entries(v)
+    a = np.asarray(u, dtype=float)
+    b = np.asarray(v, dtype=float)
     if a.shape != b.shape:
         raise DimensionError(f"shape mismatch {a.shape} vs {b.shape}")
     return _angle(a, b, _norm(a), _norm(b))
+
+
+def _support_mask(support, d: int, name: str) -> np.ndarray:
+    """Boolean d-mask of the integer indices ``support``; a boolean mask is rejected."""
+    idx = np.asarray(support)
+    if idx.size == 0:
+        raise DomainError(f"{name} must be non-empty")
+    if idx.dtype.kind not in "iu":
+        raise DomainError(f"{name} must hold integer indices, got dtype {idx.dtype}")
+    if idx.min() < 0 or idx.max() >= d:
+        raise DomainError(f"{name} indices outside [0, d)")
+    mask = np.zeros(d, dtype=bool)
+    mask[idx] = True
+    return mask
+
+
+def _support_counts(e: np.ndarray, truth_support) -> tuple[float, float, int]:
+    """Type I, Type II and the non-zero count of the float estimate ``e``."""
+    if e.ndim != 1:
+        raise DimensionError(f"estimate must be 1-d, got shape {e.shape}")
+    d = e.shape[0]
+    mask = _support_mask(truth_support, d, "truth support")
+    k = int(np.count_nonzero(mask))
+    # Non-zeros inside the truth; the rest of the non-zeros lie outside it.
+    inside = int(np.count_nonzero(e[mask]))
+    nnz = int(np.count_nonzero(e))
+    type1 = (k - inside) / k
+    type2 = (nnz - inside) / (d - k) if d > k else 0.0
+    return type1, type2, nnz
 
 
 def support_errors(estimate, truth_support) -> tuple[float, float]:
@@ -69,24 +91,10 @@ def support_errors(estimate, truth_support) -> tuple[float, float]:
 
     Type I is the fraction of true non-zero positions estimated as exactly
     zero; Type II is the fraction of true zero positions estimated as
-    non-zero (0 when the truth has no zero positions).
+    non-zero (0 when the truth has no zero positions).  ``truth_support``
+    holds integer indices; a boolean mask is rejected.
     """
-    e = _entries(estimate)
-    truth = np.asarray(truth_support, dtype=int)
-    if truth.size == 0:
-        raise DomainError("truth support must be non-empty")
-    if e.ndim != 1:
-        raise DimensionError(f"estimate must be 1-d, got shape {e.shape}")
-    d = e.shape[0]
-    if truth.min() < 0 or truth.max() >= d:
-        raise DomainError("truth support indices outside [0, d)")
-    mask = np.zeros(d, dtype=bool)
-    mask[truth] = True
-    k = int(np.count_nonzero(mask))
-    # Non-zeros inside the truth; the rest of the non-zeros lie outside it.
-    inside = int(np.count_nonzero(e[mask]))
-    type1 = (k - inside) / k
-    type2 = (int(np.count_nonzero(e)) - inside) / (d - k) if d > k else 0.0
+    type1, type2, _ = _support_counts(np.asarray(estimate, dtype=float), truth_support)
     return type1, type2
 
 
@@ -103,15 +111,9 @@ class MetricRow:
 
 def evaluate_estimate(estimate, u1, truth_support, lam: float | None = None) -> MetricRow:
     """Bundle angle + support errors + sparsity for one estimate."""
-    e = _entries(estimate)
-    t1, t2 = support_errors(e, truth_support)
-    return MetricRow(
-        angle_deg=angle_degrees(e, u1),
-        type1=t1,
-        type2=t2,
-        df=int(np.count_nonzero(e)),
-        lam=lam,
-    )
+    e = np.asarray(estimate, dtype=float)
+    t1, t2, df = _support_counts(e, truth_support)
+    return MetricRow(angle_deg=angle_degrees(e, u1), type1=t1, type2=t2, df=df, lam=lam)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +275,7 @@ def default_lambda_grid(
         raise DomainError("points must be >= 1")
     if lambda_min <= 0:
         raise DomainError("lambda_min must be > 0")
-    ut = _entries(u_tilde)
+    ut = np.asarray(u_tilde, dtype=float)
     hi = lambda_max if lambda_max is not None else 1.5 * float(np.max(np.abs(ut)))
     if hi <= lambda_min:
         hi = lambda_min
@@ -281,7 +283,7 @@ def default_lambda_grid(
 
 
 # ---------------------------------------------------------------------------
-# Theorem-derived threshold range and convergence-rate diagnostic
+# Theorem-derived threshold range
 # ---------------------------------------------------------------------------
 
 
@@ -324,34 +326,3 @@ def default_gamma(theta: float, alpha: float, eta: float) -> float | None:
     if alpha - eta <= theta:
         return None
     return 0.5 * (theta + (alpha - eta))
-
-
-@dataclass(frozen=True)
-class RateDiagnostic:
-    """Fitted rate exponent from alignment gaps across dimensions."""
-
-    varsigma_hat: float
-    dims: tuple[int, ...]
-    gaps: tuple[float, ...]
-
-
-def fit_rate(points) -> RateDiagnostic:
-    """Least-squares slope of log(gap) on log(d); varsigma_hat = -2 * slope.
-
-    ``points`` is a sequence of (d, gap) with gap = 1 - |<u_hat, u1>|
-    averaged over replications upstream.  Gaps are floored at GAP_FLOOR
-    to avoid log(0) for numerically exact estimates.
-    """
-    pts = sorted((int(d), float(g)) for d, g in points)
-    if len(pts) < 3:
-        raise DomainError("need at least 3 (d, gap) points")
-    dims = tuple(p[0] for p in pts)
-    if len(set(dims)) != len(dims):
-        raise DomainError("dimensions must be distinct")
-    if any(d < 2 for d in dims):
-        raise DomainError("dimensions must be >= 2")
-    if any(g < 0 for _, g in pts):
-        raise DomainError("gaps must be non-negative")
-    gaps = tuple(max(g, GAP_FLOOR) for _, g in pts)
-    slope = float(np.polyfit(np.log(dims), np.log(gaps), 1)[0])
-    return RateDiagnostic(varsigma_hat=-2.0 * slope, dims=dims, gaps=gaps)

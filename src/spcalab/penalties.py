@@ -34,7 +34,7 @@ class PenaltySpec:
             raise DomainError(f"unknown penalty family {self.family!r}; expected one of {FAMILIES}")
         if self.lam < 0.0:
             raise DomainError(f"lambda must be >= 0, got {self.lam}")
-        if self.scad_a <= 2.0:
+        if not self.scad_a > 2.0:
             raise DomainError(f"SCAD shape a must be > 2, got {self.scad_a}")
 
     @classmethod
@@ -67,9 +67,3 @@ def threshold(x, penalty: PenaltySpec) -> np.ndarray:
     with np.errstate(invalid="ignore"):
         mid = ((a - 1.0) * x - np.sign(x) * a * lam) / (a - 2.0)
     return np.where(ax <= 2.0 * lam, soft, np.where(ax <= a * lam, mid, x))
-
-
-def threshold_scalar(x: float, penalty: PenaltySpec) -> float:
-    """Scalar form of ``threshold``."""
-    return float(threshold(np.asarray(x, dtype=float), penalty))
-

@@ -20,12 +20,17 @@ dropped, kept here as references:
   sampler, the reference for ``counterexample_hits``;
 * ``summarize_reference``: the summary table from one ``np.percentile`` and
   ``np.median`` call per statistic and group, the reference for
-  ``experiment._summarize``'s quartiles and medians read from one sort.
+  ``experiment._summarize``'s quartiles and medians read from one sort;
+* ``threshold_scalar``: ``threshold`` on one float, which the scalar
+  thresholding checks compare against ``brute_force_prox``;
+* ``fit_rate``: the decay exponent of the alignment gap across dimensions,
+  which acceptance criterion 7 reads.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +39,6 @@ from spcalab.estimators import (
     RSPCA_MAX_ITER,
     RSPCA_SUPPORT_STABLE,
     RSPCA_TOL_DEG,
-    LoadingVector,
     RspcaIteration,
     RspcaTrace,
     pca_first,
@@ -81,7 +85,7 @@ def bic(x, v1, candidate, lam: float) -> BicValue:
     """
     xm = np.asarray(x, dtype=float)
     v = np.asarray(v1, dtype=float)
-    u = np.asarray(getattr(candidate, "entries", candidate), dtype=float)
+    u = np.asarray(candidate, dtype=float)
     d, n = xm.shape
     if v.shape != (n,) or u.shape != (d,):
         raise DimensionError(f"v1 {v.shape} and candidate {u.shape} do not fit x {xm.shape}")
@@ -187,6 +191,12 @@ def penalty_value(t, penalty: PenaltySpec) -> np.ndarray:
     high = (a + 1.0) * lam * lam / 2.0
     return np.where(at <= lam, low, np.where(at <= a * lam, mid, high))
 
+
+def threshold_scalar(x: float, penalty: PenaltySpec) -> float:
+    """Scalar form of ``threshold``."""
+    return float(threshold(np.asarray(x, dtype=float), penalty))
+
+
 def brute_force_prox(x: float, penalty: PenaltySpec, stages: int = 3, points: int = 2001) -> float:
     """argmin_u 0.5*(x-u)^2 + p_lambda(|u|) by staged grid refinement."""
     span = abs(x) + penalty.scad_a * penalty.lam + 1.0
@@ -226,15 +236,15 @@ def counterexample_hits_by_pca(dims, alpha: float, reps: int, base_seed: int) ->
         for rep in range(reps):
             seed = np.random.SeedSequence(base_seed, spawn_key=(di, rep))
             est = pca_first(sample_counterexample(d, alpha, 1, seed).x)
-            count += int(np.argmax(np.abs(est.entries))) == 0
+            count += int(np.argmax(np.abs(est))) == 0
         hits.append(count)
     return hits
 
 
 def angle_degrees_reference(u, v) -> float:
     """The angle metric through ``np.linalg.norm`` at every norm."""
-    a = np.asarray(getattr(u, "entries", u), dtype=float)
-    b = np.asarray(getattr(v, "entries", v), dtype=float)
+    a = np.asarray(u, dtype=float)
+    b = np.asarray(v, dtype=float)
     na = float(np.linalg.norm(a))
     nb = float(np.linalg.norm(b))
     if na == 0.0 or nb == 0.0:
@@ -250,7 +260,7 @@ def angle_degrees_reference(u, v) -> float:
 
 def support_errors_reference(estimate, truth_support) -> tuple[float, float]:
     """Type I and Type II errors from a boolean truth mask and its complement."""
-    e = np.asarray(getattr(estimate, "entries", estimate), dtype=float)
+    e = np.asarray(estimate, dtype=float)
     d = e.shape[0]
     mask = np.zeros(d, dtype=bool)
     mask[np.asarray(truth_support, dtype=int)] = True
@@ -260,11 +270,11 @@ def support_errors_reference(estimate, truth_support) -> tuple[float, float]:
     return type1, type2
 
 
-def _loading_reference(vec) -> LoadingVector:
+def _unit_reference(vec) -> np.ndarray:
     nrm = float(np.linalg.norm(vec))
     if nrm == 0.0:
-        return LoadingVector(entries=np.zeros_like(vec), normalized=False)
-    return LoadingVector(entries=vec / nrm, normalized=True)
+        return np.zeros_like(vec)
+    return vec / nrm
 
 
 def rspca_reference(
@@ -339,7 +349,7 @@ def rspca_reference(
             break
         v = xtu / nrm
 
-    return _loading_reference(u_old), trace
+    return _unit_reference(u_old), trace
 
 
 def summarize_reference(records) -> list[SummaryRow]:
@@ -369,3 +379,38 @@ def summarize_reference(records) -> list[SummaryRow]:
             type2_q75=float(np.percentile(t2, 75)),
         ))
     return out
+
+
+#: Floor applied to alignment gaps before taking logs in fit_rate.
+GAP_FLOOR = 1e-15
+
+
+@dataclass(frozen=True)
+class RateDiagnostic:
+    """Fitted rate exponent from alignment gaps across dimensions."""
+
+    varsigma_hat: float
+    dims: tuple[int, ...]
+    gaps: tuple[float, ...]
+
+
+def fit_rate(points) -> RateDiagnostic:
+    """Least-squares slope of log(gap) on log(d); varsigma_hat = -2 * slope.
+
+    ``points`` is a sequence of (d, gap) with gap = 1 - |<u_hat, u1>|
+    averaged over replications upstream.  Gaps are floored at GAP_FLOOR
+    to avoid log(0) for numerically exact estimates.
+    """
+    pts = sorted((int(d), float(g)) for d, g in points)
+    if len(pts) < 3:
+        raise DomainError("need at least 3 (d, gap) points")
+    dims = tuple(p[0] for p in pts)
+    if len(set(dims)) != len(dims):
+        raise DomainError("dimensions must be distinct")
+    if any(d < 2 for d in dims):
+        raise DomainError("dimensions must be >= 2")
+    if any(g < 0 for _, g in pts):
+        raise DomainError("gaps must be non-negative")
+    gaps = tuple(max(g, GAP_FLOOR) for _, g in pts)
+    slope = float(np.polyfit(np.log(dims), np.log(gaps), 1)[0])
+    return RateDiagnostic(varsigma_hat=-2.0 * slope, dims=dims, gaps=gaps)

@@ -6,6 +6,10 @@ is expected to fail: at d=2000 the oracle's median angle at (0.2, 0.7) is
 ~70 degrees and only crosses 80 degrees around d~40,000 (see the
 README's "Install and test" section).  The assertion is kept faithful rather than
 loosened.
+
+Criterion 7 fits the decay exponent of 1 - |<u_hat, u1>| across dimensions
+with ``_oracles.fit_rate`` (least squares on log-log).  At desk scale only
+the sign of the slope is a meaningful check, and that is what it asserts.
 """
 
 import time
@@ -20,19 +24,19 @@ from spcalab import (
     angle_degrees,
     build_eigensystem,
     dual_first_component,
-    fit_rate,
     rspca,
     run_counterexample,
     run_experiment,
     sample_gaussian,
     st_estimator,
-    threshold_scalar,
 )
 from spcalab.experiment import emit_csv, emit_summary_csv
 from _oracles import (
     THRESHOLD_LAMBDA_GRID,
     THRESHOLD_X_GRID,
     brute_force_prox,
+    fit_rate,
+    threshold_scalar,
 )
 
 SEED = 20260809
@@ -147,8 +151,8 @@ def test_criterion_3_st_rspca_hard_bit_identity():
         lam = float(rng.uniform(0.0, 1.2 * np.abs(dc.u_tilde).max()))
         st = st_estimator(dm.x, lam)
         vec, trace = rspca(dm.x, PenaltySpec.hard(lam), max_iter=1)
-        assert np.array_equal(st.entries, vec.entries)
-        assert st.normalized == vec.normalized
+        assert np.array_equal(st, vec)
+        assert st.any() == vec.any()
         checked += 1
     elapsed = time.perf_counter() - t0
     ok = checked == 50 and elapsed < 30.0
@@ -250,7 +254,7 @@ def test_criterion_7_rate_diagnostic():
         for rep in range(30):
             dm = sample_gaussian(system, np.random.SeedSequence(SEED, spawn_key=(70 + di, rep)))
             est = st_estimator(dm.x, lam)
-            gaps.append(1.0 - abs(float(est.entries @ u1)))
+            gaps.append(1.0 - abs(float(est @ u1)))
         points.append((d, float(np.mean(gaps))))
     diag = fit_rate(points)
     elapsed = time.perf_counter() - t0

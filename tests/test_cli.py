@@ -93,6 +93,20 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", ["lambda_min", "lambda_max", "delta", "gamma", "scad_a"])
+    def test_non_finite_value_is_config_error(self, tmp_path, capsys, key, value):
+        # "--key=-inf" keeps argparse from reading the value as a flag.
+        flag = "--" + key.replace("_", "-")
+        code = run_cli(
+            "sweep", "--pairs", "0.6:0.1", "--d", "200", "--n", "6", "--reps", "1",
+            "--lambda-points", "4", "--penalty", "scad", f"{flag}={value}",
+            "--out", str(tmp_path / "out"),
+        )
+        assert code == EXIT_CONFIG
+        assert f"{key} must be finite, got {float(value)}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "pairs", ["0.6:0.1,0.6:0.1", "0.6:0.1,0.60000001:0.1"], ids=["exact", "same_label"]
     )

@@ -20,12 +20,11 @@ from spcalab import (
     sample_gaussian,
     st_estimator,
     threshold,
-    threshold_scalar,
 )
 from spcalab.eigen import dual_first_component
 from spcalab.metrics import default_lambda_grid, frobenius_sq
 from spcalab.penalties import FAMILIES
-from _oracles import brute_force_prox, rspca_reference
+from _oracles import brute_force_prox, rspca_reference, threshold_scalar
 
 
 def spiked_data(d, n, alpha, beta, seed):
@@ -87,6 +86,8 @@ class TestThresholdRules:
             PenaltySpec.hard(-0.5)
         with pytest.raises(DomainError):
             PenaltySpec.scad(1.0, 2.0)
+        with pytest.raises(DomainError):
+            PenaltySpec.scad(1.0, float("nan"))
 
 
 class TestPcaFirst:
@@ -97,21 +98,21 @@ class TestPcaFirst:
         v = rng.standard_normal(6)
         v /= np.linalg.norm(v)
         est = pca_first(3.0 * np.outer(u, v))
-        assert min(np.abs(est.entries - u).max(), np.abs(est.entries + u).max()) <= 1e-12
+        assert min(np.abs(est - u).max(), np.abs(est + u).max()) <= 1e-12
 
     def test_matches_direct_eigendecomposition(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((20, 5))
         est = pca_first(x)
         w, vecs = np.linalg.eigh(x @ x.T / 5)
-        assert angle_degrees(est.entries, vecs[:, -1]) <= 1e-8
+        assert angle_degrees(est, vecs[:, -1]) <= 1e-8
 
     def test_unit_norm_and_dense_support(self):
         dm, _ = spiked_data(100, 10, 0.6, 0.3, seed=1)
         est = pca_first(dm.x)
-        assert est.normalized
-        assert abs(np.linalg.norm(est.entries) - 1.0) <= 1e-12
-        assert est.nnz == 100
+        assert est.any()
+        assert abs(np.linalg.norm(est) - 1.0) <= 1e-12
+        assert np.count_nonzero(est) == 100
 
     def test_subcritical_spike_angles_large_at_scale(self):
         # alpha < 1: conventional PCA cannot align; at d=10^4, n=25 the
@@ -127,7 +128,7 @@ class TestStEstimator:
     def test_lambda_zero_equals_pca(self):
         dm, _ = spiked_data(80, 10, 0.6, 0.3, seed=2)
         np.testing.assert_array_equal(
-            st_estimator(dm.x, 0.0).entries, pca_first(dm.x).entries
+            st_estimator(dm.x, 0.0), pca_first(dm.x)
         )
 
     def test_total_thresholding_flagged(self):
@@ -136,21 +137,21 @@ class TestStEstimator:
 
         lam = float(np.abs(dual_first_component(dm.x).u_tilde).max()) + 1.0
         est = st_estimator(dm.x, lam)
-        assert est.is_zero and not est.normalized
+        assert not est.any()
         assert angle_degrees(est, np.ones(80)) == 90.0
 
     def test_support_is_exact_zeros(self):
         dm, _ = spiked_data(200, 10, 0.6, 0.1, seed=4)
         est = st_estimator(dm.x, 2.0)
-        off = np.setdiff1d(np.arange(200), est.support)
-        assert np.all(est.entries[off] == 0.0)
-        assert est.normalized
+        off = np.setdiff1d(np.arange(200), np.flatnonzero(est))
+        assert np.all(est[off] == 0.0)
+        assert est.any()
 
     def test_monotone_support_in_lambda(self):
         dm, _ = spiked_data(150, 12, 0.6, 0.3, seed=5)
         prev = None
         for lam in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0):
-            supp = set(st_estimator(dm.x, lam).support.tolist())
+            supp = set(np.flatnonzero(st_estimator(dm.x, lam)).tolist())
             if prev is not None:
                 assert supp <= prev
             prev = supp
@@ -159,21 +160,21 @@ class TestStEstimator:
         dm, _ = spiked_data(60, 8, 0.6, 0.3, seed=6)
         a = st_estimator(dm.x, 1.5)
         b = st_estimator(2.0 * dm.x, 3.0)
-        np.testing.assert_array_equal(a.entries, b.entries)
+        np.testing.assert_array_equal(a, b)
 
     def test_scale_equivariance_general(self):
         dm, _ = spiked_data(60, 8, 0.6, 0.3, seed=7)
         c = 1.7
         a = st_estimator(dm.x, 1.2)
         b = st_estimator(c * dm.x, c * 1.2)
-        assert set(a.support.tolist()) == set(b.support.tolist())
-        np.testing.assert_allclose(a.entries, b.entries, atol=1e-12)
+        assert set(np.flatnonzero(a).tolist()) == set(np.flatnonzero(b).tolist())
+        np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_sign_flip_invariance(self):
         dm, sys = spiked_data(60, 8, 0.6, 0.3, seed=8)
         a = st_estimator(dm.x, 1.0)
         b = st_estimator(-dm.x, 1.0)
-        assert abs(float(a.entries @ sys.u1)) == abs(float(b.entries @ sys.u1))
+        assert abs(float(a @ sys.u1)) == abs(float(b @ sys.u1))
 
     def test_negative_lambda_rejected(self):
         dm, _ = spiked_data(20, 5, 0.6, 0.3, seed=9)
@@ -200,8 +201,8 @@ class TestRspca:
             lam = float(seed) * 0.8
             st = st_estimator(dm.x, lam)
             vec, trace = rspca(dm.x, PenaltySpec.hard(lam), max_iter=1)
-            assert np.array_equal(st.entries, vec.entries)
-            assert st.normalized == vec.normalized
+            assert np.array_equal(st, vec)
+            assert st.any() == vec.any()
             assert trace.n_iterations == 1
 
     def test_lambda_zero_converges_in_one_iteration(self):
@@ -209,12 +210,12 @@ class TestRspca:
         vec, trace = rspca(dm.x, PenaltySpec.hard(0.0))
         assert trace.converged
         assert trace.n_iterations == 1
-        np.testing.assert_array_equal(vec.entries, pca_first(dm.x).entries)
+        np.testing.assert_array_equal(vec, pca_first(dm.x))
 
     def test_all_zero_termination(self):
         dm, _ = spiked_data(80, 10, 0.6, 0.3, seed=12)
         vec, trace = rspca(dm.x, PenaltySpec.hard(1e9))
-        assert vec.is_zero
+        assert not vec.any()
         assert trace.zero_terminated
         assert trace.iterations[-1].support_size == 0
 
@@ -236,20 +237,20 @@ class TestRspca:
             assert it.sigma2 is not None and it.sigma2 > 0
             assert it.bic_total is not None
         assert trace.final_lambda == trace.iterations[-1].lam
-        assert vec.nnz > 0
+        assert np.count_nonzero(vec) > 0
 
     @pytest.mark.parametrize("penalty", [PenaltySpec.hard(0.0), PenaltySpec.scad(0.0, 3.7)])
     def test_precomputed_fro2_is_bit_identical(self, penalty):
         dm, _ = spiked_data(300, 15, 0.8, 0.2, seed=14)
         vec, trace = rspca(dm.x, penalty, bic_per_iteration=True)
         vec2, trace2 = rspca(dm.x, penalty, bic_per_iteration=True, fro2=frobenius_sq(dm.x))
-        assert np.array_equal(vec.entries, vec2.entries)
+        assert np.array_equal(vec, vec2)
         assert trace == trace2
 
     def test_bic_mode_recovers_support_on_easy_instance(self):
         dm, sys = spiked_data(500, 25, 0.9, 0.2, seed=15)
         vec, trace = rspca(dm.x, PenaltySpec.hard(0.0), bic_per_iteration=True)
-        assert set(vec.support.tolist()) == set(sys.u1_support.tolist())
+        assert set(np.flatnonzero(vec).tolist()) == set(sys.u1_support.tolist())
         assert angle_degrees(vec, sys.u1) < 10.0
 
     @pytest.mark.parametrize("penalty", [PenaltySpec.soft(2.0), PenaltySpec.scad(2.0, 3.7)])
@@ -257,7 +258,7 @@ class TestRspca:
         dm, sys = spiked_data(400, 20, 0.9, 0.2, seed=16)
         vec, trace = rspca(dm.x, penalty)
         assert trace.converged
-        assert not vec.is_zero
+        assert vec.any()
         assert angle_degrees(vec, sys.u1) < 20.0
 
     def test_max_iter_validation(self):
@@ -266,11 +267,30 @@ class TestRspca:
             rspca(dm.x, PenaltySpec.hard(1.0), max_iter=0)
 
 
+def test_every_estimator_returns_a_unit_or_all_zero_array():
+    dm, sys = spiked_data(120, 10, 0.8, 0.2, seed=26)
+    x = dm.x
+    everything = float(np.abs(dual_first_component(x).u_tilde).max()) + 1.0
+    fits = {
+        "pca": pca_first(x),
+        "st_keeps": st_estimator(x, 1.0),
+        "st_zeroes": st_estimator(x, everything),
+        "rspca_fixed": rspca(x, PenaltySpec.hard(1.0))[0],
+        "rspca_bic": rspca(x, PenaltySpec.hard(0.0), bic_per_iteration=True)[0],
+        "oracle": oracle_estimator(x, sys.u1_support),
+    }
+    assert [name for name, est in fits.items() if not est.any()] == ["st_zeroes"]
+    for name, est in fits.items():
+        assert type(est) is np.ndarray and est.dtype == np.float64, name
+        assert est.shape == (x.shape[0],), name
+        assert abs(np.linalg.norm(est) - 1.0) <= 1e-12 or np.all(est == 0.0), name
+
+
 def assert_same_fit(fit, reference):
-    """Identical entries bytes and identical trace fields (repr is exact for floats)."""
+    """Identical estimate bytes and identical trace fields (repr is exact for floats)."""
     (vec, trace), (ref_vec, ref_trace) = fit, reference
-    assert vec.entries.tobytes() == ref_vec.entries.tobytes()
-    assert vec.normalized == ref_vec.normalized
+    assert vec.tobytes() == ref_vec.tobytes()
+    assert vec.any() == ref_vec.any()
     assert repr(trace) == repr(ref_trace)
 
 
@@ -337,7 +357,7 @@ class TestOracleEstimator:
         dm, _ = spiked_data(40, 8, 0.6, 0.3, seed=20)
         a = oracle_estimator(dm.x, np.arange(40))
         b = pca_first(dm.x)
-        np.testing.assert_array_equal(a.entries, b.entries)
+        np.testing.assert_array_equal(a, b)
 
     def test_zero_off_support_rows(self):
         dm, sys = spiked_data(60, 8, 0.8, 0.3, seed=21)
@@ -347,20 +367,20 @@ class TestOracleEstimator:
         a = oracle_estimator(x, np.arange(m))
         b = pca_first(x)
         assert angle_degrees(a, b) == 0.0
-        assert np.all(a.entries[m:] == 0.0)
+        assert np.all(a[m:] == 0.0)
 
     def test_small_support_smaller_than_n(self):
         # support of size 2 with n=8 exercises the wide submatrix path
         dm, sys = spiked_data(100, 8, 0.9, 0.1, seed=22)
         est = oracle_estimator(dm.x, sys.u1_support)
-        assert set(est.support.tolist()) <= set(sys.u1_support.tolist())
-        assert abs(np.linalg.norm(est.entries) - 1.0) <= 1e-12
+        assert set(np.flatnonzero(est).tolist()) <= set(sys.u1_support.tolist())
+        assert abs(np.linalg.norm(est) - 1.0) <= 1e-12
 
     def test_exact_zeros_off_support(self):
         dm, _ = spiked_data(50, 8, 0.6, 0.5, seed=23)
         est = oracle_estimator(dm.x, [1, 4, 7])
         off = np.setdiff1d(np.arange(50), [1, 4, 7])
-        assert np.all(est.entries[off] == 0.0)
+        assert np.all(est[off] == 0.0)
 
     def test_support_validation(self):
         dm, _ = spiked_data(20, 5, 0.6, 0.3, seed=24)
@@ -368,12 +388,25 @@ class TestOracleEstimator:
             with pytest.raises(DomainError):
                 oracle_estimator(dm.x, support)
 
+    @pytest.mark.parametrize(
+        "support", [[False, True, False, True, True], [1.9, 3.2]], ids=["bool_mask", "fractional"]
+    )
+    def test_support_must_hold_integer_indices(self, support):
+        dm, _ = spiked_data(20, 5, 0.6, 0.3, seed=24)
+        with pytest.raises(DomainError, match="integer indices"):
+            oracle_estimator(dm.x, support)
+
+    def test_python_int_support_is_accepted(self):
+        dm, _ = spiked_data(20, 5, 0.6, 0.3, seed=24)
+        est = oracle_estimator(dm.x, [1, 3])
+        assert np.flatnonzero(est).tolist() == [1, 3]
+
     def test_support_is_taken_as_its_sorted_set(self):
         dm, _ = spiked_data(50, 8, 0.6, 0.5, seed=25)
         a = oracle_estimator(dm.x, [7, 1, 4, 7, 1])
         b = oracle_estimator(dm.x, [1, 4, 7])
-        assert a.entries.tobytes() == b.entries.tobytes()
-        assert a.normalized == b.normalized
+        assert a.tobytes() == b.tobytes()
+        assert a.any() == b.any()
 
     def test_strong_inconsistency_trend(self):
         # alpha < beta: even with the true support known, the restricted

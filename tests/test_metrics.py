@@ -13,14 +13,12 @@ import pytest
 from spcalab import (
     DimensionError,
     DomainError,
-    LoadingVector,
     PenaltySpec,
     angle_degrees,
     default_gamma,
     default_lambda_grid,
     dual_first_component,
     evaluate_estimate,
-    fit_rate,
     gamma_is_valid,
     select_lambda_bic,
     support_errors,
@@ -29,7 +27,7 @@ from spcalab import (
 )
 from spcalab.metrics import frobenius_sq
 from spcalab.penalties import FAMILIES
-from _oracles import angle_degrees_reference, bic, support_errors_reference
+from _oracles import angle_degrees_reference, bic, fit_rate, support_errors_reference
 
 
 class TestAngle:
@@ -67,10 +65,6 @@ class TestAngle:
         eps = 1e-10
         v = np.array([1.0, eps])
         assert angle_degrees(u, v) == pytest.approx(math.degrees(eps), rel=1e-6)
-
-    def test_accepts_loading_vectors(self):
-        lv = LoadingVector.from_raw(np.array([3.0, 4.0]))
-        assert angle_degrees(lv, np.array([3.0, 4.0])) == 0.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
@@ -181,6 +175,16 @@ class TestSupportErrors:
     def test_out_of_range_truth(self):
         with pytest.raises(DomainError):
             support_errors(np.ones(3), [3])
+
+    @pytest.mark.parametrize(
+        "truth", [[False, True, False, True], [1.9, 3.2]], ids=["bool_mask", "fractional"]
+    )
+    def test_truth_must_hold_integer_indices(self, truth):
+        with pytest.raises(DomainError, match="integer indices"):
+            support_errors([0.0, 1.0, 0.0, 1.0], truth)
+
+    def test_python_int_truth_is_accepted(self):
+        assert support_errors([0.0, 1.0, 0.0, 1.0], [1, 3]) == (0.0, 0.0)
 
 
 def _bic_kron_oracle(x, v1, candidate, lam):
@@ -478,7 +482,8 @@ class TestEvaluateEstimate:
     def test_composition(self):
         u1 = np.zeros(6)
         u1[:2] = 2**-0.5
-        est = LoadingVector.from_raw(np.array([1.0, 1.0, 0.0, 0.0, 0.0, 1e-3]))
+        raw = np.array([1.0, 1.0, 0.0, 0.0, 0.0, 1e-3])
+        est = raw / np.linalg.norm(raw)
         row = evaluate_estimate(est, u1, [0, 1], lam=0.4)
         assert row.lam == 0.4
         assert row.df == 3

@@ -1,6 +1,7 @@
 """The package's public surface: ``spcalab.__all__`` and the README example."""
 
 import contextlib
+import importlib
 import io
 import os
 import re
@@ -32,6 +33,24 @@ class TestAll:
             if not name.startswith("_") and not isinstance(value, types.ModuleType)
         }
         assert public - set(spcalab.__all__) == set()
+
+    @pytest.mark.parametrize("module, name", [
+        ("estimators", "LoadingVector"),
+        ("metrics", "RateDiagnostic"),
+        ("metrics", "fit_rate"),
+        ("metrics", "GAP_FLOOR"),
+        ("penalties", "threshold_scalar"),
+    ])
+    def test_removed_names_are_gone(self, module, name):
+        # Estimates are plain arrays; the rate fit and the scalar threshold
+        # are test references in tests/_oracles.py.
+        assert not hasattr(spcalab, name)
+        assert not hasattr(importlib.import_module(f"spcalab.{module}"), name)
+
+    def test_canonical_sign_is_internal_to_eigen(self):
+        assert "canonical_sign" not in spcalab.__all__
+        assert not hasattr(spcalab, "canonical_sign")
+        assert callable(importlib.import_module("spcalab.eigen").canonical_sign)
 
 
 def test_readme_library_example_runs():
