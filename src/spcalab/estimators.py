@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .eigen import DualComponent, dual_first_component
-from .exceptions import DomainError
+from .exceptions import DimensionError, DomainError
 from .metrics import (
-    _angle, _norm, _support_mask, default_lambda_grid, frobenius_sq, select_lambda_bic,
+    _angle, _bic_selection, _checked_grid, _norm, _support_mask, default_lambda_grid, frobenius_sq,
 )
 from .penalties import PenaltySpec, threshold
 
@@ -92,7 +92,6 @@ def rspca(
     bic_per_iteration: bool = False,
     lambda_grid: np.ndarray | None = None,
     dual: DualComponent | None = None,
-    fro2: float | None = None,
 ) -> tuple[np.ndarray, RspcaTrace]:
     """Alternating penalized rank-one approximation.
 
@@ -107,8 +106,9 @@ def rspca(
     With ``bic_per_iteration`` the thresholding parameter is re-selected by
     BIC at every update step over ``lambda_grid`` (built from the
     initialization when not supplied, and then fixed for the whole run).
-    The per-step sigma^2 and BIC totals are recorded in the trace.  ``fro2``
-    is ||X||_F^2 when the caller already has it, as in ``select_lambda_bic``.
+    The grid is checked and ||X||_F^2 computed once per fit; each step is
+    scored by ``select_lambda_bic``'s closed form without its per-call
+    checks.  The per-step sigma^2 and BIC totals are recorded in the trace.
 
     Each iterate's norm is computed once and carried to the next step's
     angle, and the penalty is rebuilt only when BIC selects a new lambda.
@@ -120,14 +120,14 @@ def rspca(
     if max_iter < 1:
         raise DomainError(f"max_iter must be >= 1, got {max_iter}")
     xm = np.asarray(x, dtype=float)
+    if xm.ndim != 2:
+        raise DimensionError(f"expected a 2-d data matrix, got shape {xm.shape}")
     dc = dual if dual is not None else dual_first_component(xm)
     trace = RspcaTrace(init_ambiguous=dc.ambiguous)
 
-    grid = None
     if bic_per_iteration:
-        grid = lambda_grid if lambda_grid is not None else default_lambda_grid(dc.u_tilde)
-        if fro2 is None:
-            fro2 = frobenius_sq(xm)
+        grid = _checked_grid(default_lambda_grid(dc.u_tilde) if lambda_grid is None else lambda_grid)
+        fro2 = frobenius_sq(xm)
 
     u_old = dc.u_tilde
     norm_old = _norm(u_old)
@@ -142,7 +142,7 @@ def rspca(
         sigma2 = None
         bic_total = None
         if bic_per_iteration:
-            sel = select_lambda_bic(xm, v, grid, penalty, xv=xv, fro2=fro2)
+            sel = _bic_selection(xv, fro2, xm.shape[1], grid, penalty)
             lam = sel.lambda_star
             sigma2 = sel.sigma2
             bic_total = sel.total

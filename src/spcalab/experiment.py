@@ -27,7 +27,6 @@ import pickle
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
-from functools import cached_property
 from operator import attrgetter
 from pathlib import Path
 
@@ -45,7 +44,6 @@ from .metrics import (
     default_gamma,
     default_lambda_grid,
     evaluate_estimate,
-    frobenius_sq,
     gamma_is_valid,
     select_lambda_bic,
     theorem_lambda_bounds,
@@ -228,11 +226,6 @@ class _Draw:
     u1: np.ndarray
     truth: np.ndarray
 
-    @cached_property
-    def fro2(self) -> float:
-        """||X||_F^2, computed once for every BIC selection of the draw."""
-        return frobenius_sq(self.x)
-
 
 # A runner yields one (estimate, lambda, bic_total, converged, final) row per
 # estimate.  Runners look the estimators up as module globals when they run,
@@ -246,10 +239,7 @@ def _run_pca(draw: _Draw):
 def _run_st(draw: _Draw):
     cfg = draw.cfg
     if cfg.bic:
-        selection = select_lambda_bic(
-            draw.x, draw.dual.v1, draw.grid, PenaltySpec.hard(0.0),
-            xv=draw.dual.u_tilde, fro2=draw.fro2,
-        )
+        selection = select_lambda_bic(draw.x, draw.dual.v1, draw.grid, PenaltySpec.hard(0.0))
     if cfg.sweep:
         totals = selection.totals.tolist() if cfg.bic else [None] * draw.grid.size
         for lam, total in zip(draw.grid.tolist(), totals):
@@ -267,10 +257,8 @@ def _run_rspca(draw: _Draw):
             vec, trace = rspca(draw.x, penalty.with_lambda(lam), max_iter=cfg.max_iter, dual=draw.dual)
             yield vec, lam, None, trace.converged, False
     if cfg.bic:
-        vec, trace = rspca(
-            draw.x, penalty, max_iter=cfg.max_iter, bic_per_iteration=True,
-            lambda_grid=draw.grid, dual=draw.dual, fro2=draw.fro2,
-        )
+        vec, trace = rspca(draw.x, penalty, max_iter=cfg.max_iter, bic_per_iteration=True,
+                           lambda_grid=draw.grid, dual=draw.dual)
         last = trace.iterations[-1]
         yield vec, last.lam, last.bic_total, trace.converged, True
 
@@ -299,7 +287,7 @@ def _run_replication(cfg: ExperimentConfig, pair_index: int, rep: int) -> list[R
         t0 = time.perf_counter()
         for est, lam, bic_total, converged, final in RUNNERS[method](draw):
             runtime = (time.perf_counter() - t0) * 1e3 if cfg.timing else None
-            row = evaluate_estimate(est, draw.u1, draw.truth, lam)
+            row = evaluate_estimate(est, draw.u1, draw.truth)
             records.append(ReplicationRecord(
                 alpha=alpha, beta=beta, method=method, rep=rep, lam=lam,
                 angle_deg=row.angle_deg, type1=row.type1, type2=row.type2, df=row.df,

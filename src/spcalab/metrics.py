@@ -106,14 +106,13 @@ class MetricRow:
     type1: float
     type2: float
     df: int
-    lam: float | None
 
 
-def evaluate_estimate(estimate, u1, truth_support, lam: float | None = None) -> MetricRow:
+def evaluate_estimate(estimate, u1, truth_support) -> MetricRow:
     """Bundle angle + support errors + sparsity for one estimate."""
     e = np.asarray(estimate, dtype=float)
     t1, t2, df = _support_counts(e, truth_support)
-    return MetricRow(angle_deg=angle_degrees(e, u1), type1=t1, type2=t2, df=df, lam=lam)
+    return MetricRow(angle_deg=angle_degrees(e, u1), type1=t1, type2=t2, df=df)
 
 
 # ---------------------------------------------------------------------------
@@ -183,53 +182,48 @@ class LambdaSelection:
 
 
 def frobenius_sq(x) -> float:
-    """||X||_F^2, the ``fro2`` input of ``select_lambda_bic``."""
+    """||X||_F^2, the total sum of squares that BIC's residuals are taken from."""
     xm = np.asarray(x, dtype=float)
     return float(np.einsum("ij,ij->", xm, xm))
 
 
-def select_lambda_bic(
-    x,
-    v1,
-    grid,
-    penalty: PenaltySpec | None = None,
-    *,
-    xv: np.ndarray | None = None,
-    fro2: float | None = None,
-) -> LambdaSelection:
+def _checked_grid(grid) -> np.ndarray:
+    """``grid`` as a float array; it must be non-empty, 1-d, finite, ascending and >= 0."""
+    g = np.asarray(grid, dtype=float)
+    if g.ndim != 1 or g.size == 0:
+        raise DomainError("lambda grid must be a non-empty 1-d array")
+    # A NaN fails every comparison, so this rejects it wherever it sits.
+    if not ((np.diff(g) >= 0).all() and 0.0 <= g[0] and g[-1] < math.inf):
+        raise DomainError("lambda grid must be finite, non-negative and ascending")
+    return g
+
+
+def select_lambda_bic(x, v1, grid, penalty: PenaltySpec | None = None) -> LambdaSelection:
     """Pick the grid lambda minimizing BIC; ties go to the larger lambda.
 
     Candidates are the componentwise thresholds of u_ols = X v1 under the
     penalty family (hard by default), scored in closed form from one sort
-    of |u_ols|.  ``xv`` (= X v1) and ``fro2`` (= ||X||_F^2) let a caller
-    that already holds them skip the two O(nd) passes.
+    of |u_ols|.  ``rspca`` checks its grid once per fit and scores each
+    step through the same closed form.
     """
-    g = np.asarray(grid, dtype=float)
-    if g.ndim != 1 or g.size == 0:
-        raise DomainError("lambda grid must be a non-empty 1-d array")
-    if np.any(np.diff(g) < 0):
-        raise DomainError("lambda grid must be ascending")
-    if g[0] < 0:
-        raise DomainError("lambda grid must be non-negative")
-    fam = penalty if penalty is not None else PenaltySpec.hard(0.0)
-
+    g = _checked_grid(grid)
     xm = np.asarray(x, dtype=float)
     v = np.asarray(v1, dtype=float)
     if xm.ndim != 2:
         raise DimensionError("x must be a 2-d data matrix")
-    d, n = xm.shape
+    n = xm.shape[1]
     if v.shape != (n,):
         raise DimensionError(f"v1 has shape {v.shape}, expected ({n},)")
     if abs(_norm(v) - 1.0) > 1e-8:
         raise DomainError("v1 must be unit-norm")
-    if xv is None:
-        xv = xm @ v
-    else:
-        xv = np.asarray(xv, dtype=float)
-        if xv.shape != (d,):
-            raise DimensionError(f"xv has shape {xv.shape}, expected ({d},)")
-    if fro2 is None:
-        fro2 = frobenius_sq(xm)
+    fam = penalty if penalty is not None else PenaltySpec.hard(0.0)
+    return _bic_selection(xm @ v, frobenius_sq(xm), n, g, fam)
+
+
+def _bic_selection(xv: np.ndarray, fro2: float, n: int, g: np.ndarray,
+                   fam: PenaltySpec) -> LambdaSelection:
+    """BIC over the checked grid ``g`` from u_ols = ``xv`` and ||X||_F^2 = ``fro2``."""
+    d = xv.shape[0]
     nd = n * d
     rss_ols = max(fro2 - float(xv @ xv), 0.0)
     sigma2 = rss_ols / (nd - d) if nd > d else 0.0
@@ -273,10 +267,10 @@ def default_lambda_grid(
     """lambda = 0 plus ``points`` log-spaced values up to 1.5 * max|u_tilde|."""
     if points < 1:
         raise DomainError("points must be >= 1")
-    if lambda_min <= 0:
-        raise DomainError("lambda_min must be > 0")
     ut = np.asarray(u_tilde, dtype=float)
     hi = lambda_max if lambda_max is not None else 1.5 * float(np.max(np.abs(ut)))
+    if not (0.0 < lambda_min < math.inf and hi < math.inf):
+        raise DomainError(f"need finite ends and lambda_min > 0, got {lambda_min} and {hi}")
     if hi <= lambda_min:
         hi = lambda_min
     return np.concatenate([[0.0], np.geomspace(lambda_min, hi, points)])
@@ -307,9 +301,11 @@ def theorem_lambda_bounds(d: int, theta: float, gamma: float, delta: float) -> L
     """Evaluate the consistency threshold range at dimension d."""
     if d < 2:
         raise DomainError(f"d must be >= 2, got {d}")
-    if delta <= 0.5:
+    if not all(map(math.isfinite, (theta, gamma, delta))):
+        raise DomainError(f"theta, gamma and delta must be finite, got {theta}, {gamma}, {delta}")
+    if not delta > 0.5:
         raise DomainError(f"delta must be > 1/2, got {delta}")
-    if gamma <= theta:
+    if not gamma > theta:
         raise DomainError(f"gamma must exceed theta, got gamma={gamma} theta={theta}")
     lower = math.log(d) ** delta * d ** (theta / 2.0)
     upper = d ** (gamma / 2.0)

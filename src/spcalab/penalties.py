@@ -32,7 +32,7 @@ class PenaltySpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise DomainError(f"unknown penalty family {self.family!r}; expected one of {FAMILIES}")
-        if self.lam < 0.0:
+        if not self.lam >= 0.0:
             raise DomainError(f"lambda must be >= 0, got {self.lam}")
         if not self.scad_a > 2.0:
             raise DomainError(f"SCAD shape a must be > 2, got {self.scad_a}")

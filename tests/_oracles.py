@@ -285,10 +285,10 @@ def rspca_reference(
     bic_per_iteration: bool = False,
     lambda_grid=None,
     dual=None,
-    fro2=None,
 ):
-    """``rspca`` as a plain loop: every norm by ``np.linalg.norm`` and the
-    penalty rebuilt with ``with_lambda`` at every step."""
+    """``rspca`` as a plain loop: every norm by ``np.linalg.norm``, the
+    penalty rebuilt with ``with_lambda`` and, in BIC mode, lambda selected by
+    the public ``select_lambda_bic`` at every step."""
     xm = np.asarray(x, dtype=float)
     dc = dual if dual is not None else dual_first_component(xm)
     trace = RspcaTrace(init_ambiguous=dc.ambiguous)
@@ -296,8 +296,6 @@ def rspca_reference(
     grid = None
     if bic_per_iteration:
         grid = lambda_grid if lambda_grid is not None else default_lambda_grid(dc.u_tilde)
-        if fro2 is None:
-            fro2 = frobenius_sq(xm)
 
     u_old = dc.u_tilde
     v = dc.v1
@@ -310,7 +308,7 @@ def rspca_reference(
         sigma2 = None
         bic_total = None
         if bic_per_iteration:
-            sel = select_lambda_bic(xm, v, grid, penalty, xv=xv, fro2=fro2)
+            sel = select_lambda_bic(xm, v, grid, penalty)
             lam = sel.lambda_star
             sigma2 = sel.sigma2
             bic_total = sel.total

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from spcalab import (
+    DimensionError,
     DomainError,
     PenaltySpec,
     SpikedSpec,
@@ -22,7 +23,7 @@ from spcalab import (
     threshold,
 )
 from spcalab.eigen import dual_first_component
-from spcalab.metrics import default_lambda_grid, frobenius_sq
+from spcalab.metrics import default_lambda_grid
 from spcalab.penalties import FAMILIES
 from _oracles import brute_force_prox, rspca_reference, threshold_scalar
 
@@ -85,6 +86,8 @@ class TestThresholdRules:
         with pytest.raises(DomainError):
             PenaltySpec.hard(-0.5)
         with pytest.raises(DomainError):
+            PenaltySpec.soft(float("nan"))
+        with pytest.raises(DomainError):
             PenaltySpec.scad(1.0, 2.0)
         with pytest.raises(DomainError):
             PenaltySpec.scad(1.0, float("nan"))
@@ -139,6 +142,11 @@ class TestStEstimator:
         est = st_estimator(dm.x, lam)
         assert not est.any()
         assert angle_degrees(est, np.ones(80)) == 90.0
+
+    def test_nan_lambda_is_rejected(self):
+        dm, _ = spiked_data(80, 10, 0.6, 0.3, seed=3)
+        with pytest.raises(DomainError):
+            st_estimator(dm.x, float("nan"))
 
     def test_support_is_exact_zeros(self):
         dm, _ = spiked_data(200, 10, 0.6, 0.1, seed=4)
@@ -239,13 +247,26 @@ class TestRspca:
         assert trace.final_lambda == trace.iterations[-1].lam
         assert np.count_nonzero(vec) > 0
 
-    @pytest.mark.parametrize("penalty", [PenaltySpec.hard(0.0), PenaltySpec.scad(0.0, 3.7)])
-    def test_precomputed_fro2_is_bit_identical(self, penalty):
+    def test_bic_mode_checks_its_inputs_once_before_iterating(self, monkeypatch):
+        import spcalab.estimators as est
+
         dm, _ = spiked_data(300, 15, 0.8, 0.2, seed=14)
-        vec, trace = rspca(dm.x, penalty, bic_per_iteration=True)
-        vec2, trace2 = rspca(dm.x, penalty, bic_per_iteration=True, fro2=frobenius_sq(dm.x))
-        assert np.array_equal(vec, vec2)
-        assert trace == trace2
+        dc = dual_first_component(dm.x)
+        checks, steps = [], []
+        checked_grid, bic_selection = est._checked_grid, est._bic_selection
+        monkeypatch.setattr(est, "_checked_grid", lambda g: checks.append(g) or checked_grid(g))
+        monkeypatch.setattr(est, "_bic_selection", lambda *a: steps.append(a) or bic_selection(*a))
+        hard = PenaltySpec.hard(0.0)
+        for grid in ([], [1.0, 0.5], [-1.0, 0.5], [0.0, float("nan")]):
+            with pytest.raises(DomainError):
+                rspca(dm.x, hard, bic_per_iteration=True, lambda_grid=grid, dual=dc)
+        with pytest.raises(DimensionError):
+            rspca(dm.x[:, 0], hard, bic_per_iteration=True, dual=dc)
+        assert steps == []
+        checks.clear()
+        trace = rspca(dm.x, hard, bic_per_iteration=True, dual=dc)[1]
+        assert trace.n_iterations > 1
+        assert len(checks) == 1 and len(steps) == trace.n_iterations
 
     def test_bic_mode_recovers_support_on_easy_instance(self):
         dm, sys = spiked_data(500, 25, 0.9, 0.2, seed=15)
@@ -332,7 +353,7 @@ class TestRspcaMatchesReference:
         for seed in range(5):
             x, dc, grid = self.sample(pair, seed)
             penalty = PenaltySpec(family, 0.0)
-            kwargs = dict(bic_per_iteration=True, lambda_grid=grid, dual=dc, fro2=frobenius_sq(x))
+            kwargs = dict(bic_per_iteration=True, lambda_grid=grid, dual=dc)
             fit = rspca(x, penalty, **kwargs)
             assert_same_fit(fit, rspca_reference(x, penalty, **kwargs))
             lams = [it.lam for it in fit[1].iterations]

@@ -6,6 +6,7 @@ implementation over every support pattern of a small instance.
 """
 
 import math
+from math import inf, nan
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from spcalab import (
     theorem_lambda_bounds,
     threshold,
 )
-from spcalab.metrics import frobenius_sq
 from spcalab.penalties import FAMILIES
 from _oracles import angle_degrees_reference, bic, fit_rate, support_errors_reference
 
@@ -321,18 +321,6 @@ class TestSelectLambdaBic:
         assert [v.df for v in sel.values] == dfs
         assert sel.total == sel.totals.min()
 
-    @pytest.mark.parametrize("family", FAMILIES)
-    def test_precomputed_inputs_are_bit_identical(self, family):
-        x = self._spiked(seed=11)
-        dc = dual_first_component(x)
-        grid = default_lambda_grid(dc.u_tilde)
-        penalty = PenaltySpec(family, 0.0)
-        plain = select_lambda_bic(x, dc.v1, grid, penalty)
-        given = select_lambda_bic(x, dc.v1, grid, penalty, xv=x @ dc.v1, fro2=frobenius_sq(x))
-        assert given.lambda_star == plain.lambda_star
-        np.testing.assert_array_equal(given.totals, plain.totals)
-        np.testing.assert_array_equal(given.dfs, plain.dfs)
-
     def test_degenerate_rank_one(self):
         # X = u v^T fits exactly: sigma2 = 0, so every total is its df term
         # and the tie among the emptiest supports goes to the largest lambda.
@@ -366,12 +354,10 @@ class TestSelectLambdaBic:
     def test_grid_validation(self):
         x = self._spiked(seed=9)
         dc = dual_first_component(x)
-        with pytest.raises(DomainError):
-            select_lambda_bic(x, dc.v1, [])
-        with pytest.raises(DomainError):
-            select_lambda_bic(x, dc.v1, [1.0, 0.5])
-        with pytest.raises(DomainError):
-            select_lambda_bic(x, dc.v1, [-1.0, 0.5])
+        for grid in ([], [[0.0, 1.0]], [1.0, 0.5], [-1.0, 0.5], [nan], [0.0, nan, 1.0],
+                     [nan, 1.0], [0.0, nan], [inf], [0.0, inf], [-inf, 0.0]):
+            with pytest.raises(DomainError):
+                select_lambda_bic(x, dc.v1, grid)
 
     def test_soft_family_candidates(self):
         x = self._spiked(seed=10)
@@ -416,10 +402,12 @@ class TestDefaultLambdaGrid:
         assert np.all(np.diff(grid) > 0)
 
     def test_validation(self):
+        for kwargs in (dict(points=0), dict(lambda_min=0.0), dict(lambda_min=nan),
+                       dict(lambda_min=inf), dict(lambda_max=nan), dict(lambda_max=inf)):
+            with pytest.raises(DomainError):
+                default_lambda_grid(np.ones(3), **kwargs)
         with pytest.raises(DomainError):
-            default_lambda_grid(np.ones(3), points=0)
-        with pytest.raises(DomainError):
-            default_lambda_grid(np.ones(3), lambda_min=0.0)
+            default_lambda_grid(np.array([1.0, nan]))
 
 
 class TestThresholdBounds:
@@ -439,8 +427,14 @@ class TestThresholdBounds:
             theorem_lambda_bounds(10000, theta=0.3, gamma=0.3, delta=1.0)
 
     def test_delta_domain(self):
+        for delta in (0.5, nan, inf):
+            with pytest.raises(DomainError):
+                theorem_lambda_bounds(10000, theta=0.0, gamma=0.4, delta=delta)
+
+    @pytest.mark.parametrize("theta, gamma", [(nan, 0.4), (0.0, nan), (0.0, inf), (-inf, 0.4)])
+    def test_non_finite_exponents(self, theta, gamma):
         with pytest.raises(DomainError):
-            theorem_lambda_bounds(10000, theta=0.0, gamma=0.4, delta=0.5)
+            theorem_lambda_bounds(10000, theta=theta, gamma=gamma, delta=1.0)
 
     def test_gamma_validity_predicate(self):
         assert gamma_is_valid(0.25, theta=0.0, alpha=0.6, eta=0.1)
@@ -484,8 +478,7 @@ class TestEvaluateEstimate:
         u1[:2] = 2**-0.5
         raw = np.array([1.0, 1.0, 0.0, 0.0, 0.0, 1e-3])
         est = raw / np.linalg.norm(raw)
-        row = evaluate_estimate(est, u1, [0, 1], lam=0.4)
-        assert row.lam == 0.4
+        row = evaluate_estimate(est, u1, [0, 1])
         assert row.df == 3
         assert row.type1 == 0.0
         assert row.type2 == pytest.approx(0.25)

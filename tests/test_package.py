@@ -2,6 +2,7 @@
 
 import contextlib
 import importlib
+import inspect
 import io
 import os
 import re
@@ -46,6 +47,22 @@ class TestAll:
         # are test references in tests/_oracles.py.
         assert not hasattr(spcalab, name)
         assert not hasattr(importlib.import_module(f"spcalab.{module}"), name)
+
+    @pytest.mark.parametrize("module, name, keyword", [
+        ("metrics", "select_lambda_bic", "xv"),
+        ("metrics", "select_lambda_bic", "fro2"),
+        ("estimators", "rspca", "fro2"),
+        ("metrics", "evaluate_estimate", "lam"),
+    ])
+    def test_removed_keywords_are_gone(self, module, name, keyword):
+        # BIC computes X v1 and ||X||_F^2 itself, and a metric row does not
+        # echo lambda back.
+        func = getattr(importlib.import_module(f"spcalab.{module}"), name)
+        assert keyword not in inspect.signature(func).parameters
+
+    def test_select_lambda_bic_takes_exactly_its_four_parameters(self):
+        assert list(inspect.signature(spcalab.select_lambda_bic).parameters) == [
+            "x", "v1", "grid", "penalty"]
 
     def test_canonical_sign_is_internal_to_eigen(self):
         assert "canonical_sign" not in spcalab.__all__
