@@ -31,8 +31,6 @@ from .experiment import (
     ReplicationRecord,
     SummaryRow,
     emit_csv,
-    emit_phase,
-    emit_plots,
     emit_summary_csv,
     run_and_emit,
     run_counterexample,
@@ -95,8 +93,6 @@ __all__ = [
     "default_lambda_grid",
     "dual_first_component",
     "emit_csv",
-    "emit_phase",
-    "emit_plots",
     "emit_summary_csv",
     "evaluate_estimate",
     "failure_probability",

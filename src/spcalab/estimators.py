@@ -105,7 +105,8 @@ def rspca(
 
     With ``bic_per_iteration`` the thresholding parameter is re-selected by
     BIC at every update step over ``lambda_grid`` (built from the
-    initialization when not supplied, and then fixed for the whole run).
+    initialization when not supplied, and then fixed for the whole run);
+    a ``lambda_grid`` without ``bic_per_iteration`` raises ``DomainError``.
     The grid is checked and ||X||_F^2 computed once per fit; each step is
     scored by ``select_lambda_bic``'s closed form without its per-call
     checks.  The per-step sigma^2 and BIC totals are recorded in the trace.
@@ -119,6 +120,8 @@ def rspca(
     """
     if max_iter < 1:
         raise DomainError(f"max_iter must be >= 1, got {max_iter}")
+    if lambda_grid is not None and not bic_per_iteration:
+        raise DomainError("lambda_grid is read only with bic_per_iteration=True")
     xm = np.asarray(x, dtype=float)
     if xm.ndim != 2:
         raise DimensionError(f"expected a 2-d data matrix, got shape {xm.shape}")

@@ -27,6 +27,7 @@ import pickle
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
+from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
 
@@ -134,8 +135,8 @@ class ExperimentConfig:
             raise ConfigError("lambda_min must be > 0")
         if self.lambda_max is not None and self.lambda_max <= self.lambda_min:
             raise ConfigError("lambda_max must exceed lambda_min")
-        # Figure names and config.resolved print each pair with :g, so two
-        # pairs that print alike would overwrite each other's outputs.
+        # Figure file names print each pair with :g, so two pairs that print
+        # alike would overwrite each other's figures.
         labels: dict[str, tuple[float, float]] = {}
         for a, b in self.pairs:
             try:
@@ -438,8 +439,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 def _cell(v) -> str:
     if v is None:
         return ""
-    if isinstance(v, str):
-        return v
+    if isinstance(v, (str, Path)):
+        return str(v)
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
@@ -488,66 +489,6 @@ def _pair_bounds(cfg: ExperimentConfig, alpha: float, beta: float) -> LambdaBoun
     if not gamma_is_valid(gamma, theta, alpha, eta):
         return LambdaBounds(lower=math.inf, upper=0.0)
     return theorem_lambda_bounds(cfg.d, theta, gamma, cfg.delta)
-
-
-def _figure_method(cfg: ExperimentConfig) -> str | None:
-    """The method the sweep and phase figures plot, or None if none applies."""
-    for m in ("rspca", "st"):
-        if m in cfg.methods:
-            return m
-    return None
-
-
-def _sweep_method(cfg: ExperimentConfig) -> str:
-    method = _figure_method(cfg)
-    if method is None:
-        raise DomainError("sweep figures need the 'st' or 'rspca' method")
-    return method
-
-
-def emit_plots(result: ExperimentResult, out_dir) -> list[Path]:
-    """Per-pair sweep figures.
-
-    Requires sweep rows (a lambda sweep) in the result; raises DomainError
-    otherwise.
-    """
-    cfg = result.config
-    out_dir = Path(out_dir)
-    method = _sweep_method(cfg)
-    paths = []
-    for alpha, beta in cfg.pairs:
-        sweep_rows = [
-            r
-            for r in result.records
-            if r.method == method and not r.final and r.alpha == alpha and r.beta == beta
-        ]
-        if not sweep_rows:
-            raise DomainError(f"no lambda sweep recorded for pair ({alpha}, {beta})")
-        by_rep: dict[int, list] = {}
-        for r in sweep_rows:
-            by_rep.setdefault(r.rep, []).append((r.lam, r.angle_deg, r.type1, r.type2))
-        curves = [sorted(v) for _, v in sorted(by_rep.items())]
-        markers = [
-            (r.lam, r.angle_deg, r.type1, r.type2)
-            for r in result.records
-            if r.method == method and r.final and r.alpha == alpha and r.beta == beta
-        ]
-        path = out_dir / f"sweep_a{alpha:g}_b{beta:g}.svg"
-        sweep_figure((alpha, beta), curves, markers, _pair_bounds(cfg, alpha, beta), path)
-        paths.append(path)
-    return paths
-
-
-def emit_phase(result: ExperimentResult, path) -> Path:
-    """Phase-diagram SVG: one marker per pair, from the summary medians."""
-    method = _sweep_method(result.config)
-    entries = [
-        (s.alpha, s.beta, s.angle_median) for s in result.summary if s.method == method
-    ]
-    if not entries:
-        raise DomainError(f"no summary rows for method {method!r}")
-    phase_figure(entries, path)
-    return Path(path)
 
 
 # ---------------------------------------------------------------------------
@@ -784,28 +725,33 @@ def resolve_config(
 
 
 def write_resolved_config(cfg: ExperimentConfig, path) -> Path:
-    """Echo the fully resolved configuration for provenance."""
-    items = []
-    for f in fields(cfg):
-        v = getattr(cfg, f.name)
-        if f.name == "pairs":
-            v = ",".join(f"{a:g}:{b:g}" for a, b in v)
-        elif f.name == "methods":
-            v = ",".join(v)
-        elif isinstance(v, bool):
-            v = "true" if v else "false"
-        elif v is None:
-            v = ""
-        items.append(f"{f.name}={v}")
-    return replace_text(path, "\n".join(items) + "\n")
+    """Echo the resolved configuration as a config file that reads back into ``cfg``.
+
+    One ``key=value`` line per ``CONFIG_KEYS`` entry whose field is set, in
+    that table's order, each value written so that its key's parser returns
+    it exactly; ``sweep``, which only the subcommand sets, is a comment.
+    """
+    lines = []
+    for key in CONFIG_KEYS:
+        v = getattr(cfg, key.attr, None)
+        if isinstance(v, tuple):  # pairs or methods
+            v = ",".join(":".join(map(_cell, m)) if isinstance(m, tuple) else m for m in v)
+        if v is not None:
+            lines.append(f"{key.name}={_cell(v)}")
+    lines.append(f"# sweep={_cell(cfg.sweep)}")
+    return replace_text(path, "\n".join(lines) + "\n")
 
 
 def run_and_emit(cfg: ExperimentConfig) -> ExperimentResult:
-    """Run an experiment and write its outputs into cfg.output_dir.
+    """Run an experiment and write all of its files into cfg.output_dir.
 
-    ``summary.csv`` needs a final row (pca, oracle or BIC-selected).
-    Figures plot the st or rspca estimates: the sweep figures in sweep mode,
-    and the phase diagram when that method has summary rows.
+    They are ``config.resolved``, ``replications.csv``, ``summary.csv`` when a
+    method has final rows, and the figures of rspca (or of st when rspca is not
+    run): ``sweep_a<alpha>_b<beta>.svg`` per pair in sweep mode, and ``phase.svg``
+    when that method has summary rows.  One pass over its records is enough:
+    sorted by (alpha, beta, method, rep, lambda, final), they hold each pair's
+    replications in turn, each as its sweep rows in lambda order, then its final
+    row (a BIC marker).
     """
     if cfg.output_dir is None:
         raise ConfigError("output_dir is required (--out DIR or out= in the config file)")
@@ -816,9 +762,19 @@ def run_and_emit(cfg: ExperimentConfig) -> ExperimentResult:
     emit_csv(result.records, out / "replications.csv")
     if result.summary:
         emit_summary_csv(result.summary, out / "summary.csv")
-    method = _figure_method(cfg)
-    if method is not None and cfg.sweep:
-        emit_plots(result, out)
-    if any(s.method == method for s in result.summary):
-        emit_phase(result, out / "phase.svg")
+    method = next((m for m in ("rspca", "st") if m in cfg.methods), None)
+    if cfg.sweep:
+        rows = (r for r in result.records if r.method == method)
+        for (alpha, beta), pair_rows in groupby(rows, attrgetter("alpha", "beta")):
+            curves, markers = [], []
+            for _, rep_rows in groupby(pair_rows, attrgetter("rep")):
+                curves.append([])
+                for r in rep_rows:
+                    point = (r.lam, r.angle_deg, r.type1, r.type2)
+                    (markers if r.final else curves[-1]).append(point)
+            sweep_figure((alpha, beta), curves, markers, _pair_bounds(cfg, alpha, beta),
+                         out / f"sweep_a{alpha:g}_b{beta:g}.svg")
+    entries = [(s.alpha, s.beta, s.angle_median) for s in result.summary if s.method == method]
+    if entries:
+        phase_figure(entries, out / "phase.svg")
     return result

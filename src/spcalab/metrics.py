@@ -298,7 +298,7 @@ class LambdaBounds:
 
 
 def theorem_lambda_bounds(d: int, theta: float, gamma: float, delta: float) -> LambdaBounds:
-    """Evaluate the consistency threshold range at dimension d."""
+    """Evaluate the consistency threshold range at dimension d; an end that overflows is inf."""
     if d < 2:
         raise DomainError(f"d must be >= 2, got {d}")
     if not all(map(math.isfinite, (theta, gamma, delta))):
@@ -307,9 +307,16 @@ def theorem_lambda_bounds(d: int, theta: float, gamma: float, delta: float) -> L
         raise DomainError(f"delta must be > 1/2, got {delta}")
     if not gamma > theta:
         raise DomainError(f"gamma must exceed theta, got gamma={gamma} theta={theta}")
-    lower = math.log(d) ** delta * d ** (theta / 2.0)
-    upper = d ** (gamma / 2.0)
-    return LambdaBounds(lower=lower, upper=upper)
+    lower = _power(math.log(d), delta) * _power(d, theta / 2.0)
+    return LambdaBounds(lower=lower, upper=_power(d, gamma / 2.0))
+
+
+def _power(base: float, exponent: float) -> float:
+    """``base ** exponent``, or inf where that overflows a float."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        return math.inf
 
 
 def gamma_is_valid(gamma: float, theta: float, alpha: float, eta: float) -> bool:

@@ -496,6 +496,9 @@ class TestConfigSchema:
         from_flags = study_config(parser.parse_args(["sweep", *_as_flags(values)]))
         assert from_flags == from_file
         assert from_file != study_config(parser.parse_args(["sweep"]))
+        # config.resolved reads back into the config it echoes.
+        echo = experiment.write_resolved_config(from_file, tmp_path / "config.resolved")
+        assert study_config(parser.parse_args(["sweep", "--config", str(echo)])) == from_file
 
     def test_readme_lists_the_config_keys(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -213,6 +213,11 @@ class TestRspca:
             assert st.any() == vec.any()
             assert trace.n_iterations == 1
 
+    def test_lambda_grid_without_bic_is_rejected(self):
+        dm, _ = spiked_data(80, 10, 0.6, 0.3, seed=11)
+        with pytest.raises(DomainError, match="bic_per_iteration"):
+            rspca(dm.x, PenaltySpec.hard(0.5), lambda_grid=[2.0, 1.0])
+
     def test_lambda_zero_converges_in_one_iteration(self):
         dm, _ = spiked_data(80, 10, 0.6, 0.3, seed=11)
         vec, trace = rspca(dm.x, PenaltySpec.hard(0.0))

@@ -31,6 +31,7 @@ from spcalab import (
     sample_gaussian,
 )
 from spcalab import experiment
+from spcalab.cli import main
 from spcalab.experiment import (
     CSV_HEADER,
     DEFAULT_SEED,
@@ -136,17 +137,21 @@ class TestConfigFile:
         assert path.read_bytes() == (
             b"pairs=0.6:0.1\nd=120\nn=8\nreplications=3\nmethods=pca,st,rspca,oracle\n"
             b"penalty=scad\nscad_a=3.7\nlambda_min=0.001\nlambda_max=20.0\nlambda_points=6\n"
-            b"bic=true\nsweep=false\nbase_seed=77\noutput_dir=out\nthreads=1\ntiming=false\n"
-            b"max_iter=200\ndelta=1.0\ngamma=\n"
+            b"bic=true\nseed=77\nout=out\nthreads=1\ntiming=false\n"
+            b"max_iter=200\ndelta=1.0\n# sweep=false\n"
         )
 
     def test_resolved_echo_roundtrip(self, tmp_path):
-        cfg = small_config(output_dir=tmp_path)
-        path = write_resolved_config(cfg, tmp_path / "config.resolved")
-        text = path.read_text()
-        assert "pairs=0.6:0.1\n" in text
-        assert "base_seed=77\n" in text
-        assert "methods=pca,st,rspca,oracle" in text
+        # Every value reads back exactly; sweep mode is the subcommand's to set.
+        for overrides in (
+            {},
+            {"pairs": ((0.60000001, 0.1), (0.2, 0.7)), "sweep": True, "gamma": 0.3},
+            {"penalty": "soft", "lambda_max": 1 / 3, "delta": 0.75, "bic": False, "timing": True},
+        ):
+            cfg = small_config(output_dir=tmp_path, **overrides)
+            path = write_resolved_config(cfg, tmp_path / "config.resolved")
+            echoed = resolve_config(parse_config_file(path), {}, forced={"sweep": cfg.sweep})
+            assert echoed == cfg
 
 
 class TestRunExperiment:
@@ -273,9 +278,10 @@ class TestRunExperiment:
         assert q75 - q25 < 1.0
 
 
-    def test_every_traced_call_site_is_looked_up_at_call_time(self, monkeypatch):
+    def test_every_traced_call_site_is_looked_up_at_call_time(self, tmp_path, monkeypatch):
         # perfbench traces the studies by patching these names on the
-        # experiment module, so a runner must not hold its own reference.
+        # experiment module, so neither a runner nor run_and_emit may hold
+        # its own reference.
         calls = {}
 
         def counting(name):
@@ -288,12 +294,14 @@ class TestRunExperiment:
             return wrapper
 
         names = ("sample_gaussian", "dual_first_component", "pca_first", "st_estimator",
-                 "rspca", "oracle_estimator", "select_lambda_bic", "evaluate_estimate")
+                 "rspca", "oracle_estimator", "select_lambda_bic", "evaluate_estimate",
+                 "emit_csv", "emit_summary_csv", "sweep_figure", "phase_figure")
         for name in names:
             calls[name] = 0
             monkeypatch.setattr(experiment, name, counting(name))
-        cfg = small_config(pairs=((0.6, 0.1), (0.2, 0.7)), replications=2, sweep=True)
-        result = run_experiment(cfg)
+        cfg = small_config(pairs=((0.6, 0.1), (0.2, 0.7)), replications=2, sweep=True,
+                           output_dir=tmp_path)
+        result = run_and_emit(cfg)
         draws, fits = 2 * 2, cfg.lambda_points + 2  # the grid (lambda = 0 too), then BIC's pick
         assert calls == {
             "sample_gaussian": draws,
@@ -304,6 +312,10 @@ class TestRunExperiment:
             "oracle_estimator": draws,
             "select_lambda_bic": draws,  # ST's; rspca selects inside the estimators module
             "evaluate_estimate": (2 + 2 * fits) * draws,
+            "emit_csv": 1,
+            "emit_summary_csv": 1,
+            "sweep_figure": 2,  # one per pair
+            "phase_figure": 1,
         }
         assert len(result.records) == calls["evaluate_estimate"]
 
@@ -327,28 +339,44 @@ class TestRunExperiment:
 
 class TestGaussianStudyBytes:
     @pytest.mark.parametrize(
-        "penalty, bic, replications_sha, summary_sha",
+        "penalty, bic, replications_sha, summary_sha, figure_shas",
         [
             ("hard", True, "c644bcc35fe0cedbb203ec7f54f65fc4fc5c64e9f33d65126648196a41ae93fb",
-             "0d2ca4227b932f37b149de15654ea3ad16c4a135038c0d74efe983a17c5a2df1"),
+             "0d2ca4227b932f37b149de15654ea3ad16c4a135038c0d74efe983a17c5a2df1",
+             {"sweep_a0.6_b0.1.svg": "b2348a4006d059bf7d17abb7ad91e40b681bd9ac2dd9a67af090f9d3ea43efa5",
+              "sweep_a0.2_b0.7.svg": "bd8736a941a52eb950e9d3c2db3131d4d4b2667b57f6aa94b46b796c930c9eb8",
+              "phase.svg": "cf5e9359aec5b64c6b4955d44efb3cdae3e9ff641f6d2b0f2e07c26d5cd31c00"}),
             ("soft", True, "4671cd60262a72fb2724b1bf062a463a0fd27cb1146b5b2cec7ccf6ea603c240",
-             "bf7510fa308a00fe5cc3ae0cb0531856dd72f90d71da9652dc10db2044f2fe54"),
+             "bf7510fa308a00fe5cc3ae0cb0531856dd72f90d71da9652dc10db2044f2fe54",
+             {"sweep_a0.6_b0.1.svg": "97a1105e25f3d47a158d2f9a447c3a44c7dd3dbb5a24f5d88c174b8aab865a6a",
+              "sweep_a0.2_b0.7.svg": "6dc70048e4a22bc26ded9c31cab55b983df38654fea73dca5284a89385b49b5a",
+              "phase.svg": "4fe6ad07e55ad0907d3ccf43872e1cb5deec8eea91999085456e9136cdf1d857"}),
             ("scad", True, "fbb20ebfe9f835bf69ed11389461cf6f28f7b7c2be184d24e5f6f217cbcbb984",
-             "52d9e92af3e642c21b7785e7f771b411847099281af17c036e712ce564415c78"),
+             "52d9e92af3e642c21b7785e7f771b411847099281af17c036e712ce564415c78",
+             {"sweep_a0.6_b0.1.svg": "6a6877d12145e723f2e24240083374931883c8d335723535a196cc7f9c073802",
+              "sweep_a0.2_b0.7.svg": "47b720abeaa6d0f500d07310c835fa0c766d11642bd85eb82ecdf8ccdcb6058f",
+              "phase.svg": "4fe6ad07e55ad0907d3ccf43872e1cb5deec8eea91999085456e9136cdf1d857"}),
             ("hard", False, "fc83c7eec7d6427945c0251edaade7962b00e41ccbb00058c9713a409007d251",
-             "46d5b7bbe66e60446d76bb1b69ebeb5f333bf1027ec6be78ecd7936026cf5006"),
+             "46d5b7bbe66e60446d76bb1b69ebeb5f333bf1027ec6be78ecd7936026cf5006",
+             {"sweep_a0.6_b0.1.svg": "9bf10d8effec3800f22b943e4e20bf3d0feb3d8ca18b100e7237d4c8390b5d8a",
+              "sweep_a0.2_b0.7.svg": "120529d412b5f7c81ad76860cc1ec1f5f6e352135e6242200bf921071a609b5c"}),
         ],
         ids=["hard", "soft", "scad", "no-bic"],
     )
-    def test_sweep_bytes_are_pinned(self, tmp_path, penalty, bic, replications_sha, summary_sha):
+    def test_sweep_bytes_are_pinned(self, tmp_path, penalty, bic, replications_sha, summary_sha,
+                                    figure_shas):
         # Digests for this numerics stack (numpy, LAPACK/BLAS build, CPU
-        # kernel): a sweep of every method at both paper regimes.
+        # kernel): a sweep of every method at both paper regimes, given out
+        # of canonical order.  Without BIC no method has rspca summary rows,
+        # so there is no phase diagram.
         cfg = ExperimentConfig(pairs=((0.6, 0.1), (0.2, 0.7)), d=400, replications=2,
                                methods=METHODS, penalty=penalty, bic=bic, sweep=True,
                                output_dir=tmp_path)
         run_and_emit(cfg)
-        for name, sha in (("replications.csv", replications_sha), ("summary.csv", summary_sha)):
+        shas = {"replications.csv": replications_sha, "summary.csv": summary_sha, **figure_shas}
+        for name, sha in shas.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == sha
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*shas, "config.resolved"])
 
 
 class TestCsvEmission:
@@ -553,6 +581,15 @@ class TestSweepBounds:
         svg = (tmp_path / "sweep_a0.6_b0.1.svg").read_text()
         assert ('class="bound-upper"' in svg) is drawn
         assert ("threshold range empty at this d" in svg) is not drawn
+
+    def test_lower_end_that_overflows_is_an_empty_range(self, tmp_path):
+        # log(2000)**400 overflows a float; the study still finishes.
+        code = main(["sweep", "--alpha", "0.6", "--beta", "0.1", "--d", "2000", "--delta", "400",
+                     "--n", "8", "--reps", "1", "--lambda-points", "6", "--out", str(tmp_path)])
+        assert code == 0
+        svg = (tmp_path / "sweep_a0.6_b0.1.svg").read_text()
+        assert "threshold range empty at this d" in svg
+        assert 'class="bound-upper"' not in svg
 
 
 class TestCounterexampleRunner:

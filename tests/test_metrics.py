@@ -436,6 +436,15 @@ class TestThresholdBounds:
         with pytest.raises(DomainError):
             theorem_lambda_bounds(10000, theta=theta, gamma=gamma, delta=1.0)
 
+    @pytest.mark.parametrize("d, gamma, delta, lower, upper", [
+        (2000, 0.25, 400.0, inf, 2000.0**0.125),  # log(d)**delta overflows
+        (10**6, 200.0, 1.0, math.log(10**6), inf),  # d**(gamma/2) overflows
+    ], ids=["lower", "upper"])
+    def test_an_end_that_overflows_is_inf(self, d, gamma, delta, lower, upper):
+        b = theorem_lambda_bounds(d, theta=0.0, gamma=gamma, delta=delta)
+        assert (b.lower, b.upper) == (lower, upper)
+        assert b.is_empty is (lower == inf)
+
     def test_gamma_validity_predicate(self):
         assert gamma_is_valid(0.25, theta=0.0, alpha=0.6, eta=0.1)
         assert not gamma_is_valid(0.55, theta=0.0, alpha=0.6, eta=0.1)

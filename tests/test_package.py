@@ -41,10 +41,13 @@ class TestAll:
         ("metrics", "fit_rate"),
         ("metrics", "GAP_FLOOR"),
         ("penalties", "threshold_scalar"),
+        ("experiment", "emit_plots"),
+        ("experiment", "emit_phase"),
     ])
     def test_removed_names_are_gone(self, module, name):
         # Estimates are plain arrays; the rate fit and the scalar threshold
-        # are test references in tests/_oracles.py.
+        # are test references in tests/_oracles.py; run_and_emit writes the
+        # figures itself.
         assert not hasattr(spcalab, name)
         assert not hasattr(importlib.import_module(f"spcalab.{module}"), name)
 
