@@ -42,6 +42,7 @@ from .metrics import (
     DEFAULT_LAMBDA_MIN,
     DEFAULT_LAMBDA_POINTS,
     LambdaBounds,
+    _Truth,
     default_gamma,
     default_lambda_grid,
     evaluate_estimate,
@@ -224,8 +225,8 @@ class _Draw:
     x: np.ndarray
     dual: DualComponent
     grid: np.ndarray
-    u1: np.ndarray
     truth: np.ndarray
+    reference: _Truth
 
 
 # A runner yields one (estimate, lambda, bic_total, converged, final) row per
@@ -280,7 +281,8 @@ def _run_replication(cfg: ExperimentConfig, pair_index: int, rep: int) -> list[R
     x = sample_gaussian(system, seed).x
     dual = dual_first_component(x)
     grid = default_lambda_grid(dual.u_tilde, cfg.lambda_min, cfg.lambda_max, cfg.lambda_points)
-    draw = _Draw(cfg, x, dual, grid, system.u1, system.u1_support)
+    truth = system.u1_support
+    draw = _Draw(cfg, x, dual, grid, truth, _Truth.of(system.u1, truth))
 
     records: list[ReplicationRecord] = []
     for method in cfg.methods:
@@ -288,7 +290,7 @@ def _run_replication(cfg: ExperimentConfig, pair_index: int, rep: int) -> list[R
         t0 = time.perf_counter()
         for est, lam, bic_total, converged, final in RUNNERS[method](draw):
             runtime = (time.perf_counter() - t0) * 1e3 if cfg.timing else None
-            row = evaluate_estimate(est, draw.u1, draw.truth)
+            row = evaluate_estimate(est, draw.reference.u1, draw.reference)
             records.append(ReplicationRecord(
                 alpha=alpha, beta=beta, method=method, rep=rep, lam=lam,
                 angle_deg=row.angle_deg, type1=row.type1, type2=row.type2, df=row.df,
@@ -532,8 +534,9 @@ def run_counterexample(
     ``pca_first``'s estimate is x / ||x||, whose argmax |.| is that of x,
     ties included.  The tail magnitude beats the spike, so that argmax is
     the first coordinate exactly when every tail coordinate is zero;
-    ``counterexample_hits`` decides this from each draw's uniforms without
-    building x or running a dual eigensolve.
+    ``counterexample_hits`` decides this from the raw Philox words of a
+    block of draws at a time, without building x, a generator per draw or
+    a dual eigensolve, and without importing ``numpy.random``.
     """
     dims = check_counterexample(dims, alpha, reps, base_seed)
     empirical = []

@@ -71,16 +71,19 @@ def _support_mask(support, d: int, name: str) -> np.ndarray:
     return mask
 
 
-def _support_counts(e: np.ndarray, truth_support) -> tuple[float, float, int]:
-    """Type I, Type II and the non-zero count of the float estimate ``e``."""
+def _estimate(estimate) -> np.ndarray:
+    e = np.asarray(estimate, dtype=float)
     if e.ndim != 1:
         raise DimensionError(f"estimate must be 1-d, got shape {e.shape}")
-    d = e.shape[0]
-    mask = _support_mask(truth_support, d, "truth support")
-    k = int(np.count_nonzero(mask))
+    return e
+
+
+def _support_counts(e: np.ndarray, mask: np.ndarray, k: int) -> tuple[float, float, int]:
+    """Type I, Type II and the non-zero count of ``e`` against a truth d-mask of size k."""
     # Non-zeros inside the truth; the rest of the non-zeros lie outside it.
     inside = int(np.count_nonzero(e[mask]))
     nnz = int(np.count_nonzero(e))
+    d = e.shape[0]
     type1 = (k - inside) / k
     type2 = (nnz - inside) / (d - k) if d > k else 0.0
     return type1, type2, nnz
@@ -94,8 +97,32 @@ def support_errors(estimate, truth_support) -> tuple[float, float]:
     non-zero (0 when the truth has no zero positions).  ``truth_support``
     holds integer indices; a boolean mask is rejected.
     """
-    type1, type2, _ = _support_counts(np.asarray(estimate, dtype=float), truth_support)
+    e = _estimate(estimate)
+    mask = _support_mask(truth_support, e.shape[0], "truth support")
+    type1, type2, _ = _support_counts(e, mask, int(np.count_nonzero(mask)))
     return type1, type2
+
+
+@dataclass(frozen=True)
+class _Truth:
+    """What every metric row of one sample shares, checked and derived once.
+
+    ``of(u1, truth_support)`` holds u1 as a float array, ||u1||, the truth
+    support's d-mask and its size.
+    """
+
+    u1: np.ndarray
+    u1_norm: float
+    mask: np.ndarray
+    k: int
+
+    @classmethod
+    def of(cls, u1, truth_support) -> _Truth:
+        u = np.asarray(u1, dtype=float)
+        if u.ndim != 1:
+            raise DimensionError(f"u1 must be 1-d, got shape {u.shape}")
+        mask = _support_mask(truth_support, u.shape[0], "truth support")
+        return cls(u, _norm(u), mask, int(np.count_nonzero(mask)))
 
 
 @dataclass(frozen=True)
@@ -109,10 +136,19 @@ class MetricRow:
 
 
 def evaluate_estimate(estimate, u1, truth_support) -> MetricRow:
-    """Bundle angle + support errors + sparsity for one estimate."""
-    e = np.asarray(estimate, dtype=float)
-    t1, t2, df = _support_counts(e, truth_support)
-    return MetricRow(angle_deg=angle_degrees(e, u1), type1=t1, type2=t2, df=df)
+    """Bundle angle + support errors + sparsity for one estimate.
+
+    ``truth_support`` holds integer indices.  A caller that scores many
+    estimates of one sample may pass ``_Truth.of(u1, truth_support)`` in
+    its place, and then the u1 it holds is used.
+    """
+    e = _estimate(estimate)
+    truth = truth_support if isinstance(truth_support, _Truth) else _Truth.of(u1, truth_support)
+    if e.shape != truth.u1.shape:
+        raise DimensionError(f"shape mismatch {e.shape} vs {truth.u1.shape}")
+    t1, t2, df = _support_counts(e, truth.mask, truth.k)
+    angle = _angle(e, truth.u1, _norm(e), truth.u1_norm)
+    return MetricRow(angle_deg=angle, type1=t1, type2=t2, df=df)
 
 
 # ---------------------------------------------------------------------------
@@ -308,13 +344,21 @@ def theorem_lambda_bounds(d: int, theta: float, gamma: float, delta: float) -> L
     if not gamma > theta:
         raise DomainError(f"gamma must exceed theta, got gamma={gamma} theta={theta}")
     lower = _power(math.log(d), delta) * _power(d, theta / 2.0)
+    if math.isnan(lower):
+        # inf * 0.0: one factor overflowed and the other underflowed, so the
+        # product is taken in log space.
+        lower = _inf_on_overflow(math.exp, delta * math.log(math.log(d)) + theta / 2.0 * math.log(d))
     return LambdaBounds(lower=lower, upper=_power(d, gamma / 2.0))
 
 
 def _power(base: float, exponent: float) -> float:
     """``base ** exponent``, or inf where that overflows a float."""
+    return _inf_on_overflow(pow, base, exponent)
+
+
+def _inf_on_overflow(f, *args) -> float:
     try:
-        return base ** exponent
+        return f(*args)
     except OverflowError:
         return math.inf
 

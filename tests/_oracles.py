@@ -18,6 +18,9 @@ dropped, kept here as references:
   ||X||_F^2 and sigma2, the brute-force reference for ``select_lambda_bic``;
 * ``sample_counterexample``: the counterexample law as a d x n matrix
   sampler, the reference for ``counterexample_hits``;
+* ``counterexample_hits_reference``: the per-draw scorer through one
+  ``Generator(Philox(key))`` per key, the reference for the package's
+  batched numpy Philox;
 * ``summarize_reference``: the summary table from one ``np.percentile`` and
   ``np.median`` call per statistic and group, the reference for
   ``experiment._summarize``'s quartiles and medians read from one sort;
@@ -127,6 +130,18 @@ def sample_counterexample(d: int, alpha: float, n: int, seed) -> DataMatrix:
     mag = d ** ((alpha + 1.0) / 4.0)
     x[1:] = np.where(u[1:] < p, mag, np.where(u[1:] < 2.0 * p, -mag, 0.0))
     return DataMatrix(x=x)
+
+
+def counterexample_hits_reference(d: int, alpha: float, keys) -> int:
+    """``counterexample_hits`` with one numpy ``Generator(Philox(key))`` per draw.
+
+    A draw is a hit when every tail uniform of ``random(d)`` is >= 2p.
+    """
+    zero_from = 2.0 * counterexample_tail_probability(d, alpha)
+    return sum(
+        np.random.Generator(np.random.Philox(key=key)).random(d)[1:].min() >= zero_from
+        for key in keys
+    )
 
 
 def charpoly_coefficients(a: np.ndarray) -> np.ndarray:

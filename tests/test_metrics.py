@@ -26,6 +26,7 @@ from spcalab import (
     theorem_lambda_bounds,
     threshold,
 )
+from spcalab.metrics import _Truth
 from spcalab.penalties import FAMILIES
 from _oracles import angle_degrees_reference, bic, fit_rate, support_errors_reference
 
@@ -445,6 +446,17 @@ class TestThresholdBounds:
         assert (b.lower, b.upper) == (lower, upper)
         assert b.is_empty is (lower == inf)
 
+    def test_lower_end_of_overflow_times_underflow_is_taken_in_log_space(self):
+        # log(d)**400 overflows while d**-150 underflows; their product
+        # exp(400 log(log d) - 150 log d) underflows to 0.0, not inf * 0 = NaN.
+        b = theorem_lambda_bounds(10**6, -300.0, 1.0, 400.0)
+        assert (b.lower, b.upper) == (0.0, 1000.0)
+        assert not b.is_empty
+        # 800 - 790 in log space: both factors still leave the float range.
+        log_d = math.log(10**6)
+        b = theorem_lambda_bounds(10**6, -1580.0 / log_d, 1.0, 800.0 / math.log(log_d))
+        assert b.lower == pytest.approx(math.exp(10.0), rel=1e-9)
+
     def test_gamma_validity_predicate(self):
         assert gamma_is_valid(0.25, theta=0.0, alpha=0.6, eta=0.1)
         assert not gamma_is_valid(0.55, theta=0.0, alpha=0.6, eta=0.1)
@@ -492,3 +504,23 @@ class TestEvaluateEstimate:
         assert row.type1 == 0.0
         assert row.type2 == pytest.approx(0.25)
         assert 0.0 < row.angle_deg < 10.0
+
+    def test_truth_built_once_gives_the_same_rows(self):
+        # The experiment scores every row of a sample against one _Truth.
+        rng = np.random.default_rng(8)
+        for _ in range(100):
+            d = int(rng.integers(2, 80))
+            u1 = rng.standard_normal(d)
+            support = rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False)
+            truth = _Truth.of(u1, support)
+            for est in (rng.standard_normal(d) * (rng.random(d) < 0.5), np.zeros(d), u1):
+                assert repr(evaluate_estimate(est, u1, truth)) == repr(
+                    evaluate_estimate(est, u1, support))
+
+    def test_estimate_of_another_length_is_rejected(self):
+        truth = _Truth.of(np.ones(5), [0, 1])
+        for support in ([0, 1], truth):
+            with pytest.raises(DimensionError, match="shape mismatch"):
+                evaluate_estimate(np.ones(4), np.ones(5), support)
+        with pytest.raises(DimensionError, match="1-d"):
+            evaluate_estimate(np.ones((5, 1)), np.ones(5), truth)

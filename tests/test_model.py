@@ -6,6 +6,7 @@ several standard errors of headroom at the chosen sample sizes.
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,12 @@ from spcalab.model import (
     counterexample_tail_probability,
     stream_keys,
 )
-from _oracles import population_basis, population_eigenvalues, sample_counterexample
+from _oracles import (
+    counterexample_hits_reference,
+    population_basis,
+    population_eigenvalues,
+    sample_counterexample,
+)
 
 
 class TestSpikedSpec:
@@ -252,6 +258,66 @@ class TestCounterexampleHits:
         by_scorer = [counterexample_hits(d, alpha, [k]) == 1 for k in keys]
         assert by_scorer == by_sampler
         assert counterexample_hits(d, alpha, keys) == sum(by_sampler)
+
+
+class TestBatchedPhilox:
+    """The scorer's own Philox words and integer hit test against numpy's."""
+
+    KEYS = np.concatenate([
+        np.random.default_rng(5).integers(0, 2**64 - 1, size=(62, 2), dtype=np.uint64, endpoint=True),
+        np.array([[0, 0], [2**64 - 1, 2**64 - 1]], dtype=np.uint64),
+    ])
+
+    @pytest.mark.parametrize("start, width", [(0, 10), (3, 7)])
+    def test_words_equal_numpy_philox(self, start, width):
+        words = model._philox_words(self.KEYS, start, width)
+        assert words.shape == (64, 4 * width) and words.dtype == np.uint64
+        for key, row in zip(self.KEYS, words):
+            raw = np.random.Philox(key=key).random_raw(4 * (start + width))
+            assert row.tolist() == raw[4 * start:].tolist()
+
+    @pytest.mark.parametrize("two_p", [2.0**-60, 2.0**-53, 2 * 400**-0.75, 0.1, 0.5,
+                                       1.0 - 2.0**-53, 1.0])
+    def test_integer_test_is_the_float_test_at_its_boundary(self, two_p):
+        floor = model._zero_floor(two_p)
+        assert floor.dtype == np.uint64 and 1 <= int(floor) <= 2**53
+        edge = int(floor) << 11
+        words = np.array([w for w in (edge - 2049, edge - 1, edge, edge + 2047, 2**64 - 1)
+                          if 0 <= w < 2**64], dtype=np.uint64)
+        as_float = (words >> np.uint64(11)) * 2.0**-53 >= two_p
+        assert model._all_zero(words[:, None], floor).tolist() == as_float.tolist()
+        # A row is a hit only when its smallest word is.
+        rows = np.stack([words, np.full_like(words, 2**64 - 1)], axis=1)
+        assert model._all_zero(rows, floor).tolist() == as_float.tolist()
+        if two_p < 1.0:
+            assert as_float[words >= np.uint64(edge)].all()
+        assert not as_float[words < np.uint64(min(edge, 2**64 - 1))].any()
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.95])
+    @pytest.mark.parametrize("d", [2, 5, 50, 401])
+    def test_hits_equal_the_oracle_across_key_blocks(self, d, alpha):
+        keys = list(stream_keys(13, 1, range(2 * KEY_BLOCK + 3)))
+        if d == 2:  # 2 * 2**-((alpha+1)/2) > 1 for every alpha < 1
+            for scorer in (counterexample_hits, counterexample_hits_reference):
+                with pytest.raises(DomainError, match="exceed 1"):
+                    scorer(d, alpha, keys)
+            return
+        hits = counterexample_hits(d, alpha, keys)
+        assert hits == counterexample_hits_reference(d, alpha, keys)
+        # Both kinds of draw occur, except that hits are rare at (401, 0.5).
+        assert 0 < hits < len(keys) or d == 401 and alpha == 0.5
+
+    def test_memory_is_bounded_at_large_d(self):
+        # One draw of Generator.random(d) alone would hold 8 MB here.
+        keys = list(stream_keys(3, 0, range(200)))
+        tracemalloc.start()
+        try:
+            hits = counterexample_hits(10**6, 0.5, keys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hits == 0
+        assert peak < 4 * 2**20
 
 
 def reference_key(base_seed, d_index, rep):

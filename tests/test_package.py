@@ -126,6 +126,18 @@ def test_gaussian_study_leaves_numpy_ma_unloaded(tmp_path, argv):
     assert (tmp_path / "out" / "summary.csv").read_text().count("\n") > 1
 
 
+def test_counterexample_study_leaves_numpy_random_unloaded(tmp_path):
+    # The scorer computes Philox words itself; importing numpy.random costs
+    # a study 12-19 ms.
+    code = ("import sys, spcalab.cli\n"
+            "code = spcalab.cli.main(sys.argv[1:])\n"
+            "print(code, 'numpy.random' in sys.modules)\n")
+    out = _run_python(code, "counterexample", "--d-grid", "5,50", "--reps", "300",
+                      "--out", str(tmp_path / "out"))
+    assert out == "0 False\n"
+    assert (tmp_path / "out" / "counterexample.csv").read_text().count("\n") == 3
+
+
 def test_names_the_benchmark_reads_are_kept(tmp_path):
     # perfbench builds samples and counts per-layer work through these; a trim
     # that drops one would otherwise surface only as a crash in a traced run.
