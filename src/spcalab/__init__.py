@@ -1,8 +1,9 @@
 """spcalab: sparse-PCA consistency laboratory for the d >> n regime.
 
 Estimators (dual PCA, simple thresholding, iterative penalized rank-one,
-oracle subspace), BIC threshold selection, spiked-model samplers, and a
-reproducible Monte-Carlo harness with CSV/SVG output.
+oracle subspace), BIC threshold selection, spiked-model samplers, the
+theorem's threshold range and the counterexample law, and a reproducible
+Monte-Carlo harness with CSV/SVG output.
 """
 
 from .eigen import DualComponent, dual_first_component
@@ -38,27 +39,23 @@ from .experiment import (
 )
 from .metrics import (
     BicValue,
-    LambdaBounds,
     LambdaSelection,
     MetricRow,
     angle_degrees,
-    default_gamma,
     default_lambda_grid,
     evaluate_estimate,
-    gamma_is_valid,
     select_lambda_bic,
     support_errors,
+)
+from .model import DataMatrix, EigenSystem, SpikedSpec, build_eigensystem, sample_gaussian
+from .penalties import PenaltySpec, threshold
+from .theory import (
+    LambdaBounds,
+    default_gamma,
+    failure_probability,
+    gamma_is_valid,
     theorem_lambda_bounds,
 )
-from .model import (
-    DataMatrix,
-    EigenSystem,
-    SpikedSpec,
-    build_eigensystem,
-    failure_probability,
-    sample_gaussian,
-)
-from .penalties import PenaltySpec, threshold
 
 __version__ = "0.1.0"
 

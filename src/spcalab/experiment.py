@@ -33,6 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import theory
 from ._files import replace_text
 from .eigen import DualComponent, dual_first_component
 from .estimators import RSPCA_MAX_ITER, oracle_estimator, pca_first, rspca, st_estimator
@@ -41,24 +42,12 @@ from .figures import counterexample_figure, phase_figure, sweep_figure
 from .metrics import (
     DEFAULT_LAMBDA_MIN,
     DEFAULT_LAMBDA_POINTS,
-    LambdaBounds,
     _Truth,
-    default_gamma,
     default_lambda_grid,
     evaluate_estimate,
-    gamma_is_valid,
     select_lambda_bic,
-    theorem_lambda_bounds,
 )
-from .model import (
-    SpikedSpec,
-    build_eigensystem,
-    counterexample_hits,
-    counterexample_tail_probability,
-    failure_probability,
-    sample_gaussian,
-    stream_keys,
-)
+from .model import SpikedSpec, build_eigensystem, counterexample_hits, sample_gaussian, stream_keys
 from .penalties import DEFAULT_SCAD_A, FAMILIES, PenaltySpec
 
 DEFAULT_SEED = 20260809
@@ -470,30 +459,6 @@ def emit_summary_csv(summary: list[SummaryRow], path) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# Figures
-# ---------------------------------------------------------------------------
-
-
-def _pair_bounds(cfg: ExperimentConfig, alpha: float, beta: float) -> LambdaBounds | None:
-    """Threshold-range bounds for a pair.
-
-    None when no gamma is admissible (alpha <= beta); an empty range when
-    the configured gamma lies outside (theta, alpha - eta).
-    """
-    # The spiked model's tail eigenvalues are 1 (theta = 0), and every
-    # non-zero loading of u1 is m**-0.5 ~ d**(-beta/2) (eta = beta).
-    theta = 0.0
-    eta = beta
-    midpoint = default_gamma(theta, alpha, eta)
-    if midpoint is None:
-        return None
-    gamma = midpoint if cfg.gamma is None else cfg.gamma
-    if not gamma_is_valid(gamma, theta, alpha, eta):
-        return LambdaBounds(lower=math.inf, upper=0.0)
-    return theorem_lambda_bounds(cfg.d, theta, gamma, cfg.delta)
-
-
-# ---------------------------------------------------------------------------
 # Counterexample study
 # ---------------------------------------------------------------------------
 
@@ -518,25 +483,21 @@ def check_counterexample(dims, alpha: float, reps: int, base_seed: int) -> list[
     for i, d in enumerate(dims):
         if d in dims[:i]:
             raise DomainError(f"d={d} is listed twice")
-        counterexample_tail_probability(d, alpha)
+        theory.counterexample_tail_probability(d, alpha)
     return dims
 
 
 def run_counterexample(
     dims, alpha: float, reps: int, base_seed: int = DEFAULT_SEED
 ) -> CounterexampleResult:
-    """Empirical frequency of argmax_i |u_hat_i| = 1 under ``counterexample_hits``'s law.
+    """Empirical frequency of argmax_i |u_hat_i| = 1, against ``theory.failure_probability``.
 
-    One n=1 sample x per replication, drawn from the Philox stream of
-    ``SeedSequence(base_seed, spawn_key=(d_index, rep))``; ``stream_keys``
-    derives those streams' keys in blocks of reps without building a
-    ``SeedSequence`` per draw.  Its 1 x 1 dual has eigenvector [1], so
-    ``pca_first``'s estimate is x / ||x||, whose argmax |.| is that of x,
-    ties included.  The tail magnitude beats the spike, so that argmax is
-    the first coordinate exactly when every tail coordinate is zero;
-    ``counterexample_hits`` decides this from the raw Philox words of a
-    block of draws at a time, without building x, a generator per draw or
-    a dual eigensolve, and without importing ``numpy.random``.
+    One n=1 sample per replication, on the Philox stream of
+    ``SeedSequence(base_seed, spawn_key=(d_index, rep))``.  ``stream_keys``
+    derives those keys a block of reps at a time, and ``counterexample_hits``
+    scores a block from its raw Philox words (and says why that is
+    ``pca_first``'s answer), without building x, a generator per draw or a
+    dual eigensolve, and without importing ``numpy.random``.
     """
     dims = check_counterexample(dims, alpha, reps, base_seed)
     empirical = []
@@ -544,7 +505,7 @@ def run_counterexample(
     for di, d in enumerate(dims):
         hits = counterexample_hits(d, alpha, stream_keys(base_seed, di, range(reps)))
         empirical.append(hits / reps)
-        predicted.append(failure_probability(d, alpha))
+        predicted.append(theory.failure_probability(d, alpha))
     return CounterexampleResult(
         alpha=alpha, reps=reps, dims=dims, empirical=empirical, predicted=predicted
     )
@@ -775,7 +736,8 @@ def run_and_emit(cfg: ExperimentConfig) -> ExperimentResult:
                 for r in rep_rows:
                     point = (r.lam, r.angle_deg, r.type1, r.type2)
                     (markers if r.final else curves[-1]).append(point)
-            sweep_figure((alpha, beta), curves, markers, _pair_bounds(cfg, alpha, beta),
+            bounds = theory.pair_lambda_bounds(cfg.d, alpha, beta, cfg.delta, cfg.gamma)
+            sweep_figure((alpha, beta), curves, markers, bounds,
                          out / f"sweep_a{alpha:g}_b{beta:g}.svg")
     entries = [(s.alpha, s.beta, s.angle_median) for s in result.summary if s.method == method]
     if entries:

@@ -6,8 +6,8 @@ import math
 
 from ._files import replace_text
 from .exceptions import DomainError
-from .metrics import LambdaBounds
 from .svgfig import Panel, document, fmt
+from .theory import LambdaBounds
 
 #: Offset used on the threshold axis so lambda = 0 is plottable on a log scale.
 LAMBDA_AXIS_OFFSET = 1e-5

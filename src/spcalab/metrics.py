@@ -1,4 +1,7 @@
-"""Angles, support-recovery errors, BIC selection, and theorem threshold bounds."""
+"""Angles, support-recovery errors and BIC lambda selection.
+
+The theorem's threshold range, which the sweep figures mark, is in ``theory``.
+"""
 
 from __future__ import annotations
 
@@ -311,65 +314,3 @@ def default_lambda_grid(
         hi = lambda_min
     return np.concatenate([[0.0], np.geomspace(lambda_min, hi, points)])
 
-
-# ---------------------------------------------------------------------------
-# Theorem-derived threshold range
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LambdaBounds:
-    """Threshold range [log(d)**delta * d**(theta/2), d**(gamma/2)].
-
-    At finite d the range can be empty (lower > upper) even for admissible
-    exponents; ``is_empty`` flags that case.
-    """
-
-    lower: float
-    upper: float
-
-    @property
-    def is_empty(self) -> bool:
-        return self.lower > self.upper
-
-
-def theorem_lambda_bounds(d: int, theta: float, gamma: float, delta: float) -> LambdaBounds:
-    """Evaluate the consistency threshold range at dimension d; an end that overflows is inf."""
-    if d < 2:
-        raise DomainError(f"d must be >= 2, got {d}")
-    if not all(map(math.isfinite, (theta, gamma, delta))):
-        raise DomainError(f"theta, gamma and delta must be finite, got {theta}, {gamma}, {delta}")
-    if not delta > 0.5:
-        raise DomainError(f"delta must be > 1/2, got {delta}")
-    if not gamma > theta:
-        raise DomainError(f"gamma must exceed theta, got gamma={gamma} theta={theta}")
-    lower = _power(math.log(d), delta) * _power(d, theta / 2.0)
-    if math.isnan(lower):
-        # inf * 0.0: one factor overflowed and the other underflowed, so the
-        # product is taken in log space.
-        lower = _inf_on_overflow(math.exp, delta * math.log(math.log(d)) + theta / 2.0 * math.log(d))
-    return LambdaBounds(lower=lower, upper=_power(d, gamma / 2.0))
-
-
-def _power(base: float, exponent: float) -> float:
-    """``base ** exponent``, or inf where that overflows a float."""
-    return _inf_on_overflow(pow, base, exponent)
-
-
-def _inf_on_overflow(f, *args) -> float:
-    try:
-        return f(*args)
-    except OverflowError:
-        return math.inf
-
-
-def gamma_is_valid(gamma: float, theta: float, alpha: float, eta: float) -> bool:
-    """Admissibility of the upper-bound exponent: theta < gamma < alpha - eta."""
-    return theta < gamma < alpha - eta
-
-
-def default_gamma(theta: float, alpha: float, eta: float) -> float | None:
-    """Midpoint of the admissible gamma interval, or None when it is empty."""
-    if alpha - eta <= theta:
-        return None
-    return 0.5 * (theta + (alpha - eta))

@@ -39,10 +39,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
+from . import theory
 from .exceptions import DimensionError, DomainError
 
 
@@ -184,30 +184,6 @@ def sample_gaussian(system: EigenSystem, seed) -> DataMatrix:
     return DataMatrix(x=x)
 
 
-def counterexample_tail_probability(d: int, alpha: float) -> float:
-    """d**(-(alpha+1)/2), the chance of each sign of a counterexample tail coordinate.
-
-    Raises DomainError when (d, alpha) admits no such law, including when
-    the tail magnitude does not exceed the spike in floating point.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    if d < 2:
-        raise DomainError(f"d must be >= 2, got {d}")
-    p = d ** (-(alpha + 1.0) / 2.0)
-    if 2.0 * p > 1.0:
-        raise DomainError(f"tail probabilities 2*d**-((alpha+1)/2) = {2 * p:.4f} exceed 1")
-    # (alpha+1)/4 > alpha/2 for every alpha < 1, but near alpha = 1 the two
-    # powers can round to the same float; every draw would then tie, and a
-    # tie goes to the spike.
-    if not d ** ((alpha + 1.0) / 4.0) > d ** (alpha / 2.0):
-        raise DomainError(
-            f"tail magnitude d**((alpha+1)/4) does not exceed the spike d**(alpha/2)"
-            f" in floating point at d={d}, alpha={alpha!r}"
-        )
-    return p
-
-
 #: Reps whose keys ``stream_keys`` derives, and whose draws
 #: ``counterexample_hits`` scores, together.  It bounds the key buffer, so
 #: memory does not grow with the number of reps.
@@ -275,13 +251,13 @@ def _philox_keys(entropy: list) -> np.ndarray:
 
 
 def stream_keys(base_seed: int, d_index: int, reps: range):
-    """The Philox key of each rep in ``reps``, two uint64 words, lazily.
+    """The Philox keys of the reps in ``reps``, lazily, ``KEY_BLOCK`` reps at a time.
 
-    Rep r's key is ``SeedSequence(base_seed, spawn_key=(d_index, r))
-    .generate_state(2, np.uint64)``; keys are derived ``KEY_BLOCK`` reps at
-    a time.  Each rep must fit one uint32 word, so that every rep of a
-    block hashes the same number of words.  The arguments are checked when
-    this is called, before any key is derived.
+    Each block is a (k, 2) uint64 array, k <= ``KEY_BLOCK``, whose row for
+    rep r is ``SeedSequence(base_seed, spawn_key=(d_index, r))
+    .generate_state(2, np.uint64)``.  Each rep must fit one uint32 word, so
+    that every rep of a block hashes the same number of words.  The
+    arguments are checked when this is called, before any key is derived.
     """
     if base_seed < 0:
         raise DomainError(f"seed must be >= 0, got {base_seed}")
@@ -299,7 +275,7 @@ def stream_keys(base_seed: int, d_index: int, reps: range):
         np.arange(start, min(start + KEY_BLOCK, reps.stop), dtype=np.uint64).astype(np.uint32)
         for start in range(reps.start, reps.stop, KEY_BLOCK)
     )
-    return (key for block in blocks for key in _philox_keys(prefix + [block]))
+    return (_philox_keys(prefix + [block]) for block in blocks)
 
 
 # Philox4x64-10 (Salmon et al., SC'11) as numpy's Philox runs it: the
@@ -369,30 +345,31 @@ def _all_zero(words: np.ndarray, floor: np.uint64) -> np.ndarray:
 def counterexample_hits(d: int, alpha: float, keys) -> int:
     """How many n=1 counterexample draws, one per Philox key, have argmax |x_i| at i = 0.
 
-    ``keys`` are 128-bit Philox keys, two uint64 words each, as
-    ``stream_keys`` yields them; each draw reads a Philox stream under its key.
+    ``keys`` is an iterable of (k, 2) uint64 blocks of 128-bit Philox keys,
+    k <= ``KEY_BLOCK``, as ``stream_keys`` yields them; each draw reads a
+    Philox stream under its key.
     A draw's coordinates are independent: the first is +-d**(alpha/2), and
     tail coordinate i is +-d**((alpha+1)/4) with probability p each, else 0,
     read from the i-th uniform of ``Generator.random(d)``; it is zero
-    exactly when that uniform is >= 2p.  ``counterexample_tail_probability``
+    exactly when that uniform is >= 2p.  ``theory.counterexample_tail_probability``
     gives p and ensures that a non-zero tail magnitude strictly exceeds the
     spike's.  So the first coordinate carries the largest |entry| exactly
     when every tail uniform is >= 2p.
     This is also ``pca_first``'s answer: at n=1 the 1 x 1 dual has
     eigenvector [1], so the estimate is x / ||x||, with the argmax of |x|.
 
-    Up to ``KEY_BLOCK`` keys are scored together.  Their streams' words are
+    The keys of a block are scored together.  Their streams' words are
     computed a few Philox blocks at a time, for the keys still alive, in
     passes whose width doubles within ``_PASS_BLOCKS`` blocks per pass; a
     key drops out at its first non-zero tail coordinate, so most draws read
     only a few of their d words.
     """
-    floor = _zero_floor(2.0 * counterexample_tail_probability(d, alpha))
+    floor = _zero_floor(2.0 * theory.counterexample_tail_probability(d, alpha))
     n_blocks = -(-d // 4)
-    keys = iter(keys)
     hits = 0
-    while chunk := list(islice(keys, KEY_BLOCK)):
-        alive = np.array(chunk, dtype=np.uint64).reshape(-1, 2)
+    for alive in keys:
+        if len(alive) > KEY_BLOCK:  # so that a pass holds a Philox block of every key
+            raise DimensionError(f"a key block holds at most {KEY_BLOCK} keys, got {len(alive)}")
         start, width = 0, 1
         while (n := alive.shape[0]) and start < n_blocks:
             width = min(max(width, _PASS_MIN_BLOCKS // n), _PASS_BLOCKS // n, n_blocks - start)
@@ -403,16 +380,3 @@ def counterexample_hits(d: int, alpha: float, keys) -> int:
             width *= 2
         hits += alive.shape[0]
     return hits
-
-
-def failure_probability(d: int, alpha: float) -> float:
-    """Probability that the spike coordinate dominates, (1 - 2 d**-((a+1)/2))**(d-1).
-
-    This is the chance that every tail coordinate of one draw from the
-    counterexample model is zero, which is the only way the first
-    coordinate can carry the largest |entry|.  It decays to 0 as d grows.
-    Raises DomainError where ``counterexample_tail_probability`` does.
-    """
-    p = counterexample_tail_probability(d, alpha)
-    return float((1.0 - 2.0 * p) ** (d - 1))
-

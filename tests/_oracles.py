@@ -49,8 +49,9 @@ from spcalab.estimators import (
 from spcalab.exceptions import DimensionError, DomainError
 from spcalab.experiment import SummaryRow
 from spcalab.metrics import BicValue, default_lambda_grid, frobenius_sq, select_lambda_bic
-from spcalab.model import DataMatrix, SpikedSpec, counterexample_tail_probability
+from spcalab.model import DataMatrix, SpikedSpec
 from spcalab.penalties import PenaltySpec, threshold
+from spcalab.theory import counterexample_tail_probability
 
 
 def population_eigenvalues(spec: SpikedSpec) -> np.ndarray:

@@ -6,7 +6,7 @@ import pytest
 
 from spcalab import DomainError
 from spcalab.figures import counterexample_figure, phase_figure, sweep_figure
-from spcalab.metrics import LambdaBounds
+from spcalab.theory import LambdaBounds
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 

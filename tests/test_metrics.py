@@ -457,6 +457,27 @@ class TestThresholdBounds:
         b = theorem_lambda_bounds(10**6, -1580.0 / log_d, 1.0, 800.0 / math.log(log_d))
         assert b.lower == pytest.approx(math.exp(10.0), rel=1e-9)
 
+    def test_lower_end_of_overflow_times_a_finite_factor_is_finite(self):
+        # log(d)**304.6 overflows while d**-50.7 = 6.3e-305 is still a normal
+        # float; their product exp(99.37) is finite, not inf * 6.3e-305 = inf.
+        b = theorem_lambda_bounds(10**6, -101.4, 1.0, 304.6)
+        assert b.lower == pytest.approx(1.4314284501e43, rel=1e-9)
+        assert b.is_empty
+
+    @pytest.mark.parametrize("alpha, beta, log10_d_open", [(0.8, 0.0, 5.52), (0.6, 0.1, 11.33)])
+    def test_where_the_default_range_opens(self, alpha, beta, log10_d_open):
+        # At delta = 1 the range [log d, d**(gamma/2)] opens where t = ln d
+        # reaches the larger root of ln t = (gamma/2) t; t -> ln(t) / (gamma/2)
+        # converges to it.
+        gamma = default_gamma(0.0, alpha, beta)
+        t = 100.0
+        for _ in range(100):
+            t = math.log(t) / (gamma / 2.0)
+        d_open = math.exp(t)
+        assert math.log10(d_open) == pytest.approx(log10_d_open, abs=0.005)
+        assert theorem_lambda_bounds(int(0.9 * d_open), 0.0, gamma, 1.0).is_empty
+        assert not theorem_lambda_bounds(int(1.1 * d_open), 0.0, gamma, 1.0).is_empty
+
     def test_gamma_validity_predicate(self):
         assert gamma_is_valid(0.25, theta=0.0, alpha=0.6, eta=0.1)
         assert not gamma_is_valid(0.55, theta=0.0, alpha=0.6, eta=0.1)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from spcalab import (
+    DimensionError,
     DomainError,
     SpikedSpec,
     build_eigensystem,
@@ -19,12 +20,8 @@ from spcalab import (
     model,
     sample_gaussian,
 )
-from spcalab.model import (
-    KEY_BLOCK,
-    counterexample_hits,
-    counterexample_tail_probability,
-    stream_keys,
-)
+from spcalab.model import KEY_BLOCK, counterexample_hits, stream_keys
+from spcalab.theory import counterexample_tail_probability
 from _oracles import (
     counterexample_hits_reference,
     population_basis,
@@ -244,20 +241,20 @@ class TestCounterexampleHits:
     @pytest.mark.parametrize("d", [3, 10, 50, 400])
     def test_each_draw_agrees_with_the_sampler(self, d, alpha):
         seeds = [np.random.SeedSequence(7, spawn_key=(d, rep)) for rep in range(500)]
-        keys = list(stream_keys(7, d, range(500)))
+        keys = np.concatenate(list(stream_keys(7, d, range(500))))
         if 2 * d ** (-(alpha + 1) / 2) > 1:  # d=3, alpha=0.05 admits no law
             with pytest.raises(DomainError):
                 sample_counterexample(d, alpha, 1, seeds[0])
             with pytest.raises(DomainError):
-                counterexample_hits(d, alpha, keys)
+                counterexample_hits(d, alpha, [keys])
             return
         by_sampler = [
             int(np.argmax(np.abs(sample_counterexample(d, alpha, 1, s).x[:, 0]))) == 0
             for s in seeds
         ]
-        by_scorer = [counterexample_hits(d, alpha, [k]) == 1 for k in keys]
+        by_scorer = [counterexample_hits(d, alpha, [k[None]]) == 1 for k in keys]
         assert by_scorer == by_sampler
-        assert counterexample_hits(d, alpha, keys) == sum(by_sampler)
+        assert counterexample_hits(d, alpha, [keys]) == sum(by_sampler)
 
 
 class TestBatchedPhilox:
@@ -296,16 +293,23 @@ class TestBatchedPhilox:
     @pytest.mark.parametrize("alpha", [0.5, 0.95])
     @pytest.mark.parametrize("d", [2, 5, 50, 401])
     def test_hits_equal_the_oracle_across_key_blocks(self, d, alpha):
-        keys = list(stream_keys(13, 1, range(2 * KEY_BLOCK + 3)))
+        blocks = list(stream_keys(13, 1, range(2 * KEY_BLOCK + 3)))
+        keys = np.concatenate(blocks)
         if d == 2:  # 2 * 2**-((alpha+1)/2) > 1 for every alpha < 1
-            for scorer in (counterexample_hits, counterexample_hits_reference):
-                with pytest.raises(DomainError, match="exceed 1"):
-                    scorer(d, alpha, keys)
+            with pytest.raises(DomainError, match="exceed 1"):
+                counterexample_hits(d, alpha, blocks)
+            with pytest.raises(DomainError, match="exceed 1"):
+                counterexample_hits_reference(d, alpha, keys)
             return
-        hits = counterexample_hits(d, alpha, keys)
+        hits = counterexample_hits(d, alpha, blocks)
         assert hits == counterexample_hits_reference(d, alpha, keys)
         # Both kinds of draw occur, except that hits are rare at (401, 0.5).
         assert 0 < hits < len(keys) or d == 401 and alpha == 0.5
+
+    def test_oversized_key_block_is_dimension_error(self):
+        block = np.zeros((KEY_BLOCK + 1, 2), dtype=np.uint64)
+        with pytest.raises(DimensionError, match=f"at most {KEY_BLOCK} keys"):
+            counterexample_hits(50, 0.5, [block])
 
     def test_memory_is_bounded_at_large_d(self):
         # One draw of Generator.random(d) alone would hold 8 MB here.
@@ -333,11 +337,11 @@ class TestStreamKeys:
     def test_keys_equal_seed_sequence_state(self, base_seed, d_index):
         # Rep 0, both sides of the first block boundary, and the last rep
         # that fits one uint32 word.
-        keys = np.array(list(stream_keys(base_seed, d_index, range(KEY_BLOCK + 2))))
+        keys = np.concatenate(list(stream_keys(base_seed, d_index, range(KEY_BLOCK + 2))))
         assert keys.shape == (KEY_BLOCK + 2, 2) and keys.dtype == np.uint64
         for rep in (0, 1, 2, KEY_BLOCK - 1, KEY_BLOCK, KEY_BLOCK + 1):
             assert keys[rep].tolist() == reference_key(base_seed, d_index, rep).tolist()
-        top = list(stream_keys(base_seed, d_index, range(2**32 - 2, 2**32)))
+        top = np.concatenate(list(stream_keys(base_seed, d_index, range(2**32 - 2, 2**32))))
         for key, rep in zip(top, (2**32 - 2, 2**32 - 1)):
             assert key.tolist() == reference_key(base_seed, d_index, rep).tolist()
 
@@ -375,8 +379,13 @@ class TestStreamKeys:
         for rep in range(3):
             assert keys[rep].tolist() == reference_key(7, 3, rep).tolist()
 
+    def test_keys_come_in_uint64_blocks_of_key_block_reps(self):
+        blocks = list(stream_keys(7, 0, range(2 * KEY_BLOCK + 3)))
+        assert [b.shape for b in blocks] == [(KEY_BLOCK, 2), (KEY_BLOCK, 2), (3, 2)]
+        assert all(b.dtype == np.uint64 for b in blocks)
+
     def test_keys_are_derived_lazily(self):
-        first = next(stream_keys(5, 2, range(2**32)))
+        first = next(stream_keys(5, 2, range(2**32)))[0]
         assert first.tolist() == reference_key(5, 2, 0).tolist()
 
     @pytest.mark.parametrize(

@@ -43,13 +43,24 @@ class TestAll:
         ("penalties", "threshold_scalar"),
         ("experiment", "emit_plots"),
         ("experiment", "emit_phase"),
+        ("metrics", "LambdaBounds"),
+        ("metrics", "theorem_lambda_bounds"),
+        ("metrics", "gamma_is_valid"),
+        ("metrics", "default_gamma"),
+        ("model", "counterexample_tail_probability"),
+        ("model", "failure_probability"),
+        ("experiment", "_pair_bounds"),
     ])
     def test_removed_names_are_gone(self, module, name):
         # Estimates are plain arrays; the rate fit and the scalar threshold
         # are test references in tests/_oracles.py; run_and_emit writes the
-        # figures itself.
-        assert not hasattr(spcalab, name)
+        # figures itself.  The threshold range and the counterexample law
+        # live in theory, and the package exports theory's objects.
         assert not hasattr(importlib.import_module(f"spcalab.{module}"), name)
+        if name in spcalab.__all__:
+            assert getattr(spcalab, name) is getattr(importlib.import_module("spcalab.theory"), name)
+        else:
+            assert not hasattr(spcalab, name)
 
     @pytest.mark.parametrize("module, name, keyword", [
         ("metrics", "select_lambda_bic", "xv"),
