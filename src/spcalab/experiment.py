@@ -64,7 +64,9 @@ PROFILES = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    pairs: tuple[tuple[float, float], ...]
+    """A study's settings, checked when built: invalid values raise ``ConfigError``."""
+
+    pairs: tuple[tuple[float, float], ...] = ((0.6, 0.1),)
     d: int = 10000
     n: int = 25
     replications: int = 100
@@ -84,7 +86,11 @@ class ExperimentConfig:
     delta: float = 1.0
     gamma: float | None = None
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> None:
+        """Raise ConfigError for a bad value; the penalty, model and range check their own."""
         if not self.pairs:
             raise ConfigError("at least one (alpha, beta) pair is required")
         if self.replications < 1:
@@ -98,23 +104,12 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown method {m!r}; expected subset of {METHODS}")
             if m in self.methods[:i]:
                 raise ConfigError(f"method {m!r} is listed twice")
-        if self.penalty not in FAMILIES:
-            raise ConfigError(f"unknown penalty {self.penalty!r}")
         for key in ("scad_a", "delta", "gamma", "lambda_min", "lambda_max"):
             value = getattr(self, key)
             if value is not None and not math.isfinite(value):
                 raise ConfigError(f"{key} must be finite, got {value}")
-        if self.scad_a <= 2.0:
-            raise ConfigError(f"SCAD shape a must be > 2, got {self.scad_a}")
         if self.max_iter < 1:
             raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.delta <= 0.5:
-            raise ConfigError(f"delta must be > 1/2, got {self.delta}")
-        # The consistency threshold range needs log(d) > 0.
-        if self.d < 2:
-            raise ConfigError(f"d must be >= 2, got {self.d}")
-        if self.n < 1:
-            raise ConfigError(f"n must be >= 1, got {self.n}")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
         if self.threads > 1 and not hasattr(os, "fork"):
@@ -128,15 +123,17 @@ class ExperimentConfig:
         # Figure file names print each pair with :g, so two pairs that print
         # alike would overwrite each other's figures.
         labels: dict[str, tuple[float, float]] = {}
-        for a, b in self.pairs:
-            try:
+        try:
+            PenaltySpec(self.penalty, 0.0, self.scad_a)
+            for a, b in self.pairs:
+                theory.pair_lambda_bounds(self.d, a, b, self.delta, self.gamma)
                 SpikedSpec(self.d, self.n, a, b)
-            except Exception as exc:
-                raise ConfigError(f"invalid pair ({a}, {b}): {exc}") from exc
-            label = f"{a:g}:{b:g}"
-            if label in labels:
-                raise ConfigError(f"pairs {labels[label]} and {(a, b)} share the label {label}")
-            labels[label] = (a, b)
+                label = f"{a:g}:{b:g}"
+                if label in labels:
+                    raise ConfigError(f"pairs {labels[label]} and {(a, b)} share the label {label}")
+                labels[label] = (a, b)
+        except (DomainError, OverflowError) as exc:  # OverflowError: d**beta at a huge d
+            raise ConfigError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -411,7 +408,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     in the order they were made, so the result is identical for any
     ``threads`` value.
     """
-    cfg.validate()
     tasks = [(cfg, pi, rep) for pi in range(len(cfg.pairs)) for rep in range(cfg.replications)]
     workers = min(cfg.threads, len(tasks))
     if workers > 1:
@@ -551,8 +547,6 @@ def _parse_pairs(value: str) -> tuple[tuple[float, float], ...]:
             raise ValueError(f"invalid pair {item!r}; expected alpha:beta")
         a, _, b = item.partition(":")
         pairs.append((float(a), float(b)))
-    if not pairs:
-        raise ValueError("pairs list is empty")
     return tuple(pairs)
 
 
@@ -604,7 +598,7 @@ CONFIG_KEYS = (
     ConfigKey("penalty", str, "RSPCA penalty family", choices=FAMILIES),
     ConfigKey("scad_a", float, "SCAD shape parameter"),
     ConfigKey("lambda_min", float, "smallest nonzero lambda of the grid"),
-    ConfigKey("lambda_max", float, "largest lambda of the grid (default: max |X v1|)"),
+    ConfigKey("lambda_max", float, "largest lambda of the grid (default: 1.5 max |X v1|)"),
     ConfigKey("lambda_points", int, "log-spaced lambdas of the grid (plus lambda = 0)"),
     ConfigKey("bic", _parse_bool, "BIC-select lambda per replication"),
     ConfigKey("seed", int, "base seed", attr="base_seed"),
@@ -654,6 +648,8 @@ def _layer(values: dict[str, object]) -> dict[str, object]:
     if (alpha is None) != (beta is None):
         raise ConfigError("alpha and beta must be given together")
     if alpha is not None:
+        if "pairs" in out:
+            raise ConfigError("give pairs or alpha and beta, not both")
         out["pairs"] = ((alpha, beta),)
     return out
 
@@ -665,27 +661,18 @@ def resolve_config(
     defaults: dict[str, object] | None = None,
     forced: dict[str, object] | None = None,
 ) -> ExperimentConfig:
-    """Merge the layers, each over the one before, into a validated config.
+    """Merge the layers, each over the one before, into a config (which checks itself).
 
-    Layers: defaults (``ExperimentConfig``'s with pair (0.6, 0.1), then
-    ``defaults``), profile preset, config file, CLI flags, ``forced``.  File
-    and flag values are keyed by config key and go through ``ConfigKey.read``
-    (None is skipped); ``defaults`` and ``forced`` are keyed by field.  The
-    profile, the flags' or else the file's, sits under every explicit key.
+    Layers: defaults (``ExperimentConfig``'s, then ``defaults``), profile
+    preset, config file, CLI flags, ``forced``.  File and flag values are
+    keyed by config key and go through ``ConfigKey.read`` (None is skipped);
+    ``defaults`` and ``forced`` are keyed by field.  The profile, the flags'
+    or else the file's, sits under every explicit key.
     """
-    layers = [_layer(file_values or {}), _layer(flag_values or {})]
-    profile = None
-    for layer in layers:
-        profile = layer.pop("profile", profile)
-    kwargs: dict[str, object] = {"pairs": ((0.6, 0.1),), **(defaults or {})}
-    if profile is not None:
-        kwargs.update(PROFILES[profile])
-    for layer in layers:
-        kwargs.update(layer)
-    kwargs.update(forced or {})
-    cfg = ExperimentConfig(**kwargs)
-    cfg.validate()
-    return cfg
+    file, flags = _layer(file_values or {}), _layer(flag_values or {})
+    profile = flags.pop("profile", file.pop("profile", None))
+    return ExperimentConfig(**{**(defaults or {}), **PROFILES.get(profile, {}), **file, **flags,
+                               **(forced or {})})
 
 
 def write_resolved_config(cfg: ExperimentConfig, path) -> Path:

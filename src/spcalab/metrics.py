@@ -303,14 +303,17 @@ def default_lambda_grid(
     lambda_max: float | None = None,
     points: int = DEFAULT_LAMBDA_POINTS,
 ) -> np.ndarray:
-    """lambda = 0 plus ``points`` log-spaced values up to 1.5 * max|u_tilde|."""
+    """lambda = 0 plus ``points`` log-spaced values from lambda_min to lambda_max.
+
+    lambda_max must exceed lambda_min; by default it is 1.5 * max|u_tilde|, or lambda_min if larger.
+    """
     if points < 1:
         raise DomainError("points must be >= 1")
     ut = np.asarray(u_tilde, dtype=float)
     hi = lambda_max if lambda_max is not None else 1.5 * float(np.max(np.abs(ut)))
     if not (0.0 < lambda_min < math.inf and hi < math.inf):
         raise DomainError(f"need finite ends and lambda_min > 0, got {lambda_min} and {hi}")
-    if hi <= lambda_min:
-        hi = lambda_min
-    return np.concatenate([[0.0], np.geomspace(lambda_min, hi, points)])
+    if lambda_max is not None and lambda_max <= lambda_min:
+        raise DomainError(f"lambda_max must exceed lambda_min, got {lambda_max} and {lambda_min}")
+    return np.concatenate([[0.0], np.geomspace(lambda_min, max(hi, lambda_min), points)])
 

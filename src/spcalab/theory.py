@@ -43,12 +43,9 @@ class LambdaBounds:
 
 def theorem_lambda_bounds(d: int, theta: float, gamma: float, delta: float) -> LambdaBounds:
     """Evaluate the consistency threshold range at dimension d; an end that overflows is inf."""
-    if d < 2:
-        raise DomainError(f"d must be >= 2, got {d}")
+    _check_d_delta(d, delta)
     if not all(map(math.isfinite, (theta, gamma, delta))):
         raise DomainError(f"theta, gamma and delta must be finite, got {theta}, {gamma}, {delta}")
-    if not delta > 0.5:
-        raise DomainError(f"delta must be > 1/2, got {delta}")
     if not gamma > theta:
         raise DomainError(f"gamma must exceed theta, got gamma={gamma} theta={theta}")
     factors = (_power(math.log(d), delta), _power(d, theta / 2.0))
@@ -58,6 +55,14 @@ def theorem_lambda_bounds(d: int, theta: float, gamma: float, delta: float) -> L
         # A factor overflowed or underflowed: take the product in log space.
         lower = _power(math.e, delta * math.log(math.log(d)) + theta / 2.0 * math.log(d))
     return LambdaBounds(lower=lower, upper=_power(d, gamma / 2.0))
+
+
+def _check_d_delta(d: int, delta: float) -> None:
+    """The range needs log(d) > 0 and delta > 1/2, whether or not gamma is admissible."""
+    if d < 2:
+        raise DomainError(f"d must be >= 2, got {d}")
+    if not delta > 0.5:
+        raise DomainError(f"delta must be > 1/2, got {delta}")
 
 
 def _power(base: float, exponent: float) -> float:
@@ -87,8 +92,9 @@ def pair_lambda_bounds(
 
     theta = 0 and eta = beta; gamma None takes ``default_gamma``.  None
     when no gamma is admissible (alpha <= beta); an empty range when gamma
-    lies outside (theta, alpha - eta).
+    lies outside (theta, alpha - eta).  d and delta are checked either way.
     """
+    _check_d_delta(d, delta)
     theta, eta = 0.0, beta
     midpoint = default_gamma(theta, alpha, eta)
     if midpoint is None:

@@ -80,14 +80,31 @@ class TestExitCodes:
             ("--delta", "0.3", "delta must be > 1/2, got 0.3"),
             ("--d", "1", "d must be >= 2, got 1"),
             ("--seed", "-1", "seed must be >= 0, got -1"),
+            ("--n", "0", "n must be >= 1, got 0"),
+            ("--d", "1" + "0" * 400, "int too large to convert to float"),
         ],
-        ids=["scad_a", "max_iter", "delta", "d", "seed"],
+        ids=["scad_a", "max_iter", "delta", "d", "seed", "n", "d_overflows_a_float"],
     )
     def test_out_of_range_value_is_config_error(self, tmp_path, capsys, flag, value, message):
         code = run_cli(
             "bic", "--alpha", "0.6", "--beta", "0.1",
             "--d", "50", "--n", "4", "--reps", "1", "--method", "pca,st",
             "--penalty", "scad", flag, value, "--out", str(tmp_path / "out"),
+        )
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--d", "1", "d must be >= 2, got 1"), ("--delta", "0.3", "delta must be > 1/2, got 0.3")],
+        ids=["d", "delta"],
+    )
+    def test_range_rules_hold_when_no_pair_has_a_range(self, tmp_path, capsys, flag, value, message):
+        # alpha <= beta admits no gamma, so the pair has no threshold range to compute.
+        code = run_cli(
+            "bic", "--alpha", "0.2", "--beta", "0.7", "--n", "4", "--reps", "1",
+            "--method", "pca", flag, value, "--out", str(tmp_path / "out"),
         )
         assert code == EXIT_CONFIG
         assert message in capsys.readouterr().err
@@ -285,6 +302,27 @@ class TestSweepCommand:
         assert code == EXIT_OK
         resolved = (tmp_path / "out" / "config.resolved").read_text()
         assert "pairs=0.2:0.7\n" in resolved
+
+    def test_pairs_and_alpha_beta_flags_together_are_config_error(self, tmp_path, capsys):
+        code = run_cli(
+            "bic", "--pairs", "0.6:0.1,0.2:0.7", "--alpha", "0.4", "--beta", "0.3",
+            "--d", "80", "--n", "5", "--reps", "1", "--method", "pca",
+            "--out", str(tmp_path / "out"),
+        )
+        assert code == EXIT_CONFIG
+        assert "give pairs or alpha and beta, not both" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_pairs_and_alpha_beta_in_one_file_are_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "g.txt"
+        cfg.write_text("pairs=0.6:0.1,0.2:0.7\nalpha=0.4\nbeta=0.3\n")
+        code = run_cli(
+            "bic", "--config", str(cfg), "--d", "80", "--n", "5", "--reps", "1",
+            "--method", "pca", "--out", str(tmp_path / "out"),
+        )
+        assert code == EXIT_CONFIG
+        assert "give pairs or alpha and beta, not both" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestPhaseCommand:

@@ -404,7 +404,8 @@ class TestDefaultLambdaGrid:
 
     def test_validation(self):
         for kwargs in (dict(points=0), dict(lambda_min=0.0), dict(lambda_min=nan),
-                       dict(lambda_min=inf), dict(lambda_max=nan), dict(lambda_max=inf)):
+                       dict(lambda_min=inf), dict(lambda_max=nan), dict(lambda_max=inf),
+                       dict(lambda_min=1.0, lambda_max=0.5), dict(lambda_min=1.0, lambda_max=1.0)):
             with pytest.raises(DomainError):
                 default_lambda_grid(np.ones(3), **kwargs)
         with pytest.raises(DomainError):
