@@ -17,7 +17,7 @@ import numpy as np
 from .eigen import DualComponent, dual_first_component
 from .exceptions import DimensionError, DomainError
 from .metrics import (
-    _angle, _bic_selection, _checked_grid, _norm, _support_mask, default_lambda_grid, frobenius_sq,
+    _angle, _bic_selection, _checked_grid, _norm, _support_mask, frobenius_sq,
 )
 from .penalties import PenaltySpec, threshold
 
@@ -58,10 +58,6 @@ class RspcaTrace:
     def n_iterations(self) -> int:
         return len(self.iterations)
 
-    @property
-    def final_lambda(self) -> float | None:
-        return self.iterations[-1].lam if self.iterations else None
-
 
 def pca_first(x, *, dual: DualComponent | None = None) -> np.ndarray:
     """Leading sample PC loading vector via the dual transformation.
@@ -89,7 +85,6 @@ def rspca(
     penalty: PenaltySpec,
     *,
     max_iter: int = RSPCA_MAX_ITER,
-    bic_per_iteration: bool = False,
     lambda_grid: np.ndarray | None = None,
     dual: DualComponent | None = None,
 ) -> tuple[np.ndarray, RspcaTrace]:
@@ -103,13 +98,13 @@ def rspca(
     ``RSPCA_TOL_DEG`` degrees or the support is unchanged for
     ``RSPCA_SUPPORT_STABLE`` consecutive updates; the final u is normalized.
 
-    With ``bic_per_iteration`` the thresholding parameter is re-selected by
-    BIC at every update step over ``lambda_grid`` (built from the
-    initialization when not supplied, and then fixed for the whole run);
-    a ``lambda_grid`` without ``bic_per_iteration`` raises ``DomainError``.
-    The grid is checked and ||X||_F^2 computed once per fit; each step is
-    scored by ``select_lambda_bic``'s closed form without its per-call
-    checks.  The per-step sigma^2 and BIC totals are recorded in the trace.
+    Without ``lambda_grid`` every step thresholds at ``penalty.lam``.  With
+    one, BIC re-selects lambda over that grid at every update step, as
+    ``select_lambda_bic(x, v, lambda_grid, penalty)`` selects it, and only
+    the penalty's family and SCAD shape are read.  The grid is checked
+    and ||X||_F^2 computed once per fit; each step is scored by
+    ``select_lambda_bic``'s closed form without its per-call checks.  The
+    per-step sigma^2 and BIC totals are recorded in the trace.
 
     Each iterate's norm is computed once and carried to the next step's
     angle, and the penalty is rebuilt only when BIC selects a new lambda.
@@ -120,16 +115,14 @@ def rspca(
     """
     if max_iter < 1:
         raise DomainError(f"max_iter must be >= 1, got {max_iter}")
-    if lambda_grid is not None and not bic_per_iteration:
-        raise DomainError("lambda_grid is read only with bic_per_iteration=True")
     xm = np.asarray(x, dtype=float)
     if xm.ndim != 2:
         raise DimensionError(f"expected a 2-d data matrix, got shape {xm.shape}")
     dc = dual if dual is not None else dual_first_component(xm)
     trace = RspcaTrace(init_ambiguous=dc.ambiguous)
 
-    if bic_per_iteration:
-        grid = _checked_grid(default_lambda_grid(dc.u_tilde) if lambda_grid is None else lambda_grid)
+    if lambda_grid is not None:
+        lambda_grid = _checked_grid(lambda_grid)
         fro2 = frobenius_sq(xm)
 
     u_old = dc.u_tilde
@@ -142,13 +135,10 @@ def rspca(
 
     for it in range(max_iter):
         xv = dc.u_tilde if it == 0 else xm @ v
-        sigma2 = None
-        bic_total = None
-        if bic_per_iteration:
-            sel = _bic_selection(xv, fro2, xm.shape[1], grid, penalty)
-            lam = sel.lambda_star
-            sigma2 = sel.sigma2
-            bic_total = sel.total
+        sigma2 = bic_total = None
+        if lambda_grid is not None:
+            sel = _bic_selection(xv, fro2, xm.shape[1], lambda_grid, penalty)
+            lam, sigma2, bic_total = sel.lambda_star, sel.sigma2, sel.total
             if lam != step_penalty.lam:
                 step_penalty = penalty.with_lambda(lam)
         u_new = threshold(xv, step_penalty)

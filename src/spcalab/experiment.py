@@ -42,6 +42,7 @@ from .figures import counterexample_figure, phase_figure, sweep_figure
 from .metrics import (
     DEFAULT_LAMBDA_MIN,
     DEFAULT_LAMBDA_POINTS,
+    _check_grid_settings,
     _Truth,
     default_lambda_grid,
     evaluate_estimate,
@@ -90,7 +91,7 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self) -> None:
-        """Raise ConfigError for a bad value; the penalty, model and range check their own."""
+        """Raise ConfigError for a bad value; the grid, penalty, model and range check their own."""
         if not self.pairs:
             raise ConfigError("at least one (alpha, beta) pair is required")
         if self.replications < 1:
@@ -104,7 +105,9 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown method {m!r}; expected subset of {METHODS}")
             if m in self.methods[:i]:
                 raise ConfigError(f"method {m!r} is listed twice")
-        for key in ("scad_a", "delta", "gamma", "lambda_min", "lambda_max"):
+            if m in ("st", "rspca") and not (self.bic or self.sweep):
+                raise ConfigError(f"method {m!r} writes no rows with bic and sweep both off")
+        for key in ("scad_a", "delta", "gamma"):
             value = getattr(self, key)
             if value is not None and not math.isfinite(value):
                 raise ConfigError(f"{key} must be finite, got {value}")
@@ -114,16 +117,11 @@ class ExperimentConfig:
             raise ConfigError("threads must be >= 1")
         if self.threads > 1 and not hasattr(os, "fork"):
             raise ConfigError("threads > 1 needs os.fork, which this platform lacks")
-        if self.lambda_points < 1:
-            raise ConfigError("lambda_points must be >= 1")
-        if self.lambda_min <= 0:
-            raise ConfigError("lambda_min must be > 0")
-        if self.lambda_max is not None and self.lambda_max <= self.lambda_min:
-            raise ConfigError("lambda_max must exceed lambda_min")
         # Figure file names print each pair with :g, so two pairs that print
         # alike would overwrite each other's figures.
         labels: dict[str, tuple[float, float]] = {}
         try:
+            _check_grid_settings(self.lambda_min, self.lambda_max, self.lambda_points)
             PenaltySpec(self.penalty, 0.0, self.scad_a)
             for a, b in self.pairs:
                 theory.pair_lambda_bounds(self.d, a, b, self.delta, self.gamma)
@@ -132,7 +130,7 @@ class ExperimentConfig:
                 if label in labels:
                     raise ConfigError(f"pairs {labels[label]} and {(a, b)} share the label {label}")
                 labels[label] = (a, b)
-        except (DomainError, OverflowError) as exc:  # OverflowError: d**beta at a huge d
+        except DomainError as exc:
             raise ConfigError(str(exc)) from exc
 
 
@@ -245,8 +243,8 @@ def _run_rspca(draw: _Draw):
             vec, trace = rspca(draw.x, penalty.with_lambda(lam), max_iter=cfg.max_iter, dual=draw.dual)
             yield vec, lam, None, trace.converged, False
     if cfg.bic:
-        vec, trace = rspca(draw.x, penalty, max_iter=cfg.max_iter, bic_per_iteration=True,
-                           lambda_grid=draw.grid, dual=draw.dual)
+        vec, trace = rspca(draw.x, penalty, max_iter=cfg.max_iter, lambda_grid=draw.grid,
+                           dual=draw.dual)
         last = trace.iterations[-1]
         yield vec, last.lam, last.bic_total, trace.converged, True
 
@@ -595,7 +593,7 @@ CONFIG_KEYS = (
     ConfigKey("n", int, "sample size"),
     ConfigKey("replications", int, "replications per pair", flag="--reps"),
     ConfigKey("methods", _parse_list, f"comma list from {','.join(METHODS)}", flag="--method"),
-    ConfigKey("penalty", str, "RSPCA penalty family", choices=FAMILIES),
+    ConfigKey("penalty", str, f"RSPCA penalty family, one of {','.join(FAMILIES)}"),
     ConfigKey("scad_a", float, "SCAD shape parameter"),
     ConfigKey("lambda_min", float, "smallest nonzero lambda of the grid"),
     ConfigKey("lambda_max", float, "largest lambda of the grid (default: 1.5 max |X v1|)"),

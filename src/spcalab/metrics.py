@@ -297,23 +297,30 @@ def _bic_selection(xv: np.ndarray, fro2: float, n: int, g: np.ndarray,
     )
 
 
+def _check_grid_settings(lambda_min: float, lambda_max: float | None, points: int) -> None:
+    """The lambda grid's settings rules; a lambda_max of None is left to the data."""
+    if points < 1:
+        raise DomainError(f"lambda_points must be >= 1, got {points}")
+    for name, value in (("lambda_min", lambda_min), ("lambda_max", lambda_max)):
+        if value is not None and not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
+    if not lambda_min > 0:
+        raise DomainError(f"lambda_min must be > 0, got {lambda_min}")
+    if lambda_max is not None and not lambda_max > lambda_min:
+        raise DomainError(f"lambda_max must exceed lambda_min, got {lambda_max} and {lambda_min}")
+
+
 def default_lambda_grid(
     u_tilde,
     lambda_min: float = DEFAULT_LAMBDA_MIN,
     lambda_max: float | None = None,
     points: int = DEFAULT_LAMBDA_POINTS,
 ) -> np.ndarray:
-    """lambda = 0 plus ``points`` log-spaced values from lambda_min to lambda_max.
-
-    lambda_max must exceed lambda_min; by default it is 1.5 * max|u_tilde|, or lambda_min if larger.
-    """
-    if points < 1:
-        raise DomainError("points must be >= 1")
+    """lambda = 0 plus ``points`` log-spaced values from lambda_min to lambda_max,
+    which defaults to 1.5 * max|u_tilde|, or lambda_min if larger."""
+    _check_grid_settings(lambda_min, lambda_max, points)
     ut = np.asarray(u_tilde, dtype=float)
     hi = lambda_max if lambda_max is not None else 1.5 * float(np.max(np.abs(ut)))
-    if not (0.0 < lambda_min < math.inf and hi < math.inf):
-        raise DomainError(f"need finite ends and lambda_min > 0, got {lambda_min} and {hi}")
-    if lambda_max is not None and lambda_max <= lambda_min:
-        raise DomainError(f"lambda_max must exceed lambda_min, got {lambda_max} and {lambda_min}")
+    if not hi < math.inf:
+        raise DomainError(f"1.5 max |u_tilde| must be finite, got {hi}")
     return np.concatenate([[0.0], np.geomspace(lambda_min, max(hi, lambda_min), points)])
-

@@ -107,7 +107,10 @@ class SpikedSpec:
             raise DomainError(f"alpha must lie in [0, 1.5], got {self.alpha}")
         if not 0.0 <= self.beta <= 1.0:
             raise DomainError(f"beta must lie in [0, 1], got {self.beta}")
-        m = self.support_size
+        try:
+            m = self.support_size
+        except OverflowError as exc:  # d ** beta: a log-space floor would move at exact powers
+            raise DomainError(f"d ** beta overflows a float ({exc})") from exc
         if not 1 <= m <= self.d:
             raise DomainError(f"support size {m} outside [1, {self.d}]")
 

@@ -48,7 +48,7 @@ from spcalab.estimators import (
 )
 from spcalab.exceptions import DimensionError, DomainError
 from spcalab.experiment import SummaryRow
-from spcalab.metrics import BicValue, default_lambda_grid, frobenius_sq, select_lambda_bic
+from spcalab.metrics import BicValue, frobenius_sq, select_lambda_bic
 from spcalab.model import DataMatrix, SpikedSpec
 from spcalab.penalties import PenaltySpec, threshold
 from spcalab.theory import counterexample_tail_probability
@@ -298,20 +298,15 @@ def rspca_reference(
     penalty: PenaltySpec,
     *,
     max_iter: int = RSPCA_MAX_ITER,
-    bic_per_iteration: bool = False,
     lambda_grid=None,
     dual=None,
 ):
     """``rspca`` as a plain loop: every norm by ``np.linalg.norm``, the
-    penalty rebuilt with ``with_lambda`` and, in BIC mode, lambda selected by
-    the public ``select_lambda_bic`` at every step."""
+    penalty rebuilt with ``with_lambda`` and, given ``lambda_grid``, lambda
+    selected by the public ``select_lambda_bic`` at every step."""
     xm = np.asarray(x, dtype=float)
     dc = dual if dual is not None else dual_first_component(xm)
     trace = RspcaTrace(init_ambiguous=dc.ambiguous)
-
-    grid = None
-    if bic_per_iteration:
-        grid = lambda_grid if lambda_grid is not None else default_lambda_grid(dc.u_tilde)
 
     u_old = dc.u_tilde
     v = dc.v1
@@ -323,8 +318,8 @@ def rspca_reference(
         xv = dc.u_tilde if it == 0 else xm @ v
         sigma2 = None
         bic_total = None
-        if bic_per_iteration:
-            sel = select_lambda_bic(xm, v, grid, penalty)
+        if lambda_grid is not None:
+            sel = select_lambda_bic(xm, v, lambda_grid, penalty)
             lam = sel.lambda_star
             sigma2 = sel.sigma2
             bic_total = sel.total

@@ -179,8 +179,27 @@ class TestExitCodes:
 
     def test_argparse_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:
-            run_cli("bic", "--penalty", "ridge")
+            run_cli("bic", "--profile", "huge")
         assert exc.value.code == 2
+
+    def test_unknown_penalty_reads_the_same_from_flag_and_file(self, tmp_path, capsys):
+        # Only PenaltySpec states the families, so both paths show its message.
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("penalty=lasso\n")
+        errors = []
+        for source in (["--penalty", "lasso"], ["--config", str(cfg)]):
+            code = run_cli("bic", "--d", "50", "--n", "4", *source, "--out", str(tmp_path / "out"))
+            assert code == EXIT_CONFIG
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] == (
+            "spcalab: config error: unknown penalty family 'lasso'; "
+            "expected one of ('soft', 'hard', 'scad')\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_help_names_every_penalty_family(self, capsys):
+        with pytest.raises(SystemExit):
+            run_cli("bic", "--help")
+        assert "soft,hard,scad" in capsys.readouterr().out
 
     def test_unwritable_output_is_runtime_error(self, tmp_path):
         blocker = tmp_path / "blocked"

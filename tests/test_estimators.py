@@ -213,11 +213,6 @@ class TestRspca:
             assert st.any() == vec.any()
             assert trace.n_iterations == 1
 
-    def test_lambda_grid_without_bic_is_rejected(self):
-        dm, _ = spiked_data(80, 10, 0.6, 0.3, seed=11)
-        with pytest.raises(DomainError, match="bic_per_iteration"):
-            rspca(dm.x, PenaltySpec.hard(0.5), lambda_grid=[2.0, 1.0])
-
     def test_lambda_zero_converges_in_one_iteration(self):
         dm, _ = spiked_data(80, 10, 0.6, 0.3, seed=11)
         vec, trace = rspca(dm.x, PenaltySpec.hard(0.0))
@@ -244,12 +239,13 @@ class TestRspca:
 
     def test_bic_mode_records_selection(self):
         dm, _ = spiked_data(300, 15, 0.8, 0.2, seed=14)
-        vec, trace = rspca(dm.x, PenaltySpec.hard(0.0), bic_per_iteration=True)
+        dual = dual_first_component(dm.x)
+        vec, trace = rspca(dm.x, PenaltySpec.hard(0.0),
+                           lambda_grid=default_lambda_grid(dual.u_tilde))
         assert trace.converged
         for it in trace.iterations:
             assert it.sigma2 is not None and it.sigma2 > 0
             assert it.bic_total is not None
-        assert trace.final_lambda == trace.iterations[-1].lam
         assert np.count_nonzero(vec) > 0
 
     def test_bic_mode_checks_its_inputs_once_before_iterating(self, monkeypatch):
@@ -264,18 +260,20 @@ class TestRspca:
         hard = PenaltySpec.hard(0.0)
         for grid in ([], [1.0, 0.5], [-1.0, 0.5], [0.0, float("nan")]):
             with pytest.raises(DomainError):
-                rspca(dm.x, hard, bic_per_iteration=True, lambda_grid=grid, dual=dc)
+                rspca(dm.x, hard, lambda_grid=grid, dual=dc)
         with pytest.raises(DimensionError):
-            rspca(dm.x[:, 0], hard, bic_per_iteration=True, dual=dc)
+            rspca(dm.x[:, 0], hard, lambda_grid=default_lambda_grid(dc.u_tilde), dual=dc)
         assert steps == []
         checks.clear()
-        trace = rspca(dm.x, hard, bic_per_iteration=True, dual=dc)[1]
+        trace = rspca(dm.x, hard, lambda_grid=default_lambda_grid(dc.u_tilde), dual=dc)[1]
         assert trace.n_iterations > 1
         assert len(checks) == 1 and len(steps) == trace.n_iterations
 
     def test_bic_mode_recovers_support_on_easy_instance(self):
         dm, sys = spiked_data(500, 25, 0.9, 0.2, seed=15)
-        vec, trace = rspca(dm.x, PenaltySpec.hard(0.0), bic_per_iteration=True)
+        dual = dual_first_component(dm.x)
+        vec, trace = rspca(dm.x, PenaltySpec.hard(0.0),
+                           lambda_grid=default_lambda_grid(dual.u_tilde))
         assert set(np.flatnonzero(vec).tolist()) == set(sys.u1_support.tolist())
         assert angle_degrees(vec, sys.u1) < 10.0
 
@@ -296,13 +294,15 @@ class TestRspca:
 def test_every_estimator_returns_a_unit_or_all_zero_array():
     dm, sys = spiked_data(120, 10, 0.8, 0.2, seed=26)
     x = dm.x
-    everything = float(np.abs(dual_first_component(x).u_tilde).max()) + 1.0
+    dual = dual_first_component(x)
+    everything = float(np.abs(dual.u_tilde).max()) + 1.0
     fits = {
         "pca": pca_first(x),
         "st_keeps": st_estimator(x, 1.0),
         "st_zeroes": st_estimator(x, everything),
         "rspca_fixed": rspca(x, PenaltySpec.hard(1.0))[0],
-        "rspca_bic": rspca(x, PenaltySpec.hard(0.0), bic_per_iteration=True)[0],
+        "rspca_bic": rspca(x, PenaltySpec.hard(0.0),
+                           lambda_grid=default_lambda_grid(dual.u_tilde))[0],
         "oracle": oracle_estimator(x, sys.u1_support),
     }
     assert [name for name, est in fits.items() if not est.any()] == ["st_zeroes"]
@@ -358,7 +358,7 @@ class TestRspcaMatchesReference:
         for seed in range(5):
             x, dc, grid = self.sample(pair, seed)
             penalty = PenaltySpec(family, 0.0)
-            kwargs = dict(bic_per_iteration=True, lambda_grid=grid, dual=dc)
+            kwargs = dict(lambda_grid=grid, dual=dc)
             fit = rspca(x, penalty, **kwargs)
             assert_same_fit(fit, rspca_reference(x, penalty, **kwargs))
             lams = [it.lam for it in fit[1].iterations]

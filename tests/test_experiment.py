@@ -131,6 +131,28 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             small_config(methods=("pca", "svd")).validate()
 
+    @pytest.mark.parametrize("settings", [
+        dict(lambda_points=0), dict(lambda_min=0.0), dict(lambda_min=math.nan),
+        dict(lambda_max=-math.inf), dict(lambda_min=1.0, lambda_max=1.0),
+    ], ids=["points", "lambda_min_zero", "lambda_min_nan", "lambda_max_minus_inf",
+            "lambda_max_equal"])
+    def test_grid_settings_are_checked_by_the_grid_builder(self, settings):
+        # The config states no grid rule of its own: it shows default_lambda_grid's message.
+        grid_kwargs = {"points" if k == "lambda_points" else k: v for k, v in settings.items()}
+        with pytest.raises(DomainError) as grid_error:
+            experiment.default_lambda_grid(np.ones(3), **grid_kwargs)
+        with pytest.raises(ConfigError) as config_error:
+            small_config(**settings)
+        assert str(config_error.value) == str(grid_error.value)
+
+    @pytest.mark.parametrize("methods", [("pca", "rspca"), ("rspca",), ("st", "oracle")],
+                             ids=",".join)
+    def test_method_without_rows_is_rejected(self, methods):
+        # st and rspca write rows only in BIC or sweep mode.  The config is
+        # not built, so run_and_emit cannot write config.resolved for it.
+        with pytest.raises(ConfigError, match="writes no rows with bic and sweep both off"):
+            small_config(methods=methods, bic=False, sweep=False)
+
     def test_resolved_echo_bytes(self, tmp_path):
         cfg = small_config(output_dir=Path("out"), penalty="scad", lambda_max=20.0)
         path = write_resolved_config(cfg, tmp_path / "config.resolved")
@@ -146,7 +168,8 @@ class TestConfigFile:
         for overrides in (
             {},
             {"pairs": ((0.60000001, 0.1), (0.2, 0.7)), "sweep": True, "gamma": 0.3},
-            {"penalty": "soft", "lambda_max": 1 / 3, "delta": 0.75, "bic": False, "timing": True},
+            {"penalty": "soft", "lambda_max": 1 / 3, "delta": 0.75, "bic": False, "timing": True,
+             "methods": ("pca", "oracle")},
         ):
             cfg = small_config(output_dir=tmp_path, **overrides)
             path = write_resolved_config(cfg, tmp_path / "config.resolved")
@@ -236,10 +259,13 @@ class TestRunExperiment:
     @pytest.mark.parametrize("bic", [True, False], ids=["bic", "no_bic"])
     def test_each_method_gives_one_final_row_per_replication(self, bic, sweep):
         # The batched summary stacks each (pair, method)'s final rows as one
-        # row of a (group, replication) array, so it needs exactly this.
-        cfg = small_config(pairs=((0.6, 0.1), (0.2, 0.7)), replications=2, bic=bic, sweep=sweep)
+        # row of a (group, replication) array, so it needs exactly this.  With
+        # bic and sweep both off, st and rspca are rejected (they write no rows).
+        methods = METHODS if bic or sweep else ("pca", "oracle")
+        cfg = small_config(pairs=((0.6, 0.1), (0.2, 0.7)), replications=2, methods=methods,
+                           bic=bic, sweep=sweep)
         records = run_experiment(cfg).records
-        for method in METHODS:
+        for method in methods:
             expected = 1 if bic or method in ("pca", "oracle") else 0
             for alpha, beta in cfg.pairs:
                 for rep in range(cfg.replications):

@@ -52,6 +52,10 @@ class TestSpikedSpec:
         with pytest.raises(DomainError):
             SpikedSpec(**kwargs)
 
+    def test_d_whose_power_overflows_a_float_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="int too large to convert to float"):
+            SpikedSpec(10**400, 4, 0.6, 0.1)
+
 
 class TestEigenSystem:
     def test_small_construction(self):

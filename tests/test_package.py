@@ -66,6 +66,7 @@ class TestAll:
         ("metrics", "select_lambda_bic", "xv"),
         ("metrics", "select_lambda_bic", "fro2"),
         ("estimators", "rspca", "fro2"),
+        ("estimators", "rspca", "bic_per_iteration"),
         ("metrics", "evaluate_estimate", "lam"),
     ])
     def test_removed_keywords_are_gone(self, module, name, keyword):
@@ -164,7 +165,7 @@ def test_names_the_benchmark_reads_are_kept(tmp_path):
     dual = spcalab.dual_first_component(x)
     grid = default_lambda_grid(dual.u_tilde, points=7)
     assert len(select_lambda_bic(x, dual.v1, grid).values) == grid.size == 8
-    trace = rspca(x, PenaltySpec.hard(0.0), bic_per_iteration=True, lambda_grid=grid)[1]
+    trace = rspca(x, PenaltySpec.hard(0.0), lambda_grid=grid)[1]
     assert trace.n_iterations >= 1
     assert isinstance(trace.zero_terminated, bool)
     record = ReplicationRecord(alpha=0.6, beta=0.3, method="pca", rep=0, lam=0.0,
