@@ -88,6 +88,10 @@ class ExperimentConfig:
     gamma: float | None = None
 
     def __post_init__(self):
+        # Lists of pairs or methods are stored as tuples, so that the config
+        # hashes, compares and is echoed as the one built from tuples.
+        object.__setattr__(self, "pairs", tuple(map(tuple, self.pairs or ())))
+        object.__setattr__(self, "methods", tuple(self.methods or ()))
         self.validate()
 
     def validate(self) -> None:
@@ -467,8 +471,15 @@ class CounterexampleResult:
 
 
 def check_counterexample(dims, alpha: float, reps: int, base_seed: int) -> list[int]:
-    """The d grid as ints (ValueError on a non-integer); DomainError when out of range."""
-    dims = [int(d) for d in dims]
+    """The d grid as ints; DomainError on a d that is not an integer or is out of range.
+
+    A string that does not read as a number raises ValueError, as ``float`` does.
+    """
+    given, dims = dims, []
+    for d in given:
+        if not float(d).is_integer():
+            raise DomainError(f"d must be an integer, got {d}")
+        dims.append(int(d))
     if not dims:
         raise DomainError("need at least one dimension")
     if reps < 1:
@@ -615,7 +626,10 @@ _KEYS = {k.name: k for k in CONFIG_KEYS}
 def parse_config_file(path) -> dict[str, str]:
     """Read a key=value config file; '#' comments and blank lines allowed."""
     out: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

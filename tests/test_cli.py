@@ -6,6 +6,7 @@ import re
 import signal
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,8 @@ from spcalab import NumericError, experiment
 from spcalab.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, STUDIES, build_parser, main, study_config
 from spcalab.experiment import CONFIG_KEYS
 from _oracles import rspca_reference
+
+SVG_NS = "{http://www.w3.org/2000/svg}"
 
 
 def run_cli(*argv):
@@ -170,6 +173,16 @@ class TestExitCodes:
                        "--out", str(tmp_path / "out"))
         assert code == EXIT_CONFIG
         assert "does not exceed the spike" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("content", [None, b"d=50\n\xff\n"], ids=["missing", "not_utf8"])
+    def test_unreadable_config_file_is_config_error(self, tmp_path, capsys, content):
+        path = tmp_path / "study.cfg"
+        if content is not None:
+            path.write_bytes(content)
+        code = run_cli("bic", "--config", str(path), "--out", str(tmp_path / "out"))
+        assert code == EXIT_CONFIG
+        assert f"cannot read config file {path}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_malformed_flag_value_is_config_error(self, tmp_path, capsys):
@@ -357,6 +370,17 @@ class TestPhaseCommand:
         assert (tmp_path / "out" / "phase.svg").exists()
         summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
         assert len(summary) == 3  # header + 2 pairs (rspca only)
+
+    def test_alpha_above_one_is_drawn_inside_the_panel(self, tmp_path):
+        code = run_cli("phase", "--pairs", "1.2:0.5,0.6:0.1", "--d", "200", "--n", "5",
+                       "--reps", "2", "--lambda-points", "4", "--out", str(tmp_path / "out"))
+        assert code == EXIT_OK
+        root = ET.parse(tmp_path / "out" / "phase.svg").getroot()
+        frame = root.find(f"{SVG_NS}g/{SVG_NS}rect")
+        left = float(frame.get("x"))
+        right = left + float(frame.get("width"))
+        cxs = [float(c.get("cx")) for c in root.iter(f"{SVG_NS}circle") if c.get("class") == "pair"]
+        assert sorted(cxs) == [left + 0.5 * (right - left), right]
 
     def test_config_file_sets_pairs_and_methods(self, tmp_path):
         cfg = tmp_path / "f.txt"

@@ -176,6 +176,21 @@ class TestConfigFile:
             echoed = resolve_config(parse_config_file(path), {}, forced={"sweep": cfg.sweep})
             assert echoed == cfg
 
+    def test_lists_are_kept_as_tuples(self, tmp_path):
+        # A config built from lists is the config built from tuples: it hashes
+        # and writes the same bytes.
+        base = dict(d=100, n=5, replications=2, lambda_points=3, output_dir=tmp_path)
+        from_lists = ExperimentConfig(pairs=[[0.6, 0.1], (0.2, 0.7)], methods=["pca", "rspca"],
+                                      **base)
+        from_tuples = ExperimentConfig(pairs=((0.6, 0.1), (0.2, 0.7)), methods=("pca", "rspca"),
+                                       **base)
+        assert from_lists == from_tuples and hash(from_lists) == hash(from_tuples)
+        outputs = []
+        for cfg in (from_lists, from_tuples):
+            run_and_emit(cfg)
+            outputs.append({p.name: p.read_bytes() for p in tmp_path.iterdir()})
+        assert outputs[0] == outputs[1]
+
 
 class TestRunExperiment:
     def test_record_layout_bic_mode(self):
@@ -636,6 +651,15 @@ class TestCounterexampleRunner:
             run_counterexample([], 0.5, 10)
         with pytest.raises(DomainError):
             run_counterexample([50], 0.5, 0)
+
+    def test_non_integral_d_is_rejected(self):
+        # int() would truncate 50.7 to 50, and the CSV would report d=50.
+        with pytest.raises(DomainError, match="d must be an integer, got 50.7"):
+            run_counterexample([50.7, 100], 0.5, 100, 1)
+        for d in (math.inf, math.nan):
+            with pytest.raises(DomainError, match="d must be an integer"):
+                run_counterexample([d], 0.5, 100, 1)
+        assert run_counterexample([50.0, np.int64(100)], 0.5, 10, 1).dims == [50, 100]
 
     def test_hits_match_the_pca_estimator(self):
         dims, reps = [4, 10, 30], 600
