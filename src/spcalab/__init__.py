@@ -6,6 +6,7 @@ theorem's threshold range and the counterexample law, and a reproducible
 Monte-Carlo harness with CSV/SVG output.
 """
 
+from .config import PAPER_PAIRS, ExperimentConfig
 from .eigen import DualComponent, dual_first_component
 from .estimators import (
     RspcaIteration,
@@ -25,9 +26,7 @@ from .exceptions import (
     WorkerError,
 )
 from .experiment import (
-    PAPER_PAIRS,
     CounterexampleResult,
-    ExperimentConfig,
     ExperimentResult,
     ReplicationRecord,
     SummaryRow,

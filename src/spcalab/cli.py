@@ -17,19 +17,16 @@ import gc
 import sys
 from pathlib import Path
 
-from .exceptions import ConfigError, SpcaLabError
-from .experiment import (
+from .config import (
     CONFIG_KEYS,
     DEFAULT_SEED,
     PAPER_PAIRS,
     ExperimentConfig,
-    check_counterexample,
-    emit_counterexample,
     parse_config_file,
     resolve_config,
-    run_and_emit,
-    run_counterexample,
 )
+from .exceptions import ConfigError, SpcaLabError
+from .experiment import check_counterexample, emit_counterexample, run_and_emit, run_counterexample
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

@@ -1,5 +1,8 @@
 """Seeded Monte-Carlo harness over (alpha, beta) grids and lambda grids.
 
+It runs a built ``config.ExperimentConfig`` (one runner per method, the fork
+fan-out and ``run_and_emit``); every config fact is ``config``'s.
+
 Determinism contract: on a fixed numerics stack (numpy version, BLAS/LAPACK
 build and the CPU kernel it selects) every output byte is a function of the
 resolved configuration (including ``base_seed``) and is independent of the
@@ -33,110 +36,15 @@ from pathlib import Path
 
 import numpy as np
 
-from . import theory
-from ._files import replace_text
+from . import config, theory
+from ._files import cell, replace_text
 from .eigen import DualComponent, dual_first_component
-from .estimators import RSPCA_MAX_ITER, oracle_estimator, pca_first, rspca, st_estimator
+from .estimators import oracle_estimator, pca_first, rspca, st_estimator
 from .exceptions import ConfigError, DomainError, WorkerError
 from .figures import counterexample_figure, phase_figure, sweep_figure
-from .metrics import (
-    DEFAULT_LAMBDA_MIN,
-    DEFAULT_LAMBDA_POINTS,
-    _check_grid_settings,
-    _Truth,
-    default_lambda_grid,
-    evaluate_estimate,
-    select_lambda_bic,
-)
+from .metrics import _Truth, default_lambda_grid, evaluate_estimate, select_lambda_bic
 from .model import SpikedSpec, build_eigensystem, counterexample_hits, sample_gaussian, stream_keys
-from .penalties import DEFAULT_SCAD_A, FAMILIES, PenaltySpec
-
-DEFAULT_SEED = 20260809
-
-#: The default (alpha, beta) grid of the phase-diagram study.
-PAPER_PAIRS: tuple[tuple[float, float], ...] = tuple(
-    (a, b) for a in (0.2, 0.4, 0.6, 0.8) for b in (0.0, 0.1, 0.3, 0.5, 0.7)
-)
-
-PROFILES = {
-    "paper": {"d": 10000, "replications": 100},
-    "desk": {"d": 2000, "replications": 50},
-}
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """A study's settings, checked when built: invalid values raise ``ConfigError``."""
-
-    pairs: tuple[tuple[float, float], ...] = ((0.6, 0.1),)
-    d: int = 10000
-    n: int = 25
-    replications: int = 100
-    methods: tuple[str, ...] = ("pca", "st", "rspca")
-    penalty: str = "hard"
-    scad_a: float = DEFAULT_SCAD_A
-    lambda_min: float = DEFAULT_LAMBDA_MIN
-    lambda_max: float | None = None
-    lambda_points: int = DEFAULT_LAMBDA_POINTS
-    bic: bool = True
-    sweep: bool = False
-    base_seed: int = DEFAULT_SEED
-    output_dir: Path | None = None
-    threads: int = 1
-    timing: bool = False
-    max_iter: int = RSPCA_MAX_ITER
-    delta: float = 1.0
-    gamma: float | None = None
-
-    def __post_init__(self):
-        # Lists of pairs or methods are stored as tuples, so that the config
-        # hashes, compares and is echoed as the one built from tuples.
-        object.__setattr__(self, "pairs", tuple(map(tuple, self.pairs or ())))
-        object.__setattr__(self, "methods", tuple(self.methods or ()))
-        self.validate()
-
-    def validate(self) -> None:
-        """Raise ConfigError for a bad value; the grid, penalty, model and range check their own."""
-        if not self.pairs:
-            raise ConfigError("at least one (alpha, beta) pair is required")
-        if self.replications < 1:
-            raise ConfigError(f"replications must be >= 1, got {self.replications}")
-        if self.base_seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.base_seed}")
-        if not self.methods:
-            raise ConfigError("at least one method is required")
-        for i, m in enumerate(self.methods):
-            if m not in METHODS:
-                raise ConfigError(f"unknown method {m!r}; expected subset of {METHODS}")
-            if m in self.methods[:i]:
-                raise ConfigError(f"method {m!r} is listed twice")
-            if m in ("st", "rspca") and not (self.bic or self.sweep):
-                raise ConfigError(f"method {m!r} writes no rows with bic and sweep both off")
-        for key in ("scad_a", "delta", "gamma"):
-            value = getattr(self, key)
-            if value is not None and not math.isfinite(value):
-                raise ConfigError(f"{key} must be finite, got {value}")
-        if self.max_iter < 1:
-            raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
-        if self.threads > 1 and not hasattr(os, "fork"):
-            raise ConfigError("threads > 1 needs os.fork, which this platform lacks")
-        # Figure file names print each pair with :g, so two pairs that print
-        # alike would overwrite each other's figures.
-        labels: dict[str, tuple[float, float]] = {}
-        try:
-            _check_grid_settings(self.lambda_min, self.lambda_max, self.lambda_points)
-            PenaltySpec(self.penalty, 0.0, self.scad_a)
-            for a, b in self.pairs:
-                theory.pair_lambda_bounds(self.d, a, b, self.delta, self.gamma)
-                SpikedSpec(self.d, self.n, a, b)
-                label = f"{a:g}:{b:g}"
-                if label in labels:
-                    raise ConfigError(f"pairs {labels[label]} and {(a, b)} share the label {label}")
-                labels[label] = (a, b)
-        except DomainError as exc:
-            raise ConfigError(str(exc)) from exc
-
+from .penalties import PenaltySpec
 
 @dataclass(frozen=True)
 class ReplicationRecord:
@@ -189,7 +97,7 @@ SUMMARY_HEADER, _summary_cells = _csv_columns(SummaryRow)
 
 @dataclass
 class ExperimentResult:
-    config: ExperimentConfig
+    config: config.ExperimentConfig
     records: list[ReplicationRecord]
     summary: list[SummaryRow]
 
@@ -209,7 +117,7 @@ def _sort_key(r: ReplicationRecord):
 class _Draw:
     """What every method's runner reads from one (pair, replication) sample."""
 
-    cfg: ExperimentConfig
+    cfg: config.ExperimentConfig
     x: np.ndarray
     dual: DualComponent
     grid: np.ndarray
@@ -257,12 +165,12 @@ def _run_oracle(draw: _Draw):
     yield oracle_estimator(draw.x, draw.truth), None, None, None, True
 
 
-#: Each method's runner; ``--method`` names are these keys.
-RUNNERS = {"pca": _run_pca, "st": _run_st, "rspca": _run_rspca, "oracle": _run_oracle}
-METHODS = tuple(RUNNERS)
+#: Each method's runner.
+RUNNERS = dict(zip(config.METHODS, (_run_pca, _run_st, _run_rspca, _run_oracle), strict=True))
 
 
-def _run_replication(cfg: ExperimentConfig, pair_index: int, rep: int) -> list[ReplicationRecord]:
+def _run_replication(cfg: config.ExperimentConfig, pair_index: int,
+                     rep: int) -> list[ReplicationRecord]:
     alpha, beta = cfg.pairs[pair_index]
     system = build_eigensystem(SpikedSpec(cfg.d, cfg.n, alpha, beta))
     seed = np.random.SeedSequence(cfg.base_seed, spawn_key=(pair_index, rep))
@@ -399,7 +307,7 @@ def _fan_out(tasks: list[tuple], workers: int) -> list[ReplicationRecord]:
             os.waitpid(pid, 0)
 
 
-def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
+def run_experiment(cfg: config.ExperimentConfig) -> ExperimentResult:
     """Run all (pair, replication) tasks and return canonically sorted records.
 
     Replications are the unit of parallelism.  With ``threads`` > 1 and more
@@ -425,21 +333,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def _cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, (str, Path)):
-        return str(v)
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
-
-
 def _write_csv(path, header: str, rows) -> Path:
     """Write ``header`` and one line per row of values (LF endings, UTF-8)."""
-    lines = [header] + [",".join(_cell(v) for v in row) for row in rows]
+    lines = [header] + [",".join(map(cell, row)) for row in rows]
     return replace_text(path, "\n".join(lines) + "\n")
 
 
@@ -493,7 +389,7 @@ def check_counterexample(dims, alpha: float, reps: int, base_seed: int) -> list[
 
 
 def run_counterexample(
-    dims, alpha: float, reps: int, base_seed: int = DEFAULT_SEED
+    dims, alpha: float, reps: int, base_seed: int = config.DEFAULT_SEED
 ) -> CounterexampleResult:
     """Empirical frequency of argmax_i |u_hat_i| = 1, against ``theory.failure_probability``.
 
@@ -532,180 +428,7 @@ def emit_counterexample(result: CounterexampleResult, out_dir) -> tuple[Path, Pa
     return csv_path, svg_path
 
 
-# ---------------------------------------------------------------------------
-# Config file parsing and provenance echo
-# ---------------------------------------------------------------------------
-
-def _parse_bool(value: str) -> bool:
-    v = value.strip().lower()
-    if v in ("true", "1", "yes", "on"):
-        return True
-    if v in ("false", "0", "no", "off"):
-        return False
-    raise ValueError("expected true or false")
-
-
-def _parse_list(value: str) -> tuple[str, ...]:
-    return tuple(m.strip() for m in value.split(",") if m.strip())
-
-
-def _parse_pairs(value: str) -> tuple[tuple[float, float], ...]:
-    pairs = []
-    for item in _parse_list(value):
-        if ":" not in item:
-            raise ValueError(f"invalid pair {item!r}; expected alpha:beta")
-        a, _, b = item.partition(":")
-        pairs.append((float(a), float(b)))
-    return tuple(pairs)
-
-
-@dataclass
-class ConfigKey:
-    """One config key, as a ``key=value`` line and as a CLI flag.
-
-    ``attr`` is the ``ExperimentConfig`` field it sets, by default ``name``
-    (``alpha``/``beta`` fold into ``pairs``; ``profile`` names a preset).
-    ``flag`` defaults to ``name`` with dashes.
-    """
-
-    name: str
-    parse: Callable[[str], object]
-    help: str
-    attr: str = ""
-    flag: str = ""
-    choices: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        self.attr = self.attr or self.name
-        self.flag = self.flag or "--" + self.name.replace("_", "-")
-
-    @property
-    def is_bool(self) -> bool:
-        return self.parse is _parse_bool
-
-    def read(self, value):
-        """``value`` parsed when it is a string, then checked against ``choices``."""
-        if isinstance(value, str):
-            try:
-                value = self.parse(value)
-            except ValueError as exc:
-                raise ConfigError(f"invalid value for {self.name!r}: {value!r} ({exc})") from exc
-        if self.choices is not None and value not in self.choices:
-            raise ConfigError(f"invalid value for {self.name!r}: {value!r}; expected {self.choices}")
-        return value
-
-
-#: Every config key, in the order README lists them.
-CONFIG_KEYS = (
-    ConfigKey("pairs", _parse_pairs, "comma list of alpha:beta pairs"),
-    ConfigKey("alpha", float, "spike index (with --beta: single pair)"),
-    ConfigKey("beta", float, "sparsity index (with --alpha: single pair)"),
-    ConfigKey("d", int, "ambient dimension"),
-    ConfigKey("n", int, "sample size"),
-    ConfigKey("replications", int, "replications per pair", flag="--reps"),
-    ConfigKey("methods", _parse_list, f"comma list from {','.join(METHODS)}", flag="--method"),
-    ConfigKey("penalty", str, f"RSPCA penalty family, one of {','.join(FAMILIES)}"),
-    ConfigKey("scad_a", float, "SCAD shape parameter"),
-    ConfigKey("lambda_min", float, "smallest nonzero lambda of the grid"),
-    ConfigKey("lambda_max", float, "largest lambda of the grid (default: 1.5 max |X v1|)"),
-    ConfigKey("lambda_points", int, "log-spaced lambdas of the grid (plus lambda = 0)"),
-    ConfigKey("bic", _parse_bool, "BIC-select lambda per replication"),
-    ConfigKey("seed", int, "base seed", attr="base_seed"),
-    ConfigKey("out", Path, "output directory", attr="output_dir"),
-    ConfigKey("profile", str, "preset scale", choices=tuple(PROFILES)),
-    ConfigKey("threads", int, "worker processes"),
-    ConfigKey("timing", _parse_bool, "record wall-clock runtime_ms (breaks byte-determinism)"),
-    ConfigKey("max_iter", int, "rspca iteration cap"),
-    ConfigKey("delta", float, "lower-bound exponent on log(d)"),
-    ConfigKey("gamma", float, "upper-bound exponent (default: midpoint)"),
-)
-
-_KEYS = {k.name: k for k in CONFIG_KEYS}
-
-
-def parse_config_file(path) -> dict[str, str]:
-    """Read a key=value config file; '#' comments and blank lines allowed."""
-    out: dict[str, str] = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in _KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in out:
-            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        out[key] = value
-    return out
-
-
-def _layer(values: dict[str, object]) -> dict[str, object]:
-    """One layer's keys read into ``ExperimentConfig`` fields (and ``profile``)."""
-    out = {}
-    for name, value in values.items():
-        if name not in _KEYS:
-            raise ConfigError(f"unknown config key {name!r}")
-        if value is not None:
-            out[_KEYS[name].attr] = _KEYS[name].read(value)
-    alpha = out.pop("alpha", None)
-    beta = out.pop("beta", None)
-    if (alpha is None) != (beta is None):
-        raise ConfigError("alpha and beta must be given together")
-    if alpha is not None:
-        if "pairs" in out:
-            raise ConfigError("give pairs or alpha and beta, not both")
-        out["pairs"] = ((alpha, beta),)
-    return out
-
-
-def resolve_config(
-    file_values: dict[str, object] | None = None,
-    flag_values: dict[str, object] | None = None,
-    *,
-    defaults: dict[str, object] | None = None,
-    forced: dict[str, object] | None = None,
-) -> ExperimentConfig:
-    """Merge the layers, each over the one before, into a config (which checks itself).
-
-    Layers: defaults (``ExperimentConfig``'s, then ``defaults``), profile
-    preset, config file, CLI flags, ``forced``.  File and flag values are
-    keyed by config key and go through ``ConfigKey.read`` (None is skipped);
-    ``defaults`` and ``forced`` are keyed by field.  The profile, the flags'
-    or else the file's, sits under every explicit key.
-    """
-    file, flags = _layer(file_values or {}), _layer(flag_values or {})
-    profile = flags.pop("profile", file.pop("profile", None))
-    return ExperimentConfig(**{**(defaults or {}), **PROFILES.get(profile, {}), **file, **flags,
-                               **(forced or {})})
-
-
-def write_resolved_config(cfg: ExperimentConfig, path) -> Path:
-    """Echo the resolved configuration as a config file that reads back into ``cfg``.
-
-    One ``key=value`` line per ``CONFIG_KEYS`` entry whose field is set, in
-    that table's order, each value written so that its key's parser returns
-    it exactly; ``sweep``, which only the subcommand sets, is a comment.
-    """
-    lines = []
-    for key in CONFIG_KEYS:
-        v = getattr(cfg, key.attr, None)
-        if isinstance(v, tuple):  # pairs or methods
-            v = ",".join(":".join(map(_cell, m)) if isinstance(m, tuple) else m for m in v)
-        if v is not None:
-            lines.append(f"{key.name}={_cell(v)}")
-    lines.append(f"# sweep={_cell(cfg.sweep)}")
-    return replace_text(path, "\n".join(lines) + "\n")
-
-
-def run_and_emit(cfg: ExperimentConfig) -> ExperimentResult:
+def run_and_emit(cfg: config.ExperimentConfig) -> ExperimentResult:
     """Run an experiment and write all of its files into cfg.output_dir.
 
     They are ``config.resolved``, ``replications.csv``, ``summary.csv`` when a
@@ -720,7 +443,7 @@ def run_and_emit(cfg: ExperimentConfig) -> ExperimentResult:
         raise ConfigError("output_dir is required (--out DIR or out= in the config file)")
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_resolved_config(cfg, out / "config.resolved")
+    config.write_resolved_config(cfg, out / "config.resolved")
     result = run_experiment(cfg)
     emit_csv(result.records, out / "replications.csv")
     if result.summary:

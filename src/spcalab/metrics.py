@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exceptions import DimensionError, DomainError
+from .exceptions import DimensionError, DomainError, NumericError
 from .penalties import PenaltySpec
 
 #: Smallest non-zero lambda and number of log-spaced lambdas of the default grid.
@@ -51,13 +51,16 @@ def angle_degrees(u, v) -> float:
     resolve below ~1e-6 degrees in double precision, so that regime is
     evaluated through the chord length instead (2*arcsin(|a - b|/2)),
     which is accurate down to ~1e-13 degrees.  If either argument is
-    all-zero the angle is 90 by convention.
+    all-zero the angle is 90 by convention; a non-finite norm is a NumericError.
     """
     a = np.asarray(u, dtype=float)
     b = np.asarray(v, dtype=float)
     if a.shape != b.shape:
         raise DimensionError(f"shape mismatch {a.shape} vs {b.shape}")
-    return _angle(a, b, _norm(a), _norm(b))
+    na, nb = _norm(a), _norm(b)
+    if not (math.isfinite(na) and math.isfinite(nb)):
+        raise NumericError(f"angle_degrees needs vectors of finite norm, got {na} and {nb}")
+    return _angle(a, b, na, nb)
 
 
 def _support_mask(support, d: int, name: str) -> np.ndarray:
@@ -320,6 +323,8 @@ def default_lambda_grid(
     which defaults to 1.5 * max|u_tilde|, or lambda_min if larger."""
     _check_grid_settings(lambda_min, lambda_max, points)
     ut = np.asarray(u_tilde, dtype=float)
+    if ut.size == 0:
+        raise DomainError("u_tilde must be non-empty")
     hi = lambda_max if lambda_max is not None else 1.5 * float(np.max(np.abs(ut)))
     if not hi < math.inf:
         raise DomainError(f"1.5 max |u_tilde| must be finite, got {hi}")

@@ -99,6 +99,7 @@ class SpikedSpec:
     beta: float
 
     def __post_init__(self):
+        theory._check_integers(d=self.d, n=self.n)
         if self.d < 1:
             raise DomainError(f"d must be >= 1, got {self.d}")
         if self.n < 1:

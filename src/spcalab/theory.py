@@ -19,6 +19,7 @@ lab assumes more than it does:
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -57,8 +58,16 @@ def theorem_lambda_bounds(d: int, theta: float, gamma: float, delta: float) -> L
     return LambdaBounds(lower=lower, upper=_power(d, gamma / 2.0))
 
 
+def _check_integers(**values) -> None:
+    """DomainError unless every value is an integer; a bool is not one."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_d_delta(d: int, delta: float) -> None:
-    """The range needs log(d) > 0 and delta > 1/2, whether or not gamma is admissible."""
+    """The range needs an integer d >= 2 and delta > 1/2, whether or not gamma is admissible."""
+    _check_integers(d=d)
     if d < 2:
         raise DomainError(f"d must be >= 2, got {d}")
     if not delta > 0.5:

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 import spcalab
-from spcalab import NumericError, experiment
+from spcalab import NumericError, config, experiment
 from spcalab.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, STUDIES, build_parser, main, study_config
-from spcalab.experiment import CONFIG_KEYS
+from spcalab.config import CONFIG_KEYS
 from _oracles import rspca_reference
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -578,7 +578,7 @@ class TestConfigSchema:
         assert from_flags == from_file
         assert from_file != study_config(parser.parse_args(["sweep"]))
         # config.resolved reads back into the config it echoes.
-        echo = experiment.write_resolved_config(from_file, tmp_path / "config.resolved")
+        echo = config.write_resolved_config(from_file, tmp_path / "config.resolved")
         assert study_config(parser.parse_args(["sweep", "--config", str(echo)])) == from_file
 
     def test_readme_lists_the_config_keys(self):

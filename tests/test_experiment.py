@@ -5,6 +5,7 @@ import hashlib
 import math
 import os
 import signal
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -32,17 +33,16 @@ from spcalab import (
 )
 from spcalab import experiment
 from spcalab.cli import main
-from spcalab.experiment import (
-    CSV_HEADER,
+from spcalab.config import (
+    CONFIG_KEYS,
     DEFAULT_SEED,
     METHODS,
     PAPER_PAIRS,
-    SUMMARY_HEADER,
     parse_config_file,
     resolve_config,
-    run_and_emit,
     write_resolved_config,
 )
+from spcalab.experiment import CSV_HEADER, SUMMARY_HEADER, run_and_emit
 from _oracles import counterexample_hits_by_pca, summarize_reference
 
 
@@ -190,6 +190,65 @@ class TestConfigFile:
             run_and_emit(cfg)
             outputs.append({p.name: p.read_bytes() for p in tmp_path.iterdir()})
         assert outputs[0] == outputs[1]
+
+
+#: One wrong-typed value per ExperimentConfig field, with the key its error names.
+WRONG_TYPES = [
+    ("pairs", [(0.6,)], "pairs"),
+    ("pairs", [(0.6, "0.1")], "pairs"),
+    ("pairs", [(True, 0.1)], "pairs"),
+    ("d", 100.5, "d"),
+    ("d", True, "d"),
+    ("n", 5.5, "n"),
+    ("replications", 2.5, "replications"),
+    ("methods", "pca", "methods"),
+    ("methods", ("pca", 1), "methods"),
+    ("penalty", 1, "penalty"),
+    ("scad_a", "3.7", "scad_a"),
+    ("lambda_min", True, "lambda_min"),
+    ("lambda_max", "20", "lambda_max"),
+    ("lambda_points", 3.5, "lambda_points"),
+    ("bic", "no", "bic"),
+    ("sweep", 1, "sweep"),
+    ("base_seed", 1.5, "seed"),
+    ("output_dir", 5, "out"),
+    ("threads", 1.5, "threads"),
+    ("timing", 1, "timing"),
+    ("max_iter", 200.5, "max_iter"),
+    ("delta", None, "delta"),
+    ("gamma", "0.3", "gamma"),
+]
+
+
+class TestTypeRule:
+    def test_every_field_has_a_wrong_typed_case(self):
+        assert {f for f, _, _ in WRONG_TYPES} == {f.name for f in fields(ExperimentConfig)}
+
+    def test_every_field_but_sweep_is_set_by_exactly_one_key(self):
+        # Each field is stored through its key's type, so a new field needs its key.
+        attrs = [k.attr for k in CONFIG_KEYS]
+        names = [f.name for f in fields(ExperimentConfig)]
+        assert sorted(a for a in attrs if a in names) == sorted(set(names) - {"sweep"})
+
+    @pytest.mark.parametrize("field_name, value, key", WRONG_TYPES,
+                             ids=[f"{f}={v!r}" for f, v, _ in WRONG_TYPES])
+    def test_wrong_type_is_a_config_error_naming_the_key(self, field_name, value, key):
+        with pytest.raises(ConfigError, match=rf"^{key} must be "):
+            small_config(**{field_name: value})
+
+    def test_integral_float_is_stored_as_an_int(self):
+        cfg = small_config(d=300.0)
+        assert cfg.d == 300 and type(cfg.d) is int
+
+    def test_int_valued_pair_writes_the_bytes_of_its_float_twin(self, tmp_path):
+        outputs = []
+        for name, pair in (("int", (1, 0)), ("float", (1.0, 0.0))):
+            cfg = small_config(pairs=(pair,), output_dir=Path("out"))
+            outputs.append(write_resolved_config(cfg, tmp_path / f"{name}.resolved").read_bytes())
+            emit_csv(run_experiment(cfg).records, tmp_path / f"{name}.csv")
+            outputs.append((tmp_path / f"{name}.csv").read_bytes())
+        assert outputs[0] == outputs[2] and outputs[1] == outputs[3]
+        assert b"pairs=1.0:0.0\n" in outputs[0]
 
 
 class TestRunExperiment:

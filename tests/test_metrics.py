@@ -14,6 +14,7 @@ import pytest
 from spcalab import (
     DimensionError,
     DomainError,
+    NumericError,
     PenaltySpec,
     angle_degrees,
     default_gamma,
@@ -28,6 +29,7 @@ from spcalab import (
 )
 from spcalab.metrics import _Truth
 from spcalab.penalties import FAMILIES
+from spcalab.theory import pair_lambda_bounds
 from _oracles import angle_degrees_reference, bic, fit_rate, support_errors_reference
 
 
@@ -70,6 +72,12 @@ class TestAngle:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             angle_degrees(np.ones(3), np.ones(4))
+
+    @pytest.mark.parametrize("u, v", [([nan, 1.0], [1.0, 0.0]), ([0.0, 0.0], [1.0, inf])],
+                             ids=["nan", "inf_against_zero"])
+    def test_non_finite_vector_is_a_numeric_error(self, u, v):
+        with pytest.raises(NumericError, match="finite norm"):
+            angle_degrees(u, v)
 
 
 def _at_cosine(c, d=40, seed=0):
@@ -411,6 +419,10 @@ class TestDefaultLambdaGrid:
         with pytest.raises(DomainError):
             default_lambda_grid(np.array([1.0, nan]))
 
+    def test_empty_u_tilde_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="u_tilde must be non-empty"):
+            default_lambda_grid(np.array([]))
+
 
 class TestThresholdBounds:
     def test_empty_range_at_small_gamma(self):
@@ -432,6 +444,13 @@ class TestThresholdBounds:
         for delta in (0.5, nan, inf):
             with pytest.raises(DomainError):
                 theorem_lambda_bounds(10000, theta=0.0, gamma=0.4, delta=delta)
+
+    @pytest.mark.parametrize("d", [100.5, 100.0, True], ids=["fraction", "float", "bool"])
+    def test_d_must_be_an_integer(self, d):
+        with pytest.raises(DomainError, match="d must be an integer"):
+            theorem_lambda_bounds(d, 0.0, 0.3, 1.0)
+        with pytest.raises(DomainError, match="d must be an integer"):
+            pair_lambda_bounds(d, 0.6, 0.1, 1.0, None)
 
     @pytest.mark.parametrize("theta, gamma", [(nan, 0.4), (0.0, nan), (0.0, inf), (-inf, 0.4)])
     def test_non_finite_exponents(self, theta, gamma):

@@ -52,6 +52,16 @@ class TestSpikedSpec:
         with pytest.raises(DomainError):
             SpikedSpec(**kwargs)
 
+    @pytest.mark.parametrize("d, n", [(100.5, 5), (100, 5.5), (100.0, 5), (True, 5), (100, True)],
+                             ids=["d_fraction", "n_fraction", "d_float", "d_bool", "n_bool"])
+    def test_d_and_n_must_be_integers(self, d, n):
+        # A library caller gets the config's rule: ExperimentConfig(d=100.5) is a ConfigError.
+        with pytest.raises(DomainError, match="must be an integer"):
+            SpikedSpec(d, n, 0.6, 0.1)
+
+    def test_numpy_integers_are_integers(self):
+        assert SpikedSpec(np.int64(100), np.int32(5), 0.6, 0.1).support_size == 1
+
     def test_d_whose_power_overflows_a_float_is_a_domain_error(self):
         with pytest.raises(DomainError, match="int too large to convert to float"):
             SpikedSpec(10**400, 4, 0.6, 0.1)

@@ -50,12 +50,19 @@ class TestAll:
         ("model", "counterexample_tail_probability"),
         ("model", "failure_probability"),
         ("experiment", "_pair_bounds"),
+        ("experiment", "ConfigKey"),
+        ("experiment", "CONFIG_KEYS"),
+        ("experiment", "resolve_config"),
+        ("experiment", "write_resolved_config"),
+        ("experiment", "parse_config_file"),
+        ("experiment", "PROFILES"),
     ])
     def test_removed_names_are_gone(self, module, name):
         # Estimates are plain arrays; the rate fit and the scalar threshold
         # are test references in tests/_oracles.py; run_and_emit writes the
         # figures itself.  The threshold range and the counterexample law
-        # live in theory, and the package exports theory's objects.
+        # live in theory, and the package exports theory's objects.  Every
+        # config fact lives in config.
         assert not hasattr(importlib.import_module(f"spcalab.{module}"), name)
         if name in spcalab.__all__:
             assert getattr(spcalab, name) is getattr(importlib.import_module("spcalab.theory"), name)
@@ -109,6 +116,21 @@ def test_cli_import_leaves_lazy_numpy_modules_unloaded():
     lazy = ("numpy.random", "numpy.ma", "multiprocessing")
     code = f"import sys, spcalab.cli; print([m for m in {lazy!r} if m in sys.modules])"
     assert _run_python(code) == "[]\n"
+
+
+def test_config_import_leaves_the_study_modules_unloaded():
+    # config owns every config fact and takes each rule from its owner; the
+    # modules that run, draw or parse a study build on it, not under it.
+    # The package's __init__ imports every module, so a bare package object
+    # stands in for it and only config's own imports run.
+    studies = ("spcalab.experiment", "spcalab.figures", "spcalab.cli")
+    code = ("import sys, types\n"
+            "pkg = types.ModuleType('spcalab')\n"
+            "pkg.__path__ = [sys.argv[1]]\n"
+            "sys.modules['spcalab'] = pkg\n"
+            "import spcalab.config\n"
+            f"print([m for m in {studies!r} if m in sys.modules])\n")
+    assert _run_python(code, str(Path(spcalab.__file__).parent)) == "[]\n"
 
 
 def test_forked_study_leaves_multiprocessing_unloaded(tmp_path):
