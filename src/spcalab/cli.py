@@ -25,8 +25,8 @@ from .config import (
     parse_config_file,
     resolve_config,
 )
-from .exceptions import ConfigError, SpcaLabError
-from .experiment import check_counterexample, emit_counterexample, run_and_emit, run_counterexample
+from .exceptions import ConfigError, DomainError, SpcaLabError
+from .experiment import emit_counterexample, run_and_emit, run_counterexample
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -94,16 +94,14 @@ def main(argv=None) -> int:
             run_and_emit(study_config(args))
         elif args.command == "counterexample":
             try:
-                dims = check_counterexample(
-                    [x for x in args.d_grid.split(",") if x.strip()], args.alpha, args.reps,
-                    args.seed,
-                )
-            except ValueError as exc:  # a malformed --d-grid entry or a DomainError
+                dims = [float(x) for x in args.d_grid.split(",") if x.strip()]
+            except ValueError as exc:  # a malformed --d-grid entry
                 raise ConfigError(str(exc)) from exc
-            out = Path(args.out)
-            out.mkdir(parents=True, exist_ok=True)
-            result = run_counterexample(dims, args.alpha, args.reps, args.seed)
-            emit_counterexample(result, out)
+            try:
+                result = run_counterexample(dims, args.alpha, args.reps, args.seed)
+            except DomainError as exc:  # raised only by its argument checks, before any draw
+                raise ConfigError(str(exc)) from exc
+            emit_counterexample(result, args.out)
     except ConfigError as exc:
         print(f"spcalab: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

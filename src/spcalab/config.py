@@ -6,7 +6,6 @@ and checks a library caller's value.  ``experiment``, ``figures`` and ``cli`` bu
 
 from __future__ import annotations
 
-import math
 import numbers
 import os
 from collections.abc import Callable
@@ -19,7 +18,7 @@ from ._files import cell, replace_text
 from .estimators import RSPCA_MAX_ITER
 from .exceptions import ConfigError, DomainError
 from .metrics import DEFAULT_LAMBDA_MIN, DEFAULT_LAMBDA_POINTS, _check_grid_settings
-from .model import SpikedSpec
+from .model import SpikedSpec, _check_seed
 from .penalties import DEFAULT_SCAD_A, FAMILIES, PenaltySpec
 
 DEFAULT_SEED = 20260809
@@ -66,19 +65,17 @@ class ExperimentConfig:
         # Each field is stored through its key's ValueType (a None default allows None),
         # so a config that compares equal hashes and writes the same bytes.
         for f in fields(self):
-            value = getattr(self, f.name)
+            value, key = getattr(self, f.name), _FIELD_KEYS[f.name]
             if value is not None or f.default is not None:
-                object.__setattr__(self, f.name, _FIELD_KEYS[f.name].store(value))
+                object.__setattr__(self, f.name, key.type.check(key.name, value))
         self.validate()
 
     def validate(self) -> None:
-        """Raise ConfigError for a bad value; the grid, penalty, model and range check their own."""
+        """ConfigError for a bad value; the seed, grid, penalty, model and range check their own."""
         if not self.pairs:
             raise ConfigError("at least one (alpha, beta) pair is required")
         if self.replications < 1:
             raise ConfigError(f"replications must be >= 1, got {self.replications}")
-        if self.base_seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.base_seed}")
         if not self.methods:
             raise ConfigError("at least one method is required")
         for i, m in enumerate(self.methods):
@@ -88,10 +85,6 @@ class ExperimentConfig:
                 raise ConfigError(f"method {m!r} is listed twice")
             if m in ("st", "rspca") and not (self.bic or self.sweep):
                 raise ConfigError(f"method {m!r} writes no rows with bic and sweep both off")
-        for key in ("scad_a", "delta", "gamma"):
-            value = getattr(self, key)
-            if value is not None and not math.isfinite(value):
-                raise ConfigError(f"{key} must be finite, got {value}")
         if self.max_iter < 1:
             raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.threads < 1:
@@ -102,6 +95,7 @@ class ExperimentConfig:
         # alike would overwrite each other's figures.
         labels: dict[str, tuple[float, float]] = {}
         try:
+            _check_seed(self.base_seed)
             _check_grid_settings(self.lambda_min, self.lambda_max, self.lambda_points)
             PenaltySpec(self.penalty, 0.0, self.scad_a)
             for a, b in self.pairs:
@@ -175,6 +169,13 @@ class ValueType(NamedTuple):
     parse: Callable[[str], object]
     store: Callable[[object], object]
 
+    def check(self, name: str, value, error: type[Exception] = ConfigError):
+        """``value`` as ``store`` keeps it; ``error`` naming ``name`` if its type is wrong."""
+        try:
+            return self.store(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise error(f"{name} must be {self.what}, got {value!r}") from exc
+
 
 INTEGER = ValueType("an integer", int, _integer)
 REAL = ValueType("a real number", float, _real)
@@ -209,13 +210,6 @@ class ConfigKey:
     def is_bool(self) -> bool:
         return self.type is BOOL
 
-    def store(self, value):
-        """``value`` as the config keeps it; ConfigError naming this key if its type is wrong."""
-        try:
-            return self.type.store(value)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"{self.name} must be {self.type.what}, got {value!r}") from exc
-
     def read(self, value):
         """``value``, parsed when it is a string, stored, then checked against ``choices``."""
         if isinstance(value, str):
@@ -223,7 +217,7 @@ class ConfigKey:
                 value = self.type.parse(value)
             except ValueError as exc:
                 raise ConfigError(f"invalid value for {self.name!r}: {value!r} ({exc})") from exc
-        value = self.store(value)
+        value = self.type.check(self.name, value)
         if self.choices is not None and value not in self.choices:
             raise ConfigError(f"invalid value for {self.name!r}: {value!r}; expected {self.choices}")
         return value

@@ -20,6 +20,7 @@ from .metrics import (
     _angle, _bic_selection, _checked_grid, _norm, _support_mask, frobenius_sq,
 )
 from .penalties import PenaltySpec, threshold
+from .theory import _check_integers
 
 #: Convergence tolerance on the angle change between iterates, degrees.
 RSPCA_TOL_DEG = 1e-8
@@ -113,6 +114,7 @@ def rspca(
     thresholds every entry away, iteration stops with the all-zero vector
     and ``trace.zero_terminated`` set.
     """
+    _check_integers(max_iter=max_iter)
     if max_iter < 1:
         raise DomainError(f"max_iter must be >= 1, got {max_iter}")
     xm = np.asarray(x, dtype=float)
@@ -145,18 +147,14 @@ def rspca(
 
         supp = u_new != 0
         nnz = int(np.count_nonzero(supp))
-        if nnz == 0:
-            trace.iterations.append(RspcaIteration(lam, 0, 90.0, sigma2, bic_total))
-            trace.zero_terminated = True
-            trace.converged = True
-            u_old = u_new
-            break
-
         norm_new = _norm(u_new)
-        ang = _angle(u_new, u_old, norm_new, norm_old)
+        ang = _angle(u_new, u_old, norm_new, norm_old)  # 90 when every entry is thresholded away
         trace.iterations.append(RspcaIteration(lam, nnz, ang, sigma2, bic_total))
         u_old = u_new
         norm_old = norm_new
+        if nnz == 0:
+            trace.zero_terminated = trace.converged = True
+            break
         if ang <= RSPCA_TOL_DEG:
             trace.converged = True
             break
@@ -172,8 +170,7 @@ def rspca(
         xtu = xm.T @ u_new
         nrm = _norm(xtu)
         if nrm == 0.0:
-            trace.zero_terminated = True
-            trace.converged = True
+            trace.zero_terminated = trace.converged = True
             break
         v = xtu / nrm
 

@@ -366,28 +366,6 @@ class CounterexampleResult:
     predicted: list[float]
 
 
-def check_counterexample(dims, alpha: float, reps: int, base_seed: int) -> list[int]:
-    """The d grid as ints; DomainError on a d that is not an integer or is out of range.
-
-    A string that does not read as a number raises ValueError, as ``float`` does.
-    """
-    given, dims = dims, []
-    for d in given:
-        if not float(d).is_integer():
-            raise DomainError(f"d must be an integer, got {d}")
-        dims.append(int(d))
-    if not dims:
-        raise DomainError("need at least one dimension")
-    if reps < 1:
-        raise DomainError("reps must be >= 1")
-    stream_keys(base_seed, 0, range(reps))  # checks the seed and the rep count
-    for i, d in enumerate(dims):
-        if d in dims[:i]:
-            raise DomainError(f"d={d} is listed twice")
-        theory.counterexample_tail_probability(d, alpha)
-    return dims
-
-
 def run_counterexample(
     dims, alpha: float, reps: int, base_seed: int = config.DEFAULT_SEED
 ) -> CounterexampleResult:
@@ -399,21 +377,34 @@ def run_counterexample(
     scores a block from its raw Philox words (and says why that is
     ``pca_first``'s answer), without building x, a generator per draw or a
     dual eigensolve, and without importing ``numpy.random``.
+
+    Every argument is checked before any draw: a DomainError names a d, ``reps`` or ``base_seed``
+    that is not an integer (an integral float is read as one) or an ``alpha`` that is not real.
     """
-    dims = check_counterexample(dims, alpha, reps, base_seed)
-    empirical = []
-    predicted = []
-    for di, d in enumerate(dims):
-        hits = counterexample_hits(d, alpha, stream_keys(base_seed, di, range(reps)))
-        empirical.append(hits / reps)
-        predicted.append(theory.failure_probability(d, alpha))
+    alpha = config.REAL.check("alpha", alpha, DomainError)
+    reps = config.INTEGER.check("reps", reps, DomainError)
+    base_seed = config.INTEGER.check("base_seed", base_seed, DomainError)
+    dims = [config.INTEGER.check("d", d, DomainError) for d in dims]
+    if not dims:
+        raise DomainError("need at least one dimension")
+    if reps < 1:
+        raise DomainError("reps must be >= 1")
+    for i, d in enumerate(dims):
+        if d in dims[:i]:
+            raise DomainError(f"d={d} is listed twice")
+    predicted = [theory.failure_probability(d, alpha) for d in dims]  # checks each (d, alpha)
+    # stream_keys checks the seed and the rep count when called, and derives keys lazily.
+    streams = [stream_keys(base_seed, di, range(reps)) for di in range(len(dims))]
+    empirical = [counterexample_hits(d, alpha, keys) / reps for d, keys in zip(dims, streams)]
     return CounterexampleResult(
         alpha=alpha, reps=reps, dims=dims, empirical=empirical, predicted=predicted
     )
 
 
 def emit_counterexample(result: CounterexampleResult, out_dir) -> tuple[Path, Path]:
+    """Write ``counterexample.csv`` and ``counterexample.svg`` into ``out_dir``, creating it."""
     out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for d, emp, pred in zip(result.dims, result.empirical, result.predicted):
         se = (pred * (1.0 - pred) / result.reps) ** 0.5

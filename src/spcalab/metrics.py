@@ -13,6 +13,7 @@ import numpy as np
 
 from .exceptions import DimensionError, DomainError, NumericError
 from .penalties import PenaltySpec
+from .theory import _check_finite, _check_integers
 
 #: Smallest non-zero lambda and number of log-spaced lambdas of the default grid.
 DEFAULT_LAMBDA_MIN = 1e-3
@@ -77,11 +78,14 @@ def _support_mask(support, d: int, name: str) -> np.ndarray:
     return mask
 
 
-def _estimate(estimate) -> np.ndarray:
+def _estimate(estimate) -> tuple[np.ndarray, float]:
     e = np.asarray(estimate, dtype=float)
     if e.ndim != 1:
         raise DimensionError(f"estimate must be 1-d, got shape {e.shape}")
-    return e
+    norm = _norm(e)
+    if not math.isfinite(norm):
+        raise NumericError(f"estimate must have a finite norm, got {norm}")
+    return e, norm
 
 
 def _support_counts(e: np.ndarray, mask: np.ndarray, k: int) -> tuple[float, float, int]:
@@ -103,7 +107,7 @@ def support_errors(estimate, truth_support) -> tuple[float, float]:
     non-zero (0 when the truth has no zero positions).  ``truth_support``
     holds integer indices; a boolean mask is rejected.
     """
-    e = _estimate(estimate)
+    e, _ = _estimate(estimate)
     mask = _support_mask(truth_support, e.shape[0], "truth support")
     type1, type2, _ = _support_counts(e, mask, int(np.count_nonzero(mask)))
     return type1, type2
@@ -148,12 +152,12 @@ def evaluate_estimate(estimate, u1, truth_support) -> MetricRow:
     estimates of one sample may pass ``_Truth.of(u1, truth_support)`` in
     its place, and then the u1 it holds is used.
     """
-    e = _estimate(estimate)
+    e, norm = _estimate(estimate)
     truth = truth_support if isinstance(truth_support, _Truth) else _Truth.of(u1, truth_support)
     if e.shape != truth.u1.shape:
         raise DimensionError(f"shape mismatch {e.shape} vs {truth.u1.shape}")
     t1, t2, df = _support_counts(e, truth.mask, truth.k)
-    angle = _angle(e, truth.u1, _norm(e), truth.u1_norm)
+    angle = _angle(e, truth.u1, norm, truth.u1_norm)
     return MetricRow(angle_deg=angle, type1=t1, type2=t2, df=df)
 
 
@@ -224,9 +228,12 @@ class LambdaSelection:
 
 
 def frobenius_sq(x) -> float:
-    """||X||_F^2, the total sum of squares that BIC's residuals are taken from."""
+    """||X||_F^2, the sum of squares BIC's residuals are taken from; NumericError unless finite."""
     xm = np.asarray(x, dtype=float)
-    return float(np.einsum("ij,ij->", xm, xm))
+    fro2 = float(np.einsum("ij,ij->", xm, xm))
+    if not math.isfinite(fro2):
+        raise NumericError(f"||X||_F^2 must be finite, got {fro2}")
+    return fro2
 
 
 def _checked_grid(grid) -> np.ndarray:
@@ -302,11 +309,10 @@ def _bic_selection(xv: np.ndarray, fro2: float, n: int, g: np.ndarray,
 
 def _check_grid_settings(lambda_min: float, lambda_max: float | None, points: int) -> None:
     """The lambda grid's settings rules; a lambda_max of None is left to the data."""
+    _check_integers(lambda_points=points)
     if points < 1:
         raise DomainError(f"lambda_points must be >= 1, got {points}")
-    for name, value in (("lambda_min", lambda_min), ("lambda_max", lambda_max)):
-        if value is not None and not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value}")
+    _check_finite(lambda_min=lambda_min, lambda_max=lambda_max)
     if not lambda_min > 0:
         raise DomainError(f"lambda_min must be > 0, got {lambda_min}")
     if lambda_max is not None and not lambda_max > lambda_min:

@@ -15,11 +15,11 @@ u1 (in closed form) and no other eigenvector or the d x d basis.  Sampling
 accumulates the identity tail directly as i.i.d. Gaussian noise and
 applies the head completion in closed form, so the cost is O(n*d).
 
-Randomness: ``sample_gaussian`` takes an integer seed or a ``numpy.random
-.SeedSequence`` and drives a counter-based Philox generator through numpy's
-``Generator`` (normals via numpy's ziggurat transform).  For a fixed numpy
-version, identical seeds give bit-identical samples on any platform and
-under any scheduling.
+Randomness: ``sample_gaussian`` takes a non-negative integer seed or a
+``numpy.random.SeedSequence`` and drives a counter-based Philox generator
+through numpy's ``Generator`` (normals via numpy's ziggurat transform).
+For a fixed numpy version, identical seeds give bit-identical samples on
+any platform and under any scheduling.
 
 The counterexample scorer does not go through ``numpy.random`` at all; it
 recomputes in numpy arithmetic the words numpy's Philox would give.  A
@@ -46,12 +46,11 @@ from . import theory
 from .exceptions import DimensionError, DomainError
 
 
-def _make_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.SeedSequence):
-        ss = seed
-    else:
-        ss = np.random.SeedSequence(int(seed))
-    return np.random.Generator(np.random.Philox(ss))
+def _check_seed(seed) -> None:
+    """DomainError unless ``seed`` is a non-negative integer; a bool is not one."""
+    theory._check_integers(seed=seed)
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
 
 
 @dataclass(frozen=True)
@@ -175,7 +174,9 @@ def sample_gaussian(system: EigenSystem, seed) -> DataMatrix:
     """
     spec = system.spec
     d, n, m = spec.d, spec.n, spec.support_size
-    rng = _make_rng(seed)
+    if not isinstance(seed, np.random.SeedSequence):
+        _check_seed(seed)  # numpy would read True as 1 and seed None from OS entropy
+    rng = np.random.Generator(np.random.Philox(seed))
 
     z1 = rng.standard_normal(n)
     x = np.empty((d, n))
@@ -263,8 +264,7 @@ def stream_keys(base_seed: int, d_index: int, reps: range):
     that every rep of a block hashes the same number of words.  The
     arguments are checked when this is called, before any key is derived.
     """
-    if base_seed < 0:
-        raise DomainError(f"seed must be >= 0, got {base_seed}")
+    _check_seed(base_seed)
     if d_index < 0:
         raise DomainError(f"d_index must be >= 0, got {d_index}")
     if reps.start < 0 or reps.step != 1:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exceptions import DomainError
+from .theory import _check_finite
 
 FAMILIES = ("soft", "hard", "scad")
 
@@ -34,6 +35,7 @@ class PenaltySpec:
             raise DomainError(f"unknown penalty family {self.family!r}; expected one of {FAMILIES}")
         if not self.lam >= 0.0:
             raise DomainError(f"lambda must be >= 0, got {self.lam}")
+        _check_finite(scad_a=self.scad_a)
         if not self.scad_a > 2.0:
             raise DomainError(f"SCAD shape a must be > 2, got {self.scad_a}")
 

@@ -45,8 +45,7 @@ class LambdaBounds:
 def theorem_lambda_bounds(d: int, theta: float, gamma: float, delta: float) -> LambdaBounds:
     """Evaluate the consistency threshold range at dimension d; an end that overflows is inf."""
     _check_d_delta(d, delta)
-    if not all(map(math.isfinite, (theta, gamma, delta))):
-        raise DomainError(f"theta, gamma and delta must be finite, got {theta}, {gamma}, {delta}")
+    _check_finite(theta=theta, gamma=gamma)
     if not gamma > theta:
         raise DomainError(f"gamma must exceed theta, got gamma={gamma} theta={theta}")
     factors = (_power(math.log(d), delta), _power(d, theta / 2.0))
@@ -65,11 +64,19 @@ def _check_integers(**values) -> None:
             raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_finite(**values) -> None:
+    """DomainError unless every value is a finite number or None (left to a default)."""
+    for name, value in values.items():
+        if value is not None and not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
+
+
 def _check_d_delta(d: int, delta: float) -> None:
-    """The range needs an integer d >= 2 and delta > 1/2, whether or not gamma is admissible."""
+    """The range needs an integer d >= 2 and a finite delta > 1/2, whether or not gamma is valid."""
     _check_integers(d=d)
     if d < 2:
         raise DomainError(f"d must be >= 2, got {d}")
+    _check_finite(delta=delta)
     if not delta > 0.5:
         raise DomainError(f"delta must be > 1/2, got {delta}")
 
@@ -101,9 +108,10 @@ def pair_lambda_bounds(
 
     theta = 0 and eta = beta; gamma None takes ``default_gamma``.  None
     when no gamma is admissible (alpha <= beta); an empty range when gamma
-    lies outside (theta, alpha - eta).  d and delta are checked either way.
+    lies outside (theta, alpha - eta).  d, delta and gamma are checked either way.
     """
     _check_d_delta(d, delta)
+    _check_finite(gamma=gamma)
     theta, eta = 0.0, beta
     midpoint = default_gamma(theta, alpha, eta)
     if midpoint is None:
@@ -122,9 +130,13 @@ def counterexample_tail_probability(d: int, alpha: float) -> float:
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_integers(d=d)
     if d < 2:
         raise DomainError(f"d must be >= 2, got {d}")
-    p = d ** (-(alpha + 1.0) / 2.0)
+    try:
+        p = d ** (-(alpha + 1.0) / 2.0)
+    except OverflowError as exc:
+        raise DomainError(f"d does not fit a float ({exc})") from exc
     if 2.0 * p > 1.0:
         raise DomainError(f"tail probabilities 2*d**-((alpha+1)/2) = {2 * p:.4f} exceed 1")
     # (alpha+1)/4 > alpha/2 for every alpha < 1, but near alpha = 1 the two

@@ -13,6 +13,9 @@ clause.  All of them held when it was added; the thinnest margins were both
 at seed 5: criterion 6's fraction positive at 0.62 (>= 0.6) and criterion 4's
 PCA angle at 42.29 (> 40).
 
+``test_criterion_large_spike_trend`` runs the abstract's large-spike claim
+(alpha > 1), which no criterion covers, and asserts only its direction in d.
+
 Criterion 7 fits the decay exponent of 1 - |<u_hat, u1>| across dimensions
 with ``_oracles.fit_rate`` (least squares on log-log).  At desk scale only
 the sign of the slope is a meaningful check, and that is what it asserts.
@@ -367,3 +370,31 @@ def test_criterion_9_determinism(consistency_run, strong_inconsistency_run, tmp_
     )
     assert identical
     assert all(t < 120.0 for t in runtimes)
+
+
+def test_criterion_large_spike_trend():
+    """The abstract's large-spike claim: sparse PCA stays consistent where PCA is.
+
+    At (1.2, 0.5) the spike d**1.2 outgrows d, the large spike condition under
+    which PCA is consistent.  At desk sizes only the direction is checked: the
+    median angle of pca and of BIC-selected rspca falls at each step of
+    d = 2000, 10000, 40000 (acceptance seed, 20 replications, n = 25).
+    """
+    t0 = time.perf_counter()
+    medians = {"pca": [], "rspca": []}
+    for d in (2000, 10000, 40000):
+        cfg = ExperimentConfig(pairs=((1.2, 0.5),), d=d, n=25, replications=20,
+                               methods=("pca", "rspca"), bic=True, base_seed=SEED)
+        result = run_experiment(cfg)
+        for method, values in medians.items():
+            values.append(median_of(result, method, "angle_deg"))
+    elapsed = time.perf_counter() - t0
+    falls = {m: all(a > b for a, b in zip(v, v[1:])) for m, v in medians.items()}
+    report(
+        "large-spike",
+        "trend(1.2,0.5)",
+        all(falls.values()),
+        " ".join(f"{m}_median_angle={'>'.join(f'{a:.2f}' for a in v)}" for m, v in medians.items())
+        + f" runtime={elapsed:.1f}s",
+    )
+    assert falls == {"pca": True, "rspca": True}

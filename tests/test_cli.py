@@ -175,6 +175,18 @@ class TestExitCodes:
         assert "does not exceed the spike" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_counterexample_error_after_the_checks_is_runtime_error(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        # Only the --d-grid parse and run_counterexample's argument checks exit 2.
+        def fail(*args):
+            raise NumericError("scorer failed")
+
+        monkeypatch.setattr(experiment, "counterexample_hits", fail)
+        code = run_cli("counterexample", "--reps", "10", "--out", str(tmp_path / "out"))
+        assert code == EXIT_RUNTIME
+        assert "spcalab: error: scorer failed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("content", [None, b"d=50\n\xff\n"], ids=["missing", "not_utf8"])
     def test_unreadable_config_file_is_config_error(self, tmp_path, capsys, content):
         path = tmp_path / "study.cfg"

@@ -11,6 +11,7 @@ import pytest
 from spcalab import (
     DimensionError,
     DomainError,
+    NumericError,
     PenaltySpec,
     SpikedSpec,
     angle_degrees,
@@ -91,6 +92,12 @@ class TestThresholdRules:
             PenaltySpec.scad(1.0, 2.0)
         with pytest.raises(DomainError):
             PenaltySpec.scad(1.0, float("nan"))
+
+    @pytest.mark.parametrize("a", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    def test_non_finite_scad_shape_is_rejected_before_its_range(self, a):
+        # Before, a=inf built a penalty, and rspca returned a NaN estimate marked converged.
+        with pytest.raises(DomainError, match=f"scad_a must be finite, got {a}"):
+            PenaltySpec.scad(0.1, a)
 
 
 class TestPcaFirst:
@@ -227,6 +234,18 @@ class TestRspca:
         assert trace.zero_terminated
         assert trace.iterations[-1].support_size == 0
 
+    @pytest.mark.parametrize("bic", [False, True], ids=["fixed", "bic"])
+    def test_all_zero_step_is_the_last_and_reads_ninety_degrees(self, bic):
+        dm, _ = spiked_data(80, 10, 0.6, 0.3, seed=12)
+        grid = np.array([1e9]) if bic else None
+        vec, trace = rspca(dm.x, PenaltySpec.hard(1e9), lambda_grid=grid)
+        last = trace.iterations[-1]
+        assert (trace.n_iterations, last.lam, last.support_size, last.angle_change_deg) == (
+            1, 1e9, 0, 90.0)
+        assert (last.sigma2 is None, last.bic_total is None) == (not bic, not bic)
+        assert trace.converged and trace.zero_terminated
+        assert vec.tolist() == [0.0] * 80
+
     def test_trace_records_iterations(self):
         dm, _ = spiked_data(300, 15, 0.8, 0.2, seed=13)
         vec, trace = rspca(dm.x, PenaltySpec.hard(3.0))
@@ -289,6 +308,24 @@ class TestRspca:
         dm, _ = spiked_data(20, 5, 0.6, 0.3, seed=17)
         with pytest.raises(DomainError):
             rspca(dm.x, PenaltySpec.hard(1.0), max_iter=0)
+
+    @pytest.mark.parametrize("max_iter", [1.5, True], ids=["fraction", "bool"])
+    def test_max_iter_must_be_an_integer(self, max_iter):
+        # Before, 1.5 raised a bare TypeError and True ran one iteration.
+        dm, _ = spiked_data(20, 5, 0.6, 0.3, seed=17)
+        with pytest.raises(DomainError, match=f"max_iter must be an integer, got {max_iter}"):
+            rspca(dm.x, PenaltySpec.hard(1.0), max_iter=max_iter)
+
+    def test_non_finite_data_with_a_given_dual_is_a_numeric_error_in_bic_mode(self):
+        # The dual is taken from clean data, so only ||X||_F^2 sees the NaN.  Before,
+        # the fit returned an all-zero estimate marked converged.
+        dm, _ = spiked_data(60, 6, 0.6, 0.3, seed=18)
+        dual = dual_first_component(dm.x)
+        x = dm.x.copy()
+        x[3, 2] = np.nan
+        with pytest.raises(NumericError, match=r"\|\|X\|\|_F\^2 must be finite, got nan"):
+            rspca(x, PenaltySpec.hard(0.0), lambda_grid=default_lambda_grid(dual.u_tilde),
+                  dual=dual)
 
 
 def test_every_estimator_returns_a_unit_or_all_zero_array():

@@ -42,7 +42,7 @@ from spcalab.config import (
     resolve_config,
     write_resolved_config,
 )
-from spcalab.experiment import CSV_HEADER, SUMMARY_HEADER, run_and_emit
+from spcalab.experiment import CSV_HEADER, SUMMARY_HEADER, emit_counterexample, run_and_emit
 from _oracles import counterexample_hits_by_pca, summarize_reference
 
 
@@ -719,6 +719,30 @@ class TestCounterexampleRunner:
             with pytest.raises(DomainError, match="d must be an integer"):
                 run_counterexample([d], 0.5, 100, 1)
         assert run_counterexample([50.0, np.int64(100)], 0.5, 10, 1).dims == [50, 100]
+
+    @pytest.mark.parametrize("args, message", [
+        (([50], 0.5, 2.5, 1), "reps must be an integer, got 2.5"),
+        (([50], 0.5, True, 1), "reps must be an integer, got True"),
+        (([50], 0.5, 2, 1.5), "base_seed must be an integer, got 1.5"),
+        (([50], 0.5, 2, True), "base_seed must be an integer, got True"),
+        (([50], 0.5, 2, "1"), "base_seed must be an integer, got '1'"),
+        (([50], "0.5", 2, 1), "alpha must be a real number, got '0.5'"),
+        (([50], True, 2, 1), "alpha must be a real number, got True"),
+        ((["50"], 0.5, 2, 1), "d must be an integer, got '50'"),
+        (([True], 0.5, 2, 1), "d must be an integer, got True"),
+        (([10**400], 0.5, 2, 1), "d does not fit a float"),
+    ], ids=["reps_fraction", "reps_bool", "seed_fraction", "seed_bool", "seed_string",
+            "alpha_string", "alpha_bool", "d_string", "d_bool", "d_past_a_float"])
+    def test_argument_of_the_wrong_type_is_a_domain_error_naming_it(self, args, message):
+        # Before, reps=2.5, base_seed=1.5 and alpha="0.5" raised bare TypeErrors,
+        # 10**400 a bare OverflowError, and base_seed=True and d="50" ran.
+        with pytest.raises(DomainError, match=message):
+            run_counterexample(*args)
+
+    def test_emit_creates_its_directory(self, tmp_path):
+        out = tmp_path / "new" / "dir"
+        csv_path, svg_path = emit_counterexample(run_counterexample([30], 0.5, 20, 1), out)
+        assert csv_path.parent == svg_path.parent == out and csv_path.is_file()
 
     def test_hits_match_the_pca_estimator(self):
         dims, reps = [4, 10, 30], 600

@@ -195,6 +195,12 @@ class TestSupportErrors:
     def test_python_int_truth_is_accepted(self):
         assert support_errors([0.0, 1.0, 0.0, 1.0], [1, 3]) == (0.0, 0.0)
 
+    @pytest.mark.parametrize("bad", [nan, inf], ids=["nan", "inf"])
+    def test_non_finite_estimate_is_a_numeric_error(self, bad):
+        # Before, [nan, 0, 1] against [0] returned (0.0, 0.5).
+        with pytest.raises(NumericError, match="estimate must have a finite norm"):
+            support_errors([bad, 0.0, 1.0], [0])
+
 
 def _bic_kron_oracle(x, v1, candidate, lam):
     """Literal evaluation of the stacked-regression BIC."""
@@ -283,6 +289,16 @@ class TestSelectLambdaBic:
         u1[:3] = 3**-0.5
         x = 9.0 * np.outer(u1, rng.standard_normal(n)) + rng.standard_normal((d, n))
         return x
+
+    @pytest.mark.parametrize("bad", [nan, inf], ids=["nan", "inf"])
+    def test_non_finite_data_is_a_numeric_error(self, bad):
+        # v1 comes from the clean data, so only ||X||_F^2 sees the bad entry.
+        # Before, one NaN gave a selected lambda and sigma2 = nan.
+        x = self._spiked()
+        dc = dual_first_component(x)
+        x[7, 3] = bad
+        with pytest.raises(NumericError, match=f"must be finite, got {bad}"):
+            select_lambda_bic(x, dc.v1, default_lambda_grid(dc.u_tilde))
 
     def test_singleton_grid(self):
         x = self._spiked()
@@ -419,6 +435,12 @@ class TestDefaultLambdaGrid:
         with pytest.raises(DomainError):
             default_lambda_grid(np.array([1.0, nan]))
 
+    @pytest.mark.parametrize("points", [2.5, True], ids=["fraction", "bool"])
+    def test_points_must_be_an_integer(self, points):
+        # Before, 2.5 raised a bare TypeError and True gave a 2-point grid.
+        with pytest.raises(DomainError, match=f"lambda_points must be an integer, got {points}"):
+            default_lambda_grid(np.ones(3), points=points)
+
     def test_empty_u_tilde_is_a_domain_error(self):
         with pytest.raises(DomainError, match="u_tilde must be non-empty"):
             default_lambda_grid(np.array([]))
@@ -451,6 +473,19 @@ class TestThresholdBounds:
             theorem_lambda_bounds(d, 0.0, 0.3, 1.0)
         with pytest.raises(DomainError, match="d must be an integer"):
             pair_lambda_bounds(d, 0.6, 0.1, 1.0, None)
+
+    @pytest.mark.parametrize("alpha, beta", [(0.2, 0.7), (0.6, 0.1)], ids=["no_range", "range"])
+    @pytest.mark.parametrize("delta", [inf, nan], ids=["inf", "nan"])
+    def test_pair_rejects_a_non_finite_delta(self, alpha, beta, delta):
+        # Before, delta=inf returned None where the pair admits no gamma.
+        with pytest.raises(DomainError, match=f"delta must be finite, got {delta}"):
+            pair_lambda_bounds(2000, alpha, beta, delta, None)
+
+    @pytest.mark.parametrize("gamma", [inf, -inf, nan], ids=["inf", "-inf", "nan"])
+    def test_pair_rejects_a_non_finite_gamma(self, gamma):
+        # Before, it gave a silent empty range.
+        with pytest.raises(DomainError, match=f"gamma must be finite, got {gamma}"):
+            pair_lambda_bounds(2000, 0.6, 0.1, 1.0, gamma)
 
     @pytest.mark.parametrize("theta, gamma", [(nan, 0.4), (0.0, nan), (0.0, inf), (-inf, 0.4)])
     def test_non_finite_exponents(self, theta, gamma):
@@ -565,3 +600,10 @@ class TestEvaluateEstimate:
                 evaluate_estimate(np.ones(4), np.ones(5), support)
         with pytest.raises(DimensionError, match="1-d"):
             evaluate_estimate(np.ones((5, 1)), np.ones(5), truth)
+
+    @pytest.mark.parametrize("bad", [nan, inf], ids=["nan", "inf"])
+    def test_non_finite_estimate_is_a_numeric_error(self, bad):
+        # Before, an inf entry gave angle nan and a RuntimeWarning.
+        u1 = np.ones(5) / 5**0.5
+        with pytest.raises(NumericError, match=f"estimate must have a finite norm, got {bad}"):
+            evaluate_estimate([bad, 0.0, 0.0, 0.0, 0.0], u1, [0, 1])

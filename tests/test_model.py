@@ -147,6 +147,25 @@ class TestSampleGaussian:
             == sample_gaussian(sys, np.random.SeedSequence(7, spawn_key=(0, 1))).x.tobytes()
         )
 
+    def test_an_integer_seed_draws_the_stream_of_its_seed_sequence(self):
+        sys = build_eigensystem(SpikedSpec(50, 4, 0.6, 0.3))
+        draws = {sample_gaussian(sys, s).x.tobytes()
+                 for s in (7, np.int64(7), np.random.SeedSequence(7))}
+        assert len(draws) == 1
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, "7", True, None],
+                             ids=["fraction", "float", "string", "bool", "none"])
+    def test_a_seed_that_is_not_an_integer_is_a_domain_error(self, seed):
+        # Before, 1.5 drew seed 1's sample, "7" seed 7's and True seed 1's.
+        sys = build_eigensystem(SpikedSpec(50, 4, 0.6, 0.3))
+        with pytest.raises(DomainError, match=f"seed must be an integer, got {seed!r}"):
+            sample_gaussian(sys, seed)
+
+    def test_negative_seed_is_a_domain_error(self):
+        sys = build_eigensystem(SpikedSpec(50, 4, 0.6, 0.3))
+        with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
+            sample_gaussian(sys, -1)
+
     def test_spike_coordinate_variance(self):
         # d=200, alpha=1: Var(x_1) = d * u1[0]^2 + (1 - u1[0]^2) with beta=0
         # support {0}, so Var(x_1) = d^alpha = 200.
@@ -405,11 +424,15 @@ class TestStreamKeys:
     @pytest.mark.parametrize(
         "args, message",
         [((-1, 0, range(3)), "seed must be >= 0"),
+         ((1.5, 0, range(3)), "seed must be an integer, got 1.5"),
+         ((True, 0, range(3)), "seed must be an integer, got True"),
+         (("7", 0, range(3)), "seed must be an integer, got '7'"),
          ((0, -1, range(3)), "d_index must be >= 0"),
          ((0, 0, range(-1, 3)), "unit-step range from 0 up"),
          ((0, 0, range(2**32 + 1)), r"reps must be <= 2\*\*32, got 4294967297"),
          ((0, 0, range(0, 6, 2)), "unit-step range from 0 up")],
-        ids=["seed", "d_index", "negative_rep", "rep_past_one_word", "step"],
+        ids=["seed", "seed_fraction", "seed_bool", "seed_string", "d_index", "negative_rep",
+             "rep_past_one_word", "step"],
     )
     def test_out_of_range_stream_is_domain_error(self, args, message):
         # Checked on the call, before the first key is asked for.
@@ -443,4 +466,15 @@ class TestFailureProbability:
             failure_probability(1, 0.5)
         with pytest.raises(DomainError):
             failure_probability(100, 0.0)
+
+    @pytest.mark.parametrize("law", [failure_probability, counterexample_tail_probability])
+    @pytest.mark.parametrize("d, message", [
+        (50.5, "d must be an integer, got 50.5"),
+        (True, "d must be an integer, got True"),
+        (10**400, "d does not fit a float"),
+    ], ids=["fraction", "bool", "past_a_float"])
+    def test_d_must_be_an_integer_that_fits_a_float(self, law, d, message):
+        # Before, 50.5 gave 0.00399 and 10**400 a bare OverflowError.
+        with pytest.raises(DomainError, match=message):
+            law(d, 0.5)
 
