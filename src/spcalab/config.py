@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from . import theory
 from ._files import cell, replace_text
-from .estimators import RSPCA_MAX_ITER
+from .estimators import RSPCA_MAX_ITER, _check_max_iter
 from .exceptions import ConfigError, DomainError
 from .metrics import DEFAULT_LAMBDA_MIN, DEFAULT_LAMBDA_POINTS, _check_grid_settings
 from .model import SpikedSpec, _check_seed
@@ -71,7 +71,10 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self) -> None:
-        """ConfigError for a bad value; the seed, grid, penalty, model and range check their own."""
+        """ConfigError for a bad value.
+
+        The seed, iteration cap, grid, penalty, model and range check their own.
+        """
         if not self.pairs:
             raise ConfigError("at least one (alpha, beta) pair is required")
         if self.replications < 1:
@@ -85,8 +88,6 @@ class ExperimentConfig:
                 raise ConfigError(f"method {m!r} is listed twice")
             if m in ("st", "rspca") and not (self.bic or self.sweep):
                 raise ConfigError(f"method {m!r} writes no rows with bic and sweep both off")
-        if self.max_iter < 1:
-            raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
         if self.threads > 1 and not hasattr(os, "fork"):
@@ -96,6 +97,7 @@ class ExperimentConfig:
         labels: dict[str, tuple[float, float]] = {}
         try:
             _check_seed(self.base_seed)
+            _check_max_iter(self.max_iter)
             _check_grid_settings(self.lambda_min, self.lambda_max, self.lambda_points)
             PenaltySpec(self.penalty, 0.0, self.scad_a)
             for a, b in self.pairs:

@@ -10,7 +10,9 @@ or all exact zeros when thresholding removed every entry.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,7 +21,7 @@ from .exceptions import DimensionError, DomainError
 from .metrics import (
     _angle, _bic_selection, _checked_grid, _norm, _support_mask, frobenius_sq,
 )
-from .penalties import PenaltySpec, threshold
+from .penalties import PenaltySpec, _threshold, threshold
 from .theory import _check_integers
 
 #: Convergence tolerance on the angle change between iterates, degrees.
@@ -27,6 +29,13 @@ RSPCA_TOL_DEG = 1e-8
 RSPCA_MAX_ITER = 200
 #: Stop once the support is unchanged across this many consecutive updates.
 RSPCA_SUPPORT_STABLE = 2
+
+
+def _check_max_iter(max_iter: int) -> None:
+    """rspca's iteration cap: an integer >= 1."""
+    _check_integers(max_iter=max_iter)
+    if max_iter < 1:
+        raise DomainError(f"max_iter must be >= 1, got {max_iter}")
 
 
 def _unit(vec: np.ndarray) -> np.ndarray:
@@ -37,8 +46,7 @@ def _unit(vec: np.ndarray) -> np.ndarray:
     return vec / nrm
 
 
-@dataclass(frozen=True)
-class RspcaIteration:
+class RspcaIteration(NamedTuple):
     """Observability record for one update step."""
 
     lam: float
@@ -107,16 +115,21 @@ def rspca(
     ``select_lambda_bic``'s closed form without its per-call checks.  The
     per-step sigma^2 and BIC totals are recorded in the trace.
 
-    Each iterate's norm is computed once and carried to the next step's
-    angle, and the penalty is rebuilt only when BIC selects a new lambda.
+    One step costs the two O(nd) products X v and X^T u plus a few O(d)
+    passes: |X v|, its mask and the thresholded values, the count and norm
+    of the new iterate, and its angle to the last one (a dot product, and
+    in the chord branch one division and one subtraction).  It reuses the
+    threshold's own mask as the support, compares supports element-wise
+    only when their sizes agree, carries each iterate's norm to the next
+    step's angle, and keeps the unit vector the chord branch forms as the
+    next step's other unit vector and, after the last step, as the
+    estimate.  The penalty is rebuilt only when BIC selects a new lambda.
 
     Returns the loading vector and the iteration trace.  If some update
     thresholds every entry away, iteration stops with the all-zero vector
     and ``trace.zero_terminated`` set.
     """
-    _check_integers(max_iter=max_iter)
-    if max_iter < 1:
-        raise DomainError(f"max_iter must be >= 1, got {max_iter}")
+    _check_max_iter(max_iter)
     xm = np.asarray(x, dtype=float)
     if xm.ndim != 2:
         raise DimensionError(f"expected a 2-d data matrix, got shape {xm.shape}")
@@ -127,12 +140,15 @@ def rspca(
         lambda_grid = _checked_grid(lambda_grid)
         fro2 = frobenius_sq(xm)
 
+    append = trace.iterations.append
     u_old = dc.u_tilde
     norm_old = _norm(u_old)
+    unit_old = None  # u_old / norm_old, once the chord branch has formed it
     v = dc.v1
     lam = penalty.lam
     step_penalty = penalty
-    prev_support: np.ndarray | None = None
+    prev_support = None
+    prev_nnz = -1
     stable = 0
 
     for it in range(max_iter):
@@ -143,38 +159,39 @@ def rspca(
             lam, sigma2, bic_total = sel.lambda_star, sel.sigma2, sel.total
             if lam != step_penalty.lam:
                 step_penalty = penalty.with_lambda(lam)
-        u_new = threshold(xv, step_penalty)
+        u_new, supp = _threshold(xv, step_penalty)
 
-        supp = u_new != 0
         nnz = int(np.count_nonzero(supp))
-        norm_new = _norm(u_new)
-        ang = _angle(u_new, u_old, norm_new, norm_old)  # 90 when every entry is thresholded away
-        trace.iterations.append(RspcaIteration(lam, nnz, ang, sigma2, bic_total))
-        u_old = u_new
-        norm_old = norm_new
+        norm_new = math.sqrt(u_new.dot(u_new))  # _norm: u_new and xtu are new 1-d arrays
+        # 90 when every entry is thresholded away.
+        ang, unit_new = _angle(u_new, u_old, norm_new, norm_old, unit_old)
+        append(RspcaIteration(lam, nnz, ang, sigma2, bic_total))
+        u_old, norm_old, unit_old = u_new, norm_new, unit_new
         if nnz == 0:
             trace.zero_terminated = trace.converged = True
             break
         if ang <= RSPCA_TOL_DEG:
             trace.converged = True
             break
-        if prev_support is not None and (supp == prev_support).all():
+        # Supports of different sizes differ; a bool mask holds one byte per entry.
+        if nnz == prev_nnz and supp.tobytes() == prev_support.tobytes():
             stable += 1
             if stable >= RSPCA_SUPPORT_STABLE:
                 trace.converged = True
                 break
         else:
             stable = 0
-        prev_support = supp
+        prev_support, prev_nnz = supp, nnz
 
         xtu = xm.T @ u_new
-        nrm = _norm(xtu)
+        nrm = math.sqrt(xtu.dot(xtu))
         if nrm == 0.0:
             trace.zero_terminated = trace.converged = True
             break
         v = xtu / nrm
 
-    return _unit(u_old), trace
+    # The chord branch's unit vector is _unit(u_old), division for division.
+    return (unit_old if unit_old is not None else _unit(u_old)), trace
 
 
 def oracle_estimator(x, support) -> np.ndarray:

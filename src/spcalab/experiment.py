@@ -378,12 +378,17 @@ def run_counterexample(
     ``pca_first``'s answer), without building x, a generator per draw or a
     dual eigensolve, and without importing ``numpy.random``.
 
-    Every argument is checked before any draw: a DomainError names a d, ``reps`` or ``base_seed``
-    that is not an integer (an integral float is read as one) or an ``alpha`` that is not real.
+    Every argument is checked before any draw: a DomainError names ``dims`` when it is not
+    iterable, a d, ``reps`` or ``base_seed`` that is not an integer (an integral float is read as
+    one) or an ``alpha`` that is not real.
     """
     alpha = config.REAL.check("alpha", alpha, DomainError)
     reps = config.INTEGER.check("reps", reps, DomainError)
     base_seed = config.INTEGER.check("base_seed", base_seed, DomainError)
+    try:
+        dims = iter(dims)
+    except TypeError:
+        raise DomainError(f"dims must be an iterable of integers, got {dims!r}") from None
     dims = [config.INTEGER.check("d", d, DomainError) for d in dims]
     if not dims:
         raise DomainError("need at least one dimension")

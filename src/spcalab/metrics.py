@@ -30,18 +30,24 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(x.dot(x))
 
 
-def _angle(a: np.ndarray, b: np.ndarray, na: float, nb: float) -> float:
-    """``angle_degrees`` of equal-shape float arrays with norms ``na``, ``nb``."""
+def _angle(a: np.ndarray, b: np.ndarray, na: float, nb: float,
+           bh: np.ndarray | None = None) -> tuple[float, np.ndarray | None]:
+    """``angle_degrees`` of equal-shape float arrays with norms ``na``, ``nb``.
+
+    Also returns ``a / na`` when the chord branch formed it, else None; that
+    branch takes ``b / nb`` as ``bh`` when the caller already has it.
+    """
     if na == 0.0 or nb == 0.0:
-        return 90.0
-    c = float(a @ b) / (na * nb)
+        return 90.0, None
+    c = float(a.dot(b)) / (na * nb)
     if abs(c) < 0.9:
-        return math.degrees(math.acos(abs(c)))
+        return math.degrees(math.acos(abs(c))), None
     ah = a / na
-    bh = b / nb
+    if bh is None:
+        bh = b / nb
     # For c < 0 the chord is to -bh, and ah - (-bh) is ah + bh exactly.
     chord = _norm(ah - bh if c >= 0 else ah + bh)
-    return math.degrees(2.0 * math.asin(min(chord / 2.0, 1.0)))
+    return math.degrees(2.0 * math.asin(min(chord / 2.0, 1.0))), ah
 
 
 def angle_degrees(u, v) -> float:
@@ -61,7 +67,7 @@ def angle_degrees(u, v) -> float:
     na, nb = _norm(a), _norm(b)
     if not (math.isfinite(na) and math.isfinite(nb)):
         raise NumericError(f"angle_degrees needs vectors of finite norm, got {na} and {nb}")
-    return _angle(a, b, na, nb)
+    return _angle(a, b, na, nb)[0]
 
 
 def _support_mask(support, d: int, name: str) -> np.ndarray:
@@ -157,7 +163,7 @@ def evaluate_estimate(estimate, u1, truth_support) -> MetricRow:
     if e.shape != truth.u1.shape:
         raise DimensionError(f"shape mismatch {e.shape} vs {truth.u1.shape}")
     t1, t2, df = _support_counts(e, truth.mask, truth.k)
-    angle = _angle(e, truth.u1, norm, truth.u1_norm)
+    angle = _angle(e, truth.u1, norm, truth.u1_norm)[0]
     return MetricRow(angle_deg=angle, type1=t1, type2=t2, df=df)
 
 

@@ -265,6 +265,7 @@ def stream_keys(base_seed: int, d_index: int, reps: range):
     arguments are checked when this is called, before any key is derived.
     """
     _check_seed(base_seed)
+    theory._check_integers(d_index=d_index)
     if d_index < 0:
         raise DomainError(f"d_index must be >= 0, got {d_index}")
     if reps.start < 0 or reps.step != 1:

@@ -57,15 +57,23 @@ class PenaltySpec:
 
 def threshold(x, penalty: PenaltySpec) -> np.ndarray:
     """Apply the penalty's thresholding rule componentwise."""
-    x = np.asarray(x, dtype=float)
+    return _threshold(np.asarray(x, dtype=float), penalty)[0]
+
+
+def _threshold(x: np.ndarray, penalty: PenaltySpec) -> tuple[np.ndarray, np.ndarray]:
+    """``threshold`` of a float array and its support, the mask of its non-zeros."""
     lam = penalty.lam
-    if penalty.family == "hard":
-        return x * (np.abs(x) > lam)
-    if penalty.family == "soft":
-        return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
-    a = penalty.scad_a
     ax = np.abs(x)
+    # For finite x every family is non-zero exactly where |x| > lam: 0 * x and
+    # sign(x) * 0.0 are zeros, |x| - lam is exact in sign, and SCAD's blend
+    # exceeds lam by more than its two roundings, (a - 1)|x| and a lam, can take.
+    keep = ax > lam
+    if penalty.family == "hard":
+        return x * keep, keep
     soft = np.sign(x) * np.maximum(ax - lam, 0.0)
+    if penalty.family == "soft":
+        return soft, keep
+    a = penalty.scad_a
     with np.errstate(invalid="ignore"):
         mid = ((a - 1.0) * x - np.sign(x) * a * lam) / (a - 2.0)
-    return np.where(ax <= 2.0 * lam, soft, np.where(ax <= a * lam, mid, x))
+    return np.where(ax <= 2.0 * lam, soft, np.where(ax <= a * lam, mid, x)), keep

@@ -25,7 +25,7 @@ from spcalab import (
 )
 from spcalab.eigen import dual_first_component
 from spcalab.metrics import default_lambda_grid
-from spcalab.penalties import FAMILIES
+from spcalab.penalties import FAMILIES, _threshold
 from _oracles import brute_force_prox, rspca_reference, threshold_scalar
 
 
@@ -68,6 +68,19 @@ class TestThresholdRules:
         x = np.array([-2.0, -0.1, 0.0, 0.4, 3.0])
         for fam in ("hard", "soft", "scad"):
             np.testing.assert_array_equal(threshold(x, PenaltySpec(fam, 0.0)), x)
+
+    @pytest.mark.parametrize("family,a", [("hard", 3.7), ("soft", 3.7), ("scad", 2.0000000000000004),
+                                          ("scad", 3.7), ("scad", 100.0)])
+    def test_support_is_the_non_zeros(self, family, a):
+        # rspca counts and compares supports from this mask, not from the values.
+        # SCAD's blend is smallest just above 2 lam, at subnormal lambdas and a near 2.
+        rng = np.random.default_rng(4)
+        for lam in (0.0, 5e-324, 1.5e-323, 2.0**-1022, 0.31, 0.5, 1.7):
+            x = np.array([lam, 2 * lam, a * lam, 3.4, 6.3, 0.0])
+            up = np.nextafter(x, np.inf)
+            x = np.concatenate([x, up, np.nextafter(up, np.inf), rng.standard_normal(50)])
+            values, support = _threshold(np.concatenate([x, -x]), PenaltySpec(family, lam, a))
+            assert support.tolist() == (values != 0).tolist()
 
     @pytest.mark.parametrize("family,a", [("hard", 3.7), ("soft", 3.7), ("scad", 2.5), ("scad", 3.7)])
     def test_matches_brute_force_minimizer(self, family, a):
@@ -413,6 +426,84 @@ class TestRspcaMatchesReference:
             assert_same_fit(fit, rspca_reference(x, penalty, max_iter=3, dual=dc))
             unconverged += not fit[1].converged
         assert unconverged > 0
+
+
+class TestRspcaShortcuts:
+    """Cases of ``rspca``'s loop that the default grids may not reach, bit for bit
+    against the plain loop in ``_oracles``.  The chord branch with a negative
+    cosine is checked on ``_angle`` (test_metrics): at a fixed lambda each
+    step's cosine with the last is positive, since the threshold moves no
+    entry by more than lambda and ||X^T u|| exceeds lambda ||u||_1."""
+
+    def test_equal_counts_with_other_supports_are_compared(self):
+        # Three steps of one support size can only be followed by more steps
+        # if a pair of them had different supports: the size alone must not
+        # count as a stable support.
+        dm, _ = spiked_data(100, 10, 0.2, 0.7, seed=0)
+        dc = dual_first_component(dm.x)
+        went_on = 0
+        for lam in default_lambda_grid(dc.u_tilde).tolist():
+            penalty = PenaltySpec.hard(lam)
+            fit = rspca(dm.x, penalty, dual=dc)
+            assert_same_fit(fit, rspca_reference(dm.x, penalty, dual=dc))
+            sizes = [it.support_size for it in fit[1].iterations]
+            went_on += any(sizes[i] == sizes[i + 1] == sizes[i + 2]
+                           for i in range(len(sizes) - 3))
+        assert went_on > 0
+
+    @pytest.mark.parametrize("family", ["soft", "scad"])
+    @pytest.mark.parametrize("seed", [102, 1720])
+    def test_zero_termination_after_step_zero(self, seed, family):
+        # BIC keeps some entries at step 0 and thresholds all of them later: at
+        # step 1 for seed 102, at step 2 after a chord-branch step for seed 1720.
+        dm, _ = spiked_data(40, 6, 0.2, 0.7, seed=seed)
+        dc = dual_first_component(dm.x)
+        penalty = PenaltySpec(family, 0.0)
+        kwargs = dict(lambda_grid=default_lambda_grid(dc.u_tilde), dual=dc)
+        fit = rspca(dm.x, penalty, **kwargs)
+        assert_same_fit(fit, rspca_reference(dm.x, penalty, **kwargs))
+        sizes = [it.support_size for it in fit[1].iterations]
+        assert fit[1].zero_terminated and len(sizes) >= 2
+        assert min(sizes[:-1]) > 0 and sizes[-1] == 0
+        assert not fit[0].any()
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_one_iteration(self, family):
+        # Small lambdas end in the chord branch, large ones in arccos or at zero.
+        dm, _ = spiked_data(80, 10, 0.6, 0.3, seed=11)
+        dc = dual_first_component(dm.x)
+        for lam in default_lambda_grid(dc.u_tilde, points=12).tolist():
+            penalty = PenaltySpec(family, lam)
+            fit = rspca(dm.x, penalty, max_iter=1, dual=dc)
+            assert_same_fit(fit, rspca_reference(dm.x, penalty, max_iter=1, dual=dc))
+            assert fit[1].n_iterations == 1
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_lambda_at_an_entry_drops_it(self, family):
+        # |x| > lam, not >=: the support and its size agree with the values at a tie.
+        dm, _ = spiked_data(80, 10, 0.6, 0.3, seed=11)
+        dc = dual_first_component(dm.x)
+        for lam in np.sort(np.abs(dc.u_tilde))[-12::3].tolist():
+            penalty = PenaltySpec(family, lam)
+            fit = rspca(dm.x, penalty, dual=dc)
+            assert_same_fit(fit, rspca_reference(dm.x, penalty, dual=dc))
+
+    @pytest.mark.parametrize("lam, max_iter", [(0.0, 200), (0.5, 200), (0.5, 1), (2.0, 200),
+                                               (1e9, 200)])
+    def test_estimate_is_not_shared(self, lam, max_iter):
+        # Neither a later fit nor a refit writes or reads the memory of an estimate.
+        dm, _ = spiked_data(80, 10, 0.6, 0.3, seed=11)
+        dc = dual_first_component(dm.x)
+        u_tilde = dc.u_tilde.copy()
+        penalty = PenaltySpec.hard(lam)
+        vec = rspca(dm.x, penalty, max_iter=max_iter, dual=dc)[0]
+        first = vec.copy()
+        other = rspca(dm.x, PenaltySpec.hard(lam + 0.25), max_iter=max_iter, dual=dc)[0]
+        assert vec.tobytes() == first.tobytes() and other is not vec
+        vec[:] = np.nan
+        refit = rspca(dm.x, penalty, max_iter=max_iter, dual=dc)[0]
+        assert refit.tobytes() == first.tobytes()
+        assert dc.u_tilde.tobytes() == u_tilde.tobytes()
 
 
 class TestOracleEstimator:

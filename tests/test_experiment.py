@@ -16,6 +16,7 @@ from spcalab import (
     DomainError,
     ExperimentConfig,
     NumericError,
+    PenaltySpec,
     ReplicationRecord,
     SpcaLabError,
     SpikedSpec,
@@ -27,6 +28,7 @@ from spcalab import (
     emit_csv,
     emit_summary_csv,
     pca_first,
+    rspca,
     run_counterexample,
     run_experiment,
     sample_gaussian,
@@ -144,6 +146,15 @@ class TestConfigFile:
         with pytest.raises(ConfigError) as config_error:
             small_config(**settings)
         assert str(config_error.value) == str(grid_error.value)
+
+    def test_max_iter_is_checked_by_rspca(self):
+        # One rule, stated next to rspca: the config shows rspca's message.
+        x = np.ones((4, 2))
+        with pytest.raises(DomainError) as fit_error:
+            rspca(x, PenaltySpec.hard(0.0), max_iter=0)
+        with pytest.raises(ConfigError) as config_error:
+            small_config(max_iter=0)
+        assert str(config_error.value) == str(fit_error.value) == "max_iter must be >= 1, got 0"
 
     @pytest.mark.parametrize("methods", [("pca", "rspca"), ("rspca",), ("st", "oracle")],
                              ids=",".join)
@@ -731,11 +742,12 @@ class TestCounterexampleRunner:
         ((["50"], 0.5, 2, 1), "d must be an integer, got '50'"),
         (([True], 0.5, 2, 1), "d must be an integer, got True"),
         (([10**400], 0.5, 2, 1), "d does not fit a float"),
+        ((50, 0.5, 2, 1), "dims must be an iterable of integers, got 50"),
     ], ids=["reps_fraction", "reps_bool", "seed_fraction", "seed_bool", "seed_string",
-            "alpha_string", "alpha_bool", "d_string", "d_bool", "d_past_a_float"])
+            "alpha_string", "alpha_bool", "d_string", "d_bool", "d_past_a_float", "dims_int"])
     def test_argument_of_the_wrong_type_is_a_domain_error_naming_it(self, args, message):
-        # Before, reps=2.5, base_seed=1.5 and alpha="0.5" raised bare TypeErrors,
-        # 10**400 a bare OverflowError, and base_seed=True and d="50" ran.
+        # Before, reps=2.5, base_seed=1.5, alpha="0.5" and a bare int for dims raised bare
+        # TypeErrors, 10**400 a bare OverflowError, and base_seed=True and d="50" ran.
         with pytest.raises(DomainError, match=message):
             run_counterexample(*args)
 

@@ -27,7 +27,7 @@ from spcalab import (
     theorem_lambda_bounds,
     threshold,
 )
-from spcalab.metrics import _Truth
+from spcalab.metrics import _angle, _norm, _Truth
 from spcalab.penalties import FAMILIES
 from spcalab.theory import pair_lambda_bounds
 from _oracles import angle_degrees_reference, bic, fit_rate, support_errors_reference
@@ -118,6 +118,22 @@ class TestAngleMatchesReference:
         assert (abs(cos) < 0.9) == (abs(c) < 0.9)
         self.assert_same(u, v)
         self.assert_same(v, u)
+
+    @pytest.mark.parametrize("c", [0.95, -0.95, 0.5, -0.5])
+    def test_unit_vector_handed_back_and_taken(self, c):
+        # rspca passes each step's a / na on as the next step's b / nb; the
+        # chord branch must give the same bits whether it divides or not.
+        u, v = _at_cosine(c)
+        nu, nv = _norm(u), _norm(v)
+        angle, unit = _angle(u, v, nu, nv)
+        assert repr(angle) == repr(angle_degrees_reference(u, v))
+        if abs(c) < 0.9:
+            assert unit is None
+        else:
+            assert unit.tobytes() == (u / nu).tobytes()
+        given = _angle(u, v, nu, nv, v / nv)
+        assert repr(given[0]) == repr(angle)
+        assert (given[1] is None) == (unit is None)
 
     def test_strided_column_views(self):
         m = np.random.default_rng(2).standard_normal((500, 9))

@@ -428,11 +428,12 @@ class TestStreamKeys:
          ((True, 0, range(3)), "seed must be an integer, got True"),
          (("7", 0, range(3)), "seed must be an integer, got '7'"),
          ((0, -1, range(3)), "d_index must be >= 0"),
+         ((0, 1.5, range(3)), "d_index must be an integer, got 1.5"),
          ((0, 0, range(-1, 3)), "unit-step range from 0 up"),
          ((0, 0, range(2**32 + 1)), r"reps must be <= 2\*\*32, got 4294967297"),
          ((0, 0, range(0, 6, 2)), "unit-step range from 0 up")],
-        ids=["seed", "seed_fraction", "seed_bool", "seed_string", "d_index", "negative_rep",
-             "rep_past_one_word", "step"],
+        ids=["seed", "seed_fraction", "seed_bool", "seed_string", "d_index", "d_index_fraction",
+             "negative_rep", "rep_past_one_word", "step"],
     )
     def test_out_of_range_stream_is_domain_error(self, args, message):
         # Checked on the call, before the first key is asked for.
