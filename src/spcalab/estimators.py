@@ -162,7 +162,8 @@ def rspca(
         u_new, supp = _threshold(xv, step_penalty)
 
         nnz = int(np.count_nonzero(supp))
-        norm_new = math.sqrt(u_new.dot(u_new))  # _norm: u_new and xtu are new 1-d arrays
+        # _norm's arithmetic without its ravel: u_new and xtu are new 1-d arrays.
+        norm_new = math.sqrt(u_new.dot(u_new))
         # 90 when every entry is thresholded away.
         ang, unit_new = _angle(u_new, u_old, norm_new, norm_old, unit_old)
         append(RspcaIteration(lam, nnz, ang, sigma2, bic_total))
