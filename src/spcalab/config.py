@@ -6,7 +6,6 @@ and checks a library caller's value.  ``experiment``, ``figures`` and ``cli`` bu
 
 from __future__ import annotations
 
-import numbers
 import os
 from collections.abc import Callable
 from dataclasses import dataclass, fields
@@ -118,8 +117,7 @@ def _integer(v) -> int:
 
 
 def _real(v) -> float:
-    if isinstance(v, bool) or not isinstance(v, numbers.Real):
-        raise TypeError("not a real number")
+    theory._check_real(value=v)
     return float(v)
 
 

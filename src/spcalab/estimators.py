@@ -155,8 +155,7 @@ def rspca(
         xv = dc.u_tilde if it == 0 else xm @ v
         sigma2 = bic_total = None
         if lambda_grid is not None:
-            sel = _bic_selection(xv, fro2, xm.shape[1], lambda_grid, penalty)
-            lam, sigma2, bic_total = sel.lambda_star, sel.sigma2, sel.total
+            lam, bic_total, sigma2 = _bic_selection(xv, fro2, xm.shape[1], lambda_grid, penalty)[:3]
             if lam != step_penalty.lam:
                 step_penalty = penalty.with_lambda(lam)
         u_new, supp = _threshold(xv, step_penalty)
@@ -201,6 +200,8 @@ def oracle_estimator(x, support) -> np.ndarray:
     ``support`` holds integer row indices; a boolean mask is rejected.
     """
     xm = np.asarray(x, dtype=float)
+    if xm.ndim != 2:
+        raise DimensionError(f"expected a 2-d data matrix, got shape {xm.shape}")
     # Sorted and deduplicated through a mask: np.unique would import numpy.ma.
     idx = np.flatnonzero(_support_mask(support, xm.shape[0], "support"))
     full = np.zeros(xm.shape[0])

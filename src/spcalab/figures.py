@@ -63,11 +63,11 @@ def _text(x, y, size, text, anchor="middle", transform=None) -> str:
                     transform=transform, fill=_INK)
 
 
-def nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
-    """Round tick locations (1/2/5 x 10^k steps) covering [lo, hi]."""
+def nice_ticks(lo: float, hi: float) -> list[float]:
+    """Round tick locations (1/2/5 x 10^k steps, about five of them) covering [lo, hi]."""
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
         return [lo]
-    raw = (hi - lo) / max(target, 1)
+    raw = (hi - lo) / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     step = next(s * mag for s in (1.0, 2.0, 5.0, 10.0) if raw <= s * mag)
     first = math.ceil(lo / step) * step
@@ -90,9 +90,9 @@ class Panel:
     height: float
     xlim: tuple[float, float]
     ylim: tuple[float, float]
-    title: str = ""
-    xlabel: str = ""
-    ylabel: str = ""
+    title: str
+    xlabel: str
+    ylabel: str
     elements: list[str] = field(default_factory=list)
 
     def px(self, x: float) -> float:
@@ -111,11 +111,11 @@ class Panel:
             "polyline", points=pts, fill="none", stroke=stroke, stroke_width=width,
             stroke_opacity=opacity, stroke_dasharray=dash, class_=cls))
 
-    def add_vline(self, x, stroke="#303030", width=1.0, dash=None, cls=None):
+    def add_vline(self, x, dash=None, cls=None):
         px = self.px(x)
         self.elements.append(_element(
             "line", x1=px, y1=self.py(self.ylim[0]), x2=px, y2=self.py(self.ylim[1]),
-            stroke=stroke, stroke_width=width, stroke_dasharray=dash, class_=cls))
+            stroke="#303030", stroke_width=1.0, stroke_dasharray=dash, class_=cls))
 
     def add_circle(self, x, y, r=2.5, fill="#c03028", opacity=0.7, cls=None):
         self.elements.append(_element("circle", cx=self.px(x), cy=self.py(y), r=r, fill=fill,
@@ -125,9 +125,9 @@ class Panel:
         """Small text centred just above the data point (x, y)."""
         self.elements.append(_text(self.px(x), self.py(y) - 11, 8, text))
 
-    def add_note(self, text, cls="warning"):
-        self.elements.append(_element("text", text, x=self.x0 + 6, y=self.y0 + 14, class_=cls,
-                                      font_size=10, fill="#a03020"))
+    def add_note(self, text):
+        self.elements.append(_element("text", text, x=self.x0 + 6, y=self.y0 + 14,
+                                      class_="warning", font_size=10, fill="#a03020"))
 
     def render(self) -> str:
         x0, y0, bottom = self.x0, self.y0, self.y0 + self.height
@@ -144,21 +144,17 @@ class Panel:
                                 stroke_width=1))
             out.append(_text(x0 - 6, py + 3, 9, fmt(t), anchor="end"))
         cx, cy = x0 + self.width / 2, y0 + self.height / 2
-        if self.title:
-            out.append(_text(cx, y0 - 8, 11, self.title))
-        if self.xlabel:
-            out.append(_text(cx, bottom + 30, 10, self.xlabel))
-        if self.ylabel:
-            out.append(_text(x0 - 34, cy, 10, self.ylabel,
-                             transform=f"rotate(-90 {fmt(x0 - 34)} {fmt(cy)})"))
+        out.append(_text(cx, y0 - 8, 11, self.title))
+        out.append(_text(cx, bottom + 30, 10, self.xlabel))
+        out.append(_text(x0 - 34, cy, 10, self.ylabel,
+                         transform=f"rotate(-90 {fmt(x0 - 34)} {fmt(cy)})"))
         return _element("g", out + self.elements, id=self.panel_id)
 
 
-def document(width: float, height: float, parts: list[str], title: str = "") -> str:
-    caption = _text(width / 2, 16, 13, title) if title else ""
+def document(width: float, height: float, parts: list[str], title: str) -> str:
     bg = _element("rect", x=0, y=0, width=width, height=height, fill="#ffffff")
-    return _element("svg", [bg, caption, *parts], xmlns="http://www.w3.org/2000/svg",
-                    width=width, height=height,
+    return _element("svg", [bg, _text(width / 2, 16, 13, title), *parts],
+                    xmlns="http://www.w3.org/2000/svg", width=width, height=height,
                     viewBox=f"0 0 {fmt(width)} {fmt(height)}") + "\n"
 
 

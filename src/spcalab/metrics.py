@@ -62,6 +62,8 @@ def angle_degrees(u, v) -> float:
     """
     a = np.asarray(u, dtype=float)
     b = np.asarray(v, dtype=float)
+    if a.ndim != 1 or b.ndim != 1:
+        raise DimensionError(f"u and v must be 1-d, got shapes {a.shape} and {b.shape}")
     if a.shape != b.shape:
         raise DimensionError(f"shape mismatch {a.shape} vs {b.shape}")
     na, nb = _norm(a), _norm(b)
@@ -269,15 +271,20 @@ def select_lambda_bic(x, v1, grid, penalty: PenaltySpec | None = None) -> Lambda
     n = xm.shape[1]
     if v.shape != (n,):
         raise DimensionError(f"v1 has shape {v.shape}, expected ({n},)")
-    if abs(_norm(v) - 1.0) > 1e-8:
+    # A NaN norm fails the comparison, so it is rejected too.
+    if not abs(_norm(v) - 1.0) <= 1e-8:
         raise DomainError("v1 must be unit-norm")
     fam = penalty if penalty is not None else PenaltySpec.hard(0.0)
-    return _bic_selection(xm @ v, frobenius_sq(xm), n, g, fam)
+    lam, total, sigma2, totals, dfs, rss = _bic_selection(xm @ v, frobenius_sq(xm), n, g, fam)
+    return LambdaSelection(lam, total, sigma2, g, totals, dfs, rss, n * xm.shape[0])
 
 
-def _bic_selection(xv: np.ndarray, fro2: float, n: int, g: np.ndarray,
-                   fam: PenaltySpec) -> LambdaSelection:
-    """BIC over the checked grid ``g`` from u_ols = ``xv`` and ||X||_F^2 = ``fro2``."""
+def _bic_selection(xv: np.ndarray, fro2: float, n: int, g: np.ndarray, fam: PenaltySpec
+                   ) -> tuple[float, float, float, np.ndarray, np.ndarray, np.ndarray]:
+    """BIC over the checked grid ``g`` from u_ols = ``xv`` and ||X||_F^2 = ``fro2``.
+
+    Returns lambda*, its total and sigma^2, then the totals, dfs and rss on ``g``.
+    """
     d = xv.shape[0]
     nd = n * d
     rss_ols = max(fro2 - float(xv @ xv), 0.0)
@@ -301,16 +308,7 @@ def _bic_selection(xv: np.ndarray, fro2: float, n: int, g: np.ndarray,
     df_terms = math.log(nd) / nd * dfs
     totals = rss / (nd * sigma2) + df_terms if sigma2 > 0.0 else df_terms
     best = g.size - 1 - int(np.argmin(totals[::-1]))
-    return LambdaSelection(
-        lambda_star=float(g[best]),
-        total=float(totals[best]),
-        sigma2=sigma2,
-        lambdas=g,
-        totals=totals,
-        dfs=dfs,
-        rss=rss,
-        nd=nd,
-    )
+    return float(g[best]), float(totals[best]), sigma2, totals, dfs, rss
 
 
 def _check_grid_settings(lambda_min: float, lambda_max: float | None, points: int) -> None:

@@ -103,6 +103,7 @@ class SpikedSpec:
             raise DomainError(f"d must be >= 1, got {self.d}")
         if self.n < 1:
             raise DomainError(f"n must be >= 1, got {self.n}")
+        theory._check_real(alpha=self.alpha, beta=self.beta)
         if not 0.0 <= self.alpha <= 1.5:
             raise DomainError(f"alpha must lie in [0, 1.5], got {self.alpha}")
         if not 0.0 <= self.beta <= 1.0:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exceptions import DomainError
-from .theory import _check_finite
+from .theory import _check_finite, _check_real
 
 FAMILIES = ("soft", "hard", "scad")
 
@@ -33,6 +33,7 @@ class PenaltySpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise DomainError(f"unknown penalty family {self.family!r}; expected one of {FAMILIES}")
+        _check_real(lam=self.lam, scad_a=self.scad_a)
         if not self.lam >= 0.0:
             raise DomainError(f"lambda must be >= 0, got {self.lam}")
         _check_finite(scad_a=self.scad_a)
@@ -74,6 +75,12 @@ def _threshold(x: np.ndarray, penalty: PenaltySpec) -> tuple[np.ndarray, np.ndar
     if penalty.family == "soft":
         return soft, keep
     a = penalty.scad_a
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         mid = ((a - 1.0) * x - np.sign(x) * a * lam) / (a - 2.0)
+        lost = ~np.isfinite(mid)
+        if lost.any():
+            # (a - 1) x or a lam overflowed.  The same blend as |x| - lam + (|x| - 2 lam) / (a - 2)
+            # has no term beyond |x| on its band 2 lam < |x| <= a lam, and is at least lam there.
+            m = ax[lost]
+            mid[lost] = np.sign(x[lost]) * ((m - lam) + (m - 2.0 * lam) / (a - 2.0))
     return np.where(ax <= 2.0 * lam, soft, np.where(ax <= a * lam, mid, x)), keep

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import sys
 from dataclasses import dataclass
 
 from .exceptions import DomainError
@@ -43,17 +42,18 @@ class LambdaBounds:
 
 
 def theorem_lambda_bounds(d: int, theta: float, gamma: float, delta: float) -> LambdaBounds:
-    """Evaluate the consistency threshold range at dimension d; an end that overflows is inf."""
+    """Evaluate the consistency threshold range at dimension d.
+
+    The lower end is ``e**(delta*log(log d) + theta/2*log d)``, which is
+    ``log(d)**delta * d**(theta/2)``; the upper end is ``d**(gamma/2)``.  An
+    end that overflows a float reads inf, and one that underflows reads 0.0.
+    """
     _check_d_delta(d, delta)
     _check_finite(theta=theta, gamma=gamma)
     if not gamma > theta:
         raise DomainError(f"gamma must exceed theta, got gamma={gamma} theta={theta}")
-    factors = (_power(math.log(d), delta), _power(d, theta / 2.0))
-    if all(sys.float_info.min <= f < math.inf for f in factors):
-        lower = factors[0] * factors[1]
-    else:
-        # A factor overflowed or underflowed: take the product in log space.
-        lower = _power(math.e, delta * math.log(math.log(d)) + theta / 2.0 * math.log(d))
+    # In log space, so a factor that leaves the float range cannot make the product inf * 0.
+    lower = _power(math.e, delta * math.log(math.log(d)) + theta / 2.0 * math.log(d))
     return LambdaBounds(lower=lower, upper=_power(d, gamma / 2.0))
 
 
@@ -62,6 +62,13 @@ def _check_integers(**values) -> None:
     for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_real(**values) -> None:
+    """DomainError unless every value is a real number; a bool is not one."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise DomainError(f"{name} must be a real number, got {value!r}")
 
 
 def _check_finite(**values) -> None:
@@ -82,7 +89,7 @@ def _check_d_delta(d: int, delta: float) -> None:
 
 
 def _power(base: float, exponent: float) -> float:
-    """``base ** exponent``, or inf where that overflows a float."""
+    """``base ** exponent``: inf where that overflows a float, 0.0 where it underflows."""
     try:
         return pow(base, exponent)
     except OverflowError:

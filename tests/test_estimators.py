@@ -5,6 +5,9 @@ the penalized scalar loss; estimator identities (ST vs first-iteration
 hard-penalty RSPCA, oracle vs full-support PCA) are asserted bit-for-bit.
 """
 
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -27,6 +30,18 @@ from spcalab.eigen import dual_first_component
 from spcalab.metrics import default_lambda_grid
 from spcalab.penalties import FAMILIES, _threshold
 from _oracles import brute_force_prox, rspca_reference, threshold_scalar
+
+
+def scad_exact(x: float, penalty: PenaltySpec) -> Fraction:
+    """SCAD's thresholding rule at x in exact rational arithmetic, bands at exact 2 lam and a lam."""
+    t, lam, a = abs(Fraction(x)), Fraction(penalty.lam), Fraction(penalty.scad_a)
+    if t <= 2 * lam:
+        mag = max(t - lam, Fraction(0))
+    elif t <= a * lam:
+        mag = ((a - 1) * t - a * lam) / (a - 2)
+    else:
+        mag = t
+    return mag if x >= 0 else -mag
 
 
 def spiked_data(d, n, alpha, beta, seed):
@@ -105,6 +120,53 @@ class TestThresholdRules:
             PenaltySpec.scad(1.0, 2.0)
         with pytest.raises(DomainError):
             PenaltySpec.scad(1.0, float("nan"))
+
+    @pytest.mark.parametrize("field, make", [
+        ("lam", lambda: PenaltySpec.hard("1")),
+        ("lam", lambda: PenaltySpec.hard(True)),
+        ("lam", lambda: PenaltySpec.soft(None)),
+        ("scad_a", lambda: PenaltySpec.scad(0.1, "3.7")),
+        ("lam", lambda: PenaltySpec.scad(0.1).with_lambda(np.float64(0.2)).with_lambda(False)),
+    ], ids=["str", "bool", "none", "str_shape", "with_lambda_bool"])
+    def test_non_real_values_are_a_domain_error(self, field, make):
+        # Before, a string or None raised a bare TypeError from a comparison, and True was lambda 1.
+        with pytest.raises(DomainError, match=f"{field} must be a real number"):
+            make()
+
+    def test_numpy_reals_are_real(self):
+        p = PenaltySpec.scad(np.float32(0.5), np.int64(4))
+        assert threshold(np.array([0.75, 1.5]), p).tolist() == [0.25, 1.25]
+
+    def test_scad_blend_that_overflows_is_finite(self):
+        # Before, (a - 1) * x overflowed: inf with an overflow RuntimeWarning.
+        x, p = 5e307, PenaltySpec.scad(1e8, 1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = threshold(np.array([x, -x]), p)
+        want = scad_exact(x, p)
+        assert got.tolist() == [float(want), -float(want)]
+        assert abs(Fraction(got[0]) - want) <= Fraction(1, 10**12) * want
+
+    @pytest.mark.parametrize("lam, a", [(1e8, 1e300), (1e10, 1e300), (5e307, 3.0), (6e307, 3.0),
+                                        (1e-300, 1.5e308), (1.0, 2.0 + 2.0**-40)],
+                             ids=["a_x_overflows", "a_lam_overflows", "x_near_max",
+                                  "a_lam_past_max", "a_near_max", "a_near_2"])
+    def test_overflow_path_keeps_the_support_rule_at_its_band_edges(self, lam, a):
+        # Entries whose blend overflowed take the overflow-free form; the support
+        # is still |x| > lam, and every value is the exact rule within 1e-12.
+        big = np.finfo(float).max
+        edges = [lam, 2.0 * lam, min(a * lam, big), big / (a - 1.0), big]
+        x = np.array([e for v in edges for e in (np.nextafter(v, 0.0), v, np.nextafter(v, big))])
+        x = np.concatenate([x, -x])
+        penalty = PenaltySpec.scad(lam, a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, support = _threshold(x, penalty)
+        assert np.isfinite(values).all()
+        assert support.tolist() == (values != 0).tolist() == (np.abs(x) > lam).tolist()
+        for xi, vi in zip(x.tolist(), values.tolist()):
+            want = scad_exact(xi, penalty)
+            assert abs(Fraction(vi) - want) <= Fraction(1, 10**12) * abs(want), (xi, vi)
 
     @pytest.mark.parametrize("a", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
     def test_non_finite_scad_shape_is_rejected_before_its_range(self, a):
@@ -279,6 +341,22 @@ class TestRspca:
             assert it.sigma2 is not None and it.sigma2 > 0
             assert it.bic_total is not None
         assert np.count_nonzero(vec) > 0
+
+    def test_bic_mode_builds_no_selection_record(self, monkeypatch):
+        # Each step reads lambda*, its total and sigma^2; only select_lambda_bic builds the record.
+        import spcalab.metrics as metrics
+
+        dm, _ = spiked_data(300, 15, 0.8, 0.2, seed=14)
+        grid = default_lambda_grid(dual_first_component(dm.x).u_tilde)
+        want = rspca(dm.x, PenaltySpec.hard(0.0), lambda_grid=grid)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("rspca built a LambdaSelection")
+
+        monkeypatch.setattr(metrics, "LambdaSelection", forbidden)
+        vec, trace = rspca(dm.x, PenaltySpec.hard(0.0), lambda_grid=grid)
+        assert trace.n_iterations > 1
+        assert vec.tobytes() == want[0].tobytes() and trace.iterations == want[1].iterations
 
     def test_bic_mode_checks_its_inputs_once_before_iterating(self, monkeypatch):
         import spcalab.estimators as est
@@ -535,6 +613,12 @@ class TestOracleEstimator:
         est = oracle_estimator(dm.x, [1, 4, 7])
         off = np.setdiff1d(np.arange(50), [1, 4, 7])
         assert np.all(est[off] == 0.0)
+
+    @pytest.mark.parametrize("x", [np.ones(5), np.ones((5, 2, 1))], ids=["1d", "3d"])
+    def test_data_that_is_not_a_matrix_is_a_dimension_error(self, x):
+        # Before, a 1-d x raised numpy's IndexError.
+        with pytest.raises(DimensionError, match="2-d data matrix"):
+            oracle_estimator(x, [0])
 
     def test_support_validation(self):
         dm, _ = spiked_data(20, 5, 0.6, 0.3, seed=24)

@@ -27,6 +27,7 @@ from spcalab import (
     theorem_lambda_bounds,
     threshold,
 )
+from spcalab.config import PAPER_PAIRS
 from spcalab.metrics import _angle, _norm, _Truth
 from spcalab.penalties import FAMILIES
 from spcalab.theory import pair_lambda_bounds
@@ -72,6 +73,14 @@ class TestAngle:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             angle_degrees(np.ones(3), np.ones(4))
+
+    @pytest.mark.parametrize("u, v", [(np.ones((2, 2)), np.ones((2, 2))), (1.0, 1.0),
+                                      (np.ones(4), np.ones((4, 1)))],
+                             ids=["matrices", "scalars", "vector_and_column"])
+    def test_arguments_that_are_not_vectors_are_a_dimension_error(self, u, v):
+        # Before, two matrices raised a bare TypeError from float(a.dot(b)).
+        with pytest.raises(DimensionError, match="must be 1-d"):
+            angle_degrees(u, v)
 
     @pytest.mark.parametrize("u, v", [([nan, 1.0], [1.0, 0.0]), ([0.0, 0.0], [1.0, inf])],
                              ids=["nan", "inf_against_zero"])
@@ -306,6 +315,12 @@ class TestSelectLambdaBic:
         x = 9.0 * np.outer(u1, rng.standard_normal(n)) + rng.standard_normal((d, n))
         return x
 
+    @pytest.mark.parametrize("v1", [[nan, 0.0], [nan, nan], [inf, 0.0]], ids=["nan", "all_nan", "inf"])
+    def test_v1_of_non_finite_norm_is_not_unit(self, v1):
+        # Before, a NaN norm passed the unit check: lambda* = 1.0 with sigma2 = nan.
+        with pytest.raises(DomainError, match="v1 must be unit-norm"):
+            select_lambda_bic(np.ones((5, 2)), np.array(v1), [0.0, 1.0])
+
     @pytest.mark.parametrize("bad", [nan, inf], ids=["nan", "inf"])
     def test_non_finite_data_is_a_numeric_error(self, bad):
         # v1 comes from the clean data, so only ||X||_F^2 sees the bad entry.
@@ -516,6 +531,27 @@ class TestThresholdBounds:
         b = theorem_lambda_bounds(d, theta=0.0, gamma=gamma, delta=delta)
         assert (b.lower, b.upper) == (lower, upper)
         assert b.is_empty is (lower == inf)
+
+    def test_lower_end_is_the_direct_product_at_ordinary_exponents(self):
+        # The lower end is evaluated in log space only; it is the product it stands for.
+        for d in (2, 3, 50, 2000, 10**4, 40000, 10**6, 10**12):
+            for theta in (-2.0, -0.5, 0.0, 0.3, 0.9):
+                for delta in (0.51, 0.75, 1.0, 2.0, 5.0, 10.0):
+                    direct = math.log(d) ** delta * d ** (theta / 2.0)
+                    lower = theorem_lambda_bounds(d, theta, theta + 1.0, delta).lower
+                    assert lower == pytest.approx(direct, rel=1e-12, abs=0.0), (d, theta, delta)
+
+    @pytest.mark.parametrize("d", [2000, 10000, 40000])
+    @pytest.mark.parametrize("delta", [0.51, 1.0])
+    def test_paper_pairs_open_where_the_direct_product_does(self, d, delta):
+        # At delta = 1 every admissible pair is empty at these d; at 0.51 some open.
+        for alpha, beta in PAPER_PAIRS:
+            b = pair_lambda_bounds(d, alpha, beta, delta, None)
+            gamma = default_gamma(0.0, alpha, beta)
+            if gamma is None:
+                assert b is None
+                continue
+            assert b.is_empty is (math.log(d) ** delta * d ** 0.0 > d ** (gamma / 2.0))
 
     def test_lower_end_of_overflow_times_underflow_is_taken_in_log_space(self):
         # log(d)**400 overflows while d**-150 underflows; their product

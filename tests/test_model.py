@@ -59,6 +59,14 @@ class TestSpikedSpec:
         with pytest.raises(DomainError, match="must be an integer"):
             SpikedSpec(d, n, 0.6, 0.1)
 
+    @pytest.mark.parametrize("alpha, beta, field", [("0.5", 0.1, "alpha"), (0.5, None, "beta"),
+                                                    (True, 0.1, "alpha"), (0.5, False, "beta")],
+                             ids=["alpha_str", "beta_none", "alpha_bool", "beta_bool"])
+    def test_alpha_and_beta_must_be_real(self, alpha, beta, field):
+        # Before, a string raised a bare TypeError from a comparison; the config's REAL rule.
+        with pytest.raises(DomainError, match=f"{field} must be a real number"):
+            SpikedSpec(100, 5, alpha, beta)
+
     def test_numpy_integers_are_integers(self):
         assert SpikedSpec(np.int64(100), np.int32(5), 0.6, 0.1).support_size == 1
 
