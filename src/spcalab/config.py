@@ -99,8 +99,8 @@ class ExperimentConfig:
             _check_max_iter(self.max_iter)
             _check_grid_settings(self.lambda_min, self.lambda_max, self.lambda_points)
             PenaltySpec(self.penalty, 0.0, self.scad_a)
+            theory._check_range_settings(self.d, self.delta, self.gamma)
             for a, b in self.pairs:
-                theory.pair_lambda_bounds(self.d, a, b, self.delta, self.gamma)
                 SpikedSpec(self.d, self.n, a, b)
                 label = f"{a:g}:{b:g}"
                 if label in labels:

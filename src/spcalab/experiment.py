@@ -16,10 +16,12 @@ column stays empty by default so repeated runs are byte-identical.
 
 With ``threads`` > 1 and more than one task, the tasks run in ``os.fork``
 children, so that setting is POSIX-only.  Worker ``i`` of ``k`` runs the
-strided share ``tasks[i::k]`` and pickles its records, or the exception that
-stopped it, into its own pipe.  The parent runs no replication: it forks,
-reads each pipe to EOF, reaps each worker, then sorts and summarizes as a
-one-worker run does.
+strided share ``tasks[i::k]``.  The parent forks worker 0 alone and runs no
+replication.  Worker 0 imports ``numpy.random`` once, forks workers 1..k-1,
+runs its own share, then reads and reaps theirs; each pickles its records,
+or the exception that stopped it, into its own pipe.  The parent reads
+worker 0's pipe to EOF, reaps it, then sorts and summarizes as a one-worker
+run does.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import pickle
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
+from functools import partial
 from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
@@ -239,35 +242,55 @@ def _summarize(records: list[ReplicationRecord]) -> list[SummaryRow]:
     ]
 
 
-def _work(share: list[tuple], fd: int) -> None:
-    """Run a forked worker's ``share`` and pickle its outcome into ``fd``.
+def _work(run: Callable[[], list[ReplicationRecord]], fd: int) -> None:
+    """Pickle the outcome of ``run()`` into ``fd``, in a forked worker.
 
-    The outcome is (True, the share's records) or (False, the exception that
-    stopped the share).
+    The outcome is (True, the records it returned) or (False, the exception
+    it raised).
     """
     try:
-        outcome = (True, [r for task in share for r in _run_replication(*task)])
+        outcome = (True, run())
     except Exception as exc:
         outcome = (False, exc)
     with open(fd, "wb") as pipe:
         pickle.dump(outcome, pipe, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def _fan_out(tasks: list[tuple], workers: int) -> list[ReplicationRecord]:
-    """The records of ``tasks``, from ``workers`` forked children.
+def _share(tasks: list[tuple], workers: int, i: int) -> list[ReplicationRecord]:
+    """Worker ``i``'s records: those of ``tasks[i::workers]``, task by task."""
+    return [r for task in tasks[i::workers] for r in _run_replication(*task)]
 
-    Child ``i`` runs ``tasks[i::workers]``; its records follow those of
-    child ``i - 1``, each task's together and in the order they were made.
-    A child's exception is raised here as it was raised there; a child that
-    ends without sending its outcome raises ``WorkerError``.  Every child is
-    reaped before this returns or raises; on an error, those still running
-    are killed first.
+
+def _lead(tasks: list[tuple], workers: int, fd: int) -> list[ReplicationRecord]:
+    """Worker 0's records, then those of workers 1..k-1, which it forks itself.
+
+    ``numpy.random`` is imported once here, before the forks, so that no
+    other worker pays for the import.  ``fd`` is worker 0's own pipe.
+    """
+    import numpy.random
+
+    return _fork_and_collect(tasks, workers, range(1, workers), fd)
+
+
+def _fork_and_collect(tasks: list[tuple], workers: int, ids: range,
+                      fd: int | None = None) -> list[ReplicationRecord]:
+    """The records of the workers ``ids``, which this process forks.
+
+    Worker 0 runs ``_lead``; any other worker ``i`` runs its share.  Each
+    pickles its outcome into its own pipe, after closing every read end it
+    inherits and ``fd``, the pipe of worker 0 when worker 0 calls this.  So
+    a worker whose collector dies stops at its write, and the dead worker 0's
+    reader sees EOF at once.  Worker 0 runs its own share here once the
+    others are forked; its records come first, and its exception wins over
+    theirs.  A worker's exception is raised here as it was raised there; a
+    worker that ends without sending its outcome raises ``WorkerError``.
+    Every worker is reaped before this returns or raises; on an error, those
+    still running are killed first.
     """
     pids: list[int] = []
     pipes = []
-    records: list[ReplicationRecord] = []
     try:
-        for i in range(workers):
+        for i in ids:
             r, w = os.pipe()
             pipes.append(open(r, "rb"))
             try:
@@ -276,17 +299,23 @@ def _fan_out(tasks: list[tuple], workers: int) -> list[ReplicationRecord]:
                     # The child never returns into the caller's frames.
                     code = 1
                     try:
-                        _work(tasks[i::workers], w)
+                        for pipe in pipes:
+                            pipe.close()
+                        if fd is not None:
+                            os.close(fd)
+                        _work(partial(_lead, tasks, workers, w) if i == 0
+                              else partial(_share, tasks, workers, i), w)
                         code = 0
                     finally:
                         os._exit(code)
             finally:
                 os.close(w)
             pids.append(pid)
-        for i, pipe in enumerate(pipes):
+        records = [] if fd is None else _share(tasks, workers, 0)
+        for j, (i, pipe) in enumerate(zip(ids, pipes)):
             data = pipe.read()
-            status = os.waitpid(pids[i], 0)[1]
-            pids[i] = 0  # no signal is handled between the reap and this store
+            status = os.waitpid(pids[j], 0)[1]
+            pids[j] = 0  # no signal is handled between the reap and this store
             status = os.waitstatus_to_exitcode(status)
             if status or not data:
                 how = (f"was killed by signal {-status}" if status < 0
@@ -307,16 +336,29 @@ def _fan_out(tasks: list[tuple], workers: int) -> list[ReplicationRecord]:
             os.waitpid(pid, 0)
 
 
+def _fan_out(tasks: list[tuple], workers: int) -> list[ReplicationRecord]:
+    """The records of ``tasks``, from ``workers`` forked workers.
+
+    This process forks worker 0 alone, which forks workers 1..k-1 after its
+    one ``numpy.random`` import (``_lead``).  Worker ``i`` runs
+    ``tasks[i::workers]``; its records follow those of worker ``i - 1``,
+    each task's together and in the order they were made.  Both levels
+    collect and fail as ``_fork_and_collect`` states, so every worker is
+    reaped before this returns or raises.
+    """
+    return _fork_and_collect(tasks, workers, range(1))
+
+
 def run_experiment(cfg: config.ExperimentConfig) -> ExperimentResult:
     """Run all (pair, replication) tasks and return canonically sorted records.
 
     Replications are the unit of parallelism.  With ``threads`` > 1 and more
     than one task, ``min(threads, tasks)`` forked workers each run a strided
-    share of the tasks while this process only collects them (see
-    ``_fan_out``).  The records are then sorted canonically.  Two records
-    tie on the sort key only when they come from one task, whose records stay
-    in the order they were made, so the result is identical for any
-    ``threads`` value.
+    share of the tasks: this process forks worker 0 and only collects from
+    it, and worker 0 forks the others (see ``_fan_out``).  The records are
+    then sorted canonically.  Two records tie on the sort key only when they
+    come from one task, whose records stay in the order they were made, so
+    the result is identical for any ``threads`` value.
     """
     tasks = [(cfg, pi, rep) for pi in range(len(cfg.pairs)) for rep in range(cfg.replications)]
     workers = min(cfg.threads, len(tasks))

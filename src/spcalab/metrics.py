@@ -333,6 +333,8 @@ def default_lambda_grid(
     which defaults to 1.5 * max|u_tilde|, or lambda_min if larger."""
     _check_grid_settings(lambda_min, lambda_max, points)
     ut = np.asarray(u_tilde, dtype=float)
+    if ut.ndim != 1:
+        raise DimensionError(f"u_tilde must be 1-d, got shape {ut.shape}")
     if ut.size == 0:
         raise DomainError("u_tilde must be non-empty")
     hi = lambda_max if lambda_max is not None else 1.5 * float(np.max(np.abs(ut)))

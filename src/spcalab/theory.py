@@ -48,8 +48,8 @@ def theorem_lambda_bounds(d: int, theta: float, gamma: float, delta: float) -> L
     ``log(d)**delta * d**(theta/2)``; the upper end is ``d**(gamma/2)``.  An
     end that overflows a float reads inf, and one that underflows reads 0.0.
     """
-    _check_d_delta(d, delta)
-    _check_finite(theta=theta, gamma=gamma)
+    _check_range_settings(d, delta, gamma)
+    _check_finite(theta=theta)
     if not gamma > theta:
         raise DomainError(f"gamma must exceed theta, got gamma={gamma} theta={theta}")
     # In log space, so a factor that leaves the float range cannot make the product inf * 0.
@@ -72,20 +72,26 @@ def _check_real(**values) -> None:
 
 
 def _check_finite(**values) -> None:
-    """DomainError unless every value is a finite number or None (left to a default)."""
-    for name, value in values.items():
-        if value is not None and not math.isfinite(value):
+    """DomainError unless every value is a finite real number or None (left to a default)."""
+    present = {name: value for name, value in values.items() if value is not None}
+    _check_real(**present)
+    for name, value in present.items():
+        if not math.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value}")
 
 
-def _check_d_delta(d: int, delta: float) -> None:
-    """The range needs an integer d >= 2 and a finite delta > 1/2, whether or not gamma is valid."""
+def _check_range_settings(d: int, delta: float, gamma: float | None) -> None:
+    """The range needs an integer d >= 2, a finite delta > 1/2 and a finite gamma or None.
+
+    These hold whether or not a pair admits a gamma.
+    """
     _check_integers(d=d)
     if d < 2:
         raise DomainError(f"d must be >= 2, got {d}")
     _check_finite(delta=delta)
     if not delta > 0.5:
         raise DomainError(f"delta must be > 1/2, got {delta}")
+    _check_finite(gamma=gamma)
 
 
 def _power(base: float, exponent: float) -> float:
@@ -98,11 +104,13 @@ def _power(base: float, exponent: float) -> float:
 
 def gamma_is_valid(gamma: float, theta: float, alpha: float, eta: float) -> bool:
     """Admissibility of the upper-bound exponent: theta < gamma < alpha - eta."""
+    _check_finite(gamma=gamma, theta=theta, alpha=alpha, eta=eta)
     return theta < gamma < alpha - eta
 
 
 def default_gamma(theta: float, alpha: float, eta: float) -> float | None:
     """Midpoint of the admissible gamma interval, or None when it is empty."""
+    _check_finite(theta=theta, alpha=alpha, eta=eta)
     if alpha - eta <= theta:
         return None
     return 0.5 * (theta + (alpha - eta))
@@ -115,10 +123,10 @@ def pair_lambda_bounds(
 
     theta = 0 and eta = beta; gamma None takes ``default_gamma``.  None
     when no gamma is admissible (alpha <= beta); an empty range when gamma
-    lies outside (theta, alpha - eta).  d, delta and gamma are checked either way.
+    lies outside (theta, alpha - eta).  Every argument is checked either way.
     """
-    _check_d_delta(d, delta)
-    _check_finite(gamma=gamma)
+    _check_range_settings(d, delta, gamma)
+    _check_finite(alpha=alpha, beta=beta)
     theta, eta = 0.0, beta
     midpoint = default_gamma(theta, alpha, eta)
     if midpoint is None:
@@ -135,6 +143,7 @@ def counterexample_tail_probability(d: int, alpha: float) -> float:
     Raises DomainError when (d, alpha) admits no such law, including when
     the tail magnitude does not exceed the spike in floating point.
     """
+    _check_real(alpha=alpha)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     _check_integers(d=d)

@@ -5,6 +5,7 @@ import hashlib
 import math
 import os
 import signal
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -673,6 +674,115 @@ class TestForkedWorkers:
         small_config(threads=1).validate()
         with pytest.raises(ConfigError, match="threads > 1 needs os.fork"):
             small_config(threads=2).validate()
+
+
+def _patch_reps(monkeypatch, actions):
+    """Make forked workers call ``actions[rep]`` before replication ``rep``'s task.
+
+    With ``small_config``'s one pair and three replications at ``threads=3``,
+    worker ``i`` runs replication ``i`` alone.
+    """
+    parent = os.getpid()
+    real = experiment._run_replication
+
+    def patched(cfg, pair_index, rep):
+        if os.getpid() != parent and rep in actions:
+            actions[rep]()
+        return real(cfg, pair_index, rep)
+
+    monkeypatch.setattr(experiment, "_run_replication", patched)
+
+
+def _raise(exc):
+    raise exc
+
+
+def _has_exited(pid: int) -> bool:
+    """Whether ``pid`` is gone or a zombie, which another process has yet to reap."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rpartition(")")[2].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+class TestWorkerTree:
+    """The parent forks worker 0, which forks workers 1..k-1 after its numpy.random import."""
+
+    def test_worker_0_is_the_only_child_and_forks_the_rest(self, monkeypatch, tmp_path):
+        expected = run_experiment(small_config())
+        _patch_reps(monkeypatch, {rep: lambda rep=rep: (tmp_path / str(rep)).write_text(
+            f"{os.getpid()} {os.getppid()}") for rep in range(3)})
+        result = run_experiment(small_config(threads=3))
+        (pid0, ppid0), *siblings = [tuple(map(int, (tmp_path / str(rep)).read_text().split()))
+                                    for rep in range(3)]
+        assert ppid0 == os.getpid()
+        assert [ppid for _, ppid in siblings] == [pid0, pid0]
+        assert len({pid0, *(pid for pid, _ in siblings)}) == 3
+        assert (result.records, result.summary) == (expected.records, expected.summary)
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "death, error, message",
+        [
+            (lambda: _raise(NumericError("replication failed in worker 1")), NumericError,
+             "replication failed in worker 1"),
+            (lambda: os._exit(1), WorkerError,
+             "worker 1 of 3 exited with status 1 before sending its records"),
+            (lambda: os.kill(os.getpid(), signal.SIGKILL), WorkerError,
+             f"worker 1 of 3 was killed by signal {int(signal.SIGKILL)} before sending its records"),
+        ],
+        ids=["exception", "exit1", "sigkill"],
+    )
+    def test_failure_in_worker_1_alone_reaches_the_parent(self, monkeypatch, death, error, message):
+        _patch_reps(monkeypatch, {1: death})
+        with pytest.raises(error) as info:
+            run_experiment(small_config(threads=3))
+        assert str(info.value) == message
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "sibling",
+        [lambda: _raise(NumericError("worker 1 failed")), lambda: os.kill(os.getpid(), signal.SIGKILL)],
+        ids=["exception", "sigkill"],
+    )
+    def test_worker_0_failure_wins_over_a_sibling_failure(self, monkeypatch, sibling):
+        def worker_0():
+            time.sleep(0.3)  # so that the sibling fails first
+            raise NumericError("worker 0 failed")
+
+        _patch_reps(monkeypatch, {0: worker_0, 1: sibling})
+        with pytest.raises(NumericError, match="^worker 0 failed$"):
+            run_experiment(small_config(threads=3))
+        _assert_no_child_left()
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc/<pid>/stat")
+    def test_killed_worker_0_is_reported_at_once_and_its_siblings_stop(self, monkeypatch, tmp_path):
+        def worker_0():
+            # Killed once both siblings are inside their shares.
+            deadline = time.monotonic() + 10.0
+            while len(list(tmp_path.glob("pid-*"))) < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        def sibling(rep):
+            (tmp_path / f"pid-{os.getpid()}").touch()
+            time.sleep(2.0)
+            (tmp_path / f"done-{rep}").touch()
+
+        _patch_reps(monkeypatch, {0: worker_0, 1: lambda: sibling(1), 2: lambda: sibling(2)})
+        with pytest.raises(WorkerError) as info:
+            run_experiment(small_config(threads=3))
+        assert not list(tmp_path.glob("done-*")), "the parent waited for the siblings"
+        assert str(info.value) == (
+            f"worker 0 of 3 was killed by signal {int(signal.SIGKILL)} before sending its records"
+        )
+        _assert_no_child_left()
+        pids = [int(path.name[4:]) for path in tmp_path.glob("pid-*")]
+        assert len(pids) == 2
+        deadline = time.monotonic() + 10.0
+        while not all(map(_has_exited, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert all(map(_has_exited, pids))
 
 
 class TestSweepBounds:

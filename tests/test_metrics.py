@@ -21,6 +21,7 @@ from spcalab import (
     default_lambda_grid,
     dual_first_component,
     evaluate_estimate,
+    failure_probability,
     gamma_is_valid,
     select_lambda_bic,
     support_errors,
@@ -472,12 +473,48 @@ class TestDefaultLambdaGrid:
         with pytest.raises(DomainError, match=f"lambda_points must be an integer, got {points}"):
             default_lambda_grid(np.ones(3), points=points)
 
+    @pytest.mark.parametrize("key", ["lambda_min", "lambda_max"])
+    @pytest.mark.parametrize("bad", ["0.1", True], ids=["str", "bool"])
+    def test_grid_ends_must_be_real_numbers(self, key, bad):
+        # Before, a str raised a bare TypeError and True read as 1.0.
+        with pytest.raises(DomainError, match=f"^{key} must be a real number"):
+            default_lambda_grid(np.ones(3), **{key: bad})
+
     def test_empty_u_tilde_is_a_domain_error(self):
         with pytest.raises(DomainError, match="u_tilde must be non-empty"):
             default_lambda_grid(np.array([]))
 
+    @pytest.mark.parametrize("u_tilde", [np.ones((3, 3)), np.float64(2.0)], ids=["matrix", "scalar"])
+    def test_u_tilde_that_is_not_a_vector_is_a_dimension_error(self, u_tilde):
+        # Before, each gave a 51-point grid from max |.| over every entry.
+        with pytest.raises(DimensionError, match="u_tilde must be 1-d, got shape"):
+            default_lambda_grid(u_tilde)
+
+
+#: Valid keyword arguments of each ``theory`` entry point that takes real numbers.
+THEORY_CALLS = {
+    theorem_lambda_bounds: dict(d=2000, theta=0.0, gamma=1.0, delta=1.0),
+    pair_lambda_bounds: dict(d=2000, alpha=0.6, beta=0.1, delta=1.0, gamma=None),
+    default_gamma: dict(theta=0.0, alpha=0.6, eta=0.1),
+    gamma_is_valid: dict(gamma=0.25, theta=0.0, alpha=0.6, eta=0.1),
+    failure_probability: dict(d=50, alpha=0.5),
+}
+
 
 class TestThresholdBounds:
+    @pytest.mark.parametrize("bad", ["0.5", True, nan], ids=["str", "bool", "nan"])
+    @pytest.mark.parametrize(
+        "function, name",
+        [(f, name) for f, kwargs in THEORY_CALLS.items() for name in kwargs if name != "d"],
+        ids=lambda v: getattr(v, "__name__", v),
+    )
+    def test_real_arguments_must_be_finite_reals(self, function, name, bad):
+        # Before, a str raised a bare TypeError, True read as 1.0 and
+        # default_gamma returned nan.
+        function(**THEORY_CALLS[function])
+        with pytest.raises(DomainError, match=f"^{name} must "):
+            function(**{**THEORY_CALLS[function], name: bad})
+
     def test_empty_range_at_small_gamma(self):
         b = theorem_lambda_bounds(10000, theta=0.0, gamma=0.25, delta=1.0)
         assert b.lower == pytest.approx(math.log(10000.0), rel=1e-12)
