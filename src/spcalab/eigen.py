@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DegenerateInputError, DimensionError, NumericError
+from .exceptions import DegenerateInputError, DimensionError, DomainError, NumericError
 
 # Relative eigengap below which the leading dual eigenvector is flagged
 # as ambiguous (multiple leading eigenvalue).
@@ -51,6 +51,17 @@ class DualComponent:
     ambiguous: bool
 
 
+def _data_matrix(x) -> np.ndarray:
+    """``x`` as a float array: DomainError unless it holds numbers, DimensionError unless 2-d."""
+    try:
+        a = np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"x must be an array of real numbers ({exc})") from None
+    if a.ndim != 2:
+        raise DimensionError(f"x must be a 2-d data matrix, got shape {a.shape}")
+    return a
+
+
 def canonical_sign(v: np.ndarray) -> np.ndarray:
     """Flip ``v`` so its largest-|entry| coordinate is non-negative.
 
@@ -72,17 +83,15 @@ def dual_first_component(x: np.ndarray) -> DualComponent:
 
     Raises
     ------
-    DimensionError
-        If ``x`` is not a 2-d array.
+    DomainError, DimensionError
+        If ``x`` does not hold numbers, or is not 2-d (``_data_matrix``).
     NumericError
         If S has non-finite entries (which it has whenever ``x`` has one, or
         when a finite ``x`` overflows it), or the eigensolve fails.
     DegenerateInputError
         If ``x`` is identically zero.
     """
-    a = np.asarray(x, dtype=float)
-    if a.ndim != 2:
-        raise DimensionError(f"expected a 2-d data matrix, got shape {a.shape}")
+    a = _data_matrix(x)
     if a.shape[0] < 1 or a.shape[1] < 1:
         raise DimensionError("data matrix must have at least one row and column")
     if not a.any():

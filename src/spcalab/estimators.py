@@ -16,8 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .eigen import DualComponent, dual_first_component
-from .exceptions import DimensionError, DomainError
+from .eigen import DualComponent, _data_matrix, dual_first_component
+from .exceptions import DomainError
 from .metrics import (
     _angle, _bic_selection, _checked_grid, _norm, _support_mask, frobenius_sq,
 )
@@ -130,9 +130,7 @@ def rspca(
     and ``trace.zero_terminated`` set.
     """
     _check_max_iter(max_iter)
-    xm = np.asarray(x, dtype=float)
-    if xm.ndim != 2:
-        raise DimensionError(f"expected a 2-d data matrix, got shape {xm.shape}")
+    xm = _data_matrix(x)
     dc = dual if dual is not None else dual_first_component(xm)
     trace = RspcaTrace(init_ambiguous=dc.ambiguous)
 
@@ -199,9 +197,7 @@ def oracle_estimator(x, support) -> np.ndarray:
 
     ``support`` holds integer row indices; a boolean mask is rejected.
     """
-    xm = np.asarray(x, dtype=float)
-    if xm.ndim != 2:
-        raise DimensionError(f"expected a 2-d data matrix, got shape {xm.shape}")
+    xm = _data_matrix(x)
     # Sorted and deduplicated through a mask: np.unique would import numpy.ma.
     idx = np.flatnonzero(_support_mask(support, xm.shape[0], "support"))
     full = np.zeros(xm.shape[0])

@@ -336,34 +336,26 @@ def _fork_and_collect(tasks: list[tuple], workers: int, ids: range,
             os.waitpid(pid, 0)
 
 
-def _fan_out(tasks: list[tuple], workers: int) -> list[ReplicationRecord]:
-    """The records of ``tasks``, from ``workers`` forked workers.
-
-    This process forks worker 0 alone, which forks workers 1..k-1 after its
-    one ``numpy.random`` import (``_lead``).  Worker ``i`` runs
-    ``tasks[i::workers]``; its records follow those of worker ``i - 1``,
-    each task's together and in the order they were made.  Both levels
-    collect and fail as ``_fork_and_collect`` states, so every worker is
-    reaped before this returns or raises.
-    """
-    return _fork_and_collect(tasks, workers, range(1))
-
-
 def run_experiment(cfg: config.ExperimentConfig) -> ExperimentResult:
     """Run all (pair, replication) tasks and return canonically sorted records.
 
     Replications are the unit of parallelism.  With ``threads`` > 1 and more
-    than one task, ``min(threads, tasks)`` forked workers each run a strided
-    share of the tasks: this process forks worker 0 and only collects from
-    it, and worker 0 forks the others (see ``_fan_out``).  The records are
-    then sorted canonically.  Two records tie on the sort key only when they
-    come from one task, whose records stay in the order they were made, so
-    the result is identical for any ``threads`` value.
+    than one task, ``min(threads, tasks)`` = k forked workers each run a
+    strided share: worker ``i`` runs ``tasks[i::k]``.  This process forks
+    worker 0 alone and only collects from it; worker 0 forks workers
+    1..k-1 after its one ``numpy.random`` import (``_lead``).  Worker ``i``'s
+    records follow those of worker ``i - 1``, each task's together and in
+    the order they were made.  Both levels collect and fail as
+    ``_fork_and_collect`` states, so every worker is reaped before this
+    returns or raises.  The records are then sorted canonically.  Two
+    records tie on the sort key only when they come from one task, whose
+    records stay in the order they were made, so the result is identical
+    for any ``threads`` value.
     """
     tasks = [(cfg, pi, rep) for pi in range(len(cfg.pairs)) for rep in range(cfg.replications)]
     workers = min(cfg.threads, len(tasks))
     if workers > 1:
-        records = _fan_out(tasks, workers)
+        records = _fork_and_collect(tasks, workers, range(1))
     else:
         records = [r for t in tasks for r in _run_replication(*t)]
     records.sort(key=_sort_key)

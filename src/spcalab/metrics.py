@@ -11,6 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .eigen import _data_matrix
 from .exceptions import DimensionError, DomainError, NumericError
 from .penalties import PenaltySpec
 from .theory import _check_finite, _check_integers
@@ -18,6 +19,20 @@ from .theory import _check_finite, _check_integers
 #: Smallest non-zero lambda and number of log-spaced lambdas of the default grid.
 DEFAULT_LAMBDA_MIN = 1e-3
 DEFAULT_LAMBDA_POINTS = 50
+
+
+def _vector(v, name: str, dtype=float) -> np.ndarray:
+    """``v`` as a 1-d array of ``dtype``: DomainError unless it holds numbers, DimensionError unless 1-d.
+
+    ``dtype=None`` keeps the dtype numpy infers, which index arrays need.
+    """
+    try:
+        a = np.asarray(v, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{name} must be an array of real numbers ({exc})") from None
+    if a.ndim != 1:
+        raise DimensionError(f"{name} must be 1-d, got shape {a.shape}")
+    return a
 
 
 def _norm(x: np.ndarray) -> float:
@@ -60,21 +75,16 @@ def angle_degrees(u, v) -> float:
     which is accurate down to ~1e-13 degrees.  If either argument is
     all-zero the angle is 90 by convention; a non-finite norm is a NumericError.
     """
-    a = np.asarray(u, dtype=float)
-    b = np.asarray(v, dtype=float)
-    if a.ndim != 1 or b.ndim != 1:
-        raise DimensionError(f"u and v must be 1-d, got shapes {a.shape} and {b.shape}")
+    a, na = _normed(u, "u")
+    b, nb = _normed(v, "v")
     if a.shape != b.shape:
         raise DimensionError(f"shape mismatch {a.shape} vs {b.shape}")
-    na, nb = _norm(a), _norm(b)
-    if not (math.isfinite(na) and math.isfinite(nb)):
-        raise NumericError(f"angle_degrees needs vectors of finite norm, got {na} and {nb}")
     return _angle(a, b, na, nb)[0]
 
 
 def _support_mask(support, d: int, name: str) -> np.ndarray:
-    """Boolean d-mask of the integer indices ``support``; a boolean mask is rejected."""
-    idx = np.asarray(support)
+    """Boolean d-mask of the 1-d integer indices ``support``; a boolean mask is rejected."""
+    idx = _vector(support, name, dtype=None)
     if idx.size == 0:
         raise DomainError(f"{name} must be non-empty")
     if idx.dtype.kind not in "iu":
@@ -86,14 +96,13 @@ def _support_mask(support, d: int, name: str) -> np.ndarray:
     return mask
 
 
-def _estimate(estimate) -> tuple[np.ndarray, float]:
-    e = np.asarray(estimate, dtype=float)
-    if e.ndim != 1:
-        raise DimensionError(f"estimate must be 1-d, got shape {e.shape}")
-    norm = _norm(e)
+def _normed(v, name: str) -> tuple[np.ndarray, float]:
+    """``_vector(v, name)`` and its norm; NumericError unless the norm is finite."""
+    a = _vector(v, name)
+    norm = _norm(a)
     if not math.isfinite(norm):
-        raise NumericError(f"estimate must have a finite norm, got {norm}")
-    return e, norm
+        raise NumericError(f"{name} must have a finite norm, got {norm}")
+    return a, norm
 
 
 def _support_counts(e: np.ndarray, mask: np.ndarray, k: int) -> tuple[float, float, int]:
@@ -115,7 +124,7 @@ def support_errors(estimate, truth_support) -> tuple[float, float]:
     non-zero (0 when the truth has no zero positions).  ``truth_support``
     holds integer indices; a boolean mask is rejected.
     """
-    e, _ = _estimate(estimate)
+    e, _ = _normed(estimate, "estimate")
     mask = _support_mask(truth_support, e.shape[0], "truth support")
     type1, type2, _ = _support_counts(e, mask, int(np.count_nonzero(mask)))
     return type1, type2
@@ -136,11 +145,9 @@ class _Truth:
 
     @classmethod
     def of(cls, u1, truth_support) -> _Truth:
-        u = np.asarray(u1, dtype=float)
-        if u.ndim != 1:
-            raise DimensionError(f"u1 must be 1-d, got shape {u.shape}")
+        u, norm = _normed(u1, "u1")
         mask = _support_mask(truth_support, u.shape[0], "truth support")
-        return cls(u, _norm(u), mask, int(np.count_nonzero(mask)))
+        return cls(u, norm, mask, int(np.count_nonzero(mask)))
 
 
 @dataclass(frozen=True)
@@ -160,7 +167,7 @@ def evaluate_estimate(estimate, u1, truth_support) -> MetricRow:
     estimates of one sample may pass ``_Truth.of(u1, truth_support)`` in
     its place, and then the u1 it holds is used.
     """
-    e, norm = _estimate(estimate)
+    e, norm = _normed(estimate, "estimate")
     truth = truth_support if isinstance(truth_support, _Truth) else _Truth.of(u1, truth_support)
     if e.shape != truth.u1.shape:
         raise DimensionError(f"shape mismatch {e.shape} vs {truth.u1.shape}")
@@ -264,10 +271,8 @@ def select_lambda_bic(x, v1, grid, penalty: PenaltySpec | None = None) -> Lambda
     step through the same closed form.
     """
     g = _checked_grid(grid)
-    xm = np.asarray(x, dtype=float)
-    v = np.asarray(v1, dtype=float)
-    if xm.ndim != 2:
-        raise DimensionError("x must be a 2-d data matrix")
+    xm = _data_matrix(x)
+    v = _vector(v1, "v1")
     n = xm.shape[1]
     if v.shape != (n,):
         raise DimensionError(f"v1 has shape {v.shape}, expected ({n},)")
@@ -332,9 +337,7 @@ def default_lambda_grid(
     """lambda = 0 plus ``points`` log-spaced values from lambda_min to lambda_max,
     which defaults to 1.5 * max|u_tilde|, or lambda_min if larger."""
     _check_grid_settings(lambda_min, lambda_max, points)
-    ut = np.asarray(u_tilde, dtype=float)
-    if ut.ndim != 1:
-        raise DimensionError(f"u_tilde must be 1-d, got shape {ut.shape}")
+    ut = _vector(u_tilde, "u_tilde")
     if ut.size == 0:
         raise DomainError("u_tilde must be non-empty")
     hi = lambda_max if lambda_max is not None else 1.5 * float(np.max(np.abs(ut)))

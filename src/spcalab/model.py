@@ -43,6 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import theory
+from .eigen import _data_matrix
 from .exceptions import DimensionError, DomainError
 
 
@@ -55,13 +56,12 @@ def _check_seed(seed) -> None:
 
 @dataclass(frozen=True)
 class DataMatrix:
-    """A finite d x n column-sample matrix."""
+    """A finite d x n column-sample matrix, stored as a float array."""
 
     x: np.ndarray
 
     def __post_init__(self):
-        if self.x.ndim != 2:
-            raise DimensionError(f"data matrix must be 2-d, got shape {self.x.shape}")
+        object.__setattr__(self, "x", _data_matrix(self.x))
         if not np.isfinite(self.x).all():
             raise DomainError("data matrix contains non-finite entries")
 

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from spcalab import (
-    DegenerateInputError,
     NumericError,
     angle_degrees,
     dual_first_component,
@@ -74,10 +73,6 @@ class TestSymEigen:
         assert a.v1.tobytes() == b.v1.tobytes()
         assert a.u_tilde.tobytes() == b.u_tilde.tobytes()
 
-    def test_overflowing_gram_is_numeric_error(self):
-        with pytest.raises(NumericError):
-            dual_first_component(np.full((4, 2), 1e200))
-
 
 class TestDualFirstComponent:
     def test_rank_one(self):
@@ -134,16 +129,6 @@ class TestDualFirstComponent:
         dc = dual_first_component(x)
         w, vecs = np.linalg.eigh(x @ x.T / 10)
         assert angle_degrees(dc.u_tilde, vecs[:, -1]) <= 1e-8
-
-    def test_all_zero_raises(self):
-        with pytest.raises(DegenerateInputError):
-            dual_first_component(np.zeros((5, 3)))
-
-    def test_non_finite_raises(self):
-        x = np.ones((4, 2))
-        x[1, 1] = np.inf
-        with pytest.raises(NumericError):
-            dual_first_component(x)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("shape", [(1, 1), (4, 2), (5, 3)], ids=["1x1", "4x2", "5x3"])

@@ -14,7 +14,6 @@ import pytest
 from spcalab import (
     DimensionError,
     DomainError,
-    NumericError,
     PenaltySpec,
     SpikedSpec,
     angle_degrees,
@@ -109,30 +108,6 @@ class TestThresholdRules:
                 u_star = brute_force_prox(float(x), p)
                 assert abs(threshold_scalar(float(x), p) - u_star) <= 1e-6
 
-    def test_spec_validation(self):
-        with pytest.raises(DomainError):
-            PenaltySpec("ridge", 1.0)
-        with pytest.raises(DomainError):
-            PenaltySpec.hard(-0.5)
-        with pytest.raises(DomainError):
-            PenaltySpec.soft(float("nan"))
-        with pytest.raises(DomainError):
-            PenaltySpec.scad(1.0, 2.0)
-        with pytest.raises(DomainError):
-            PenaltySpec.scad(1.0, float("nan"))
-
-    @pytest.mark.parametrize("field, make", [
-        ("lam", lambda: PenaltySpec.hard("1")),
-        ("lam", lambda: PenaltySpec.hard(True)),
-        ("lam", lambda: PenaltySpec.soft(None)),
-        ("scad_a", lambda: PenaltySpec.scad(0.1, "3.7")),
-        ("lam", lambda: PenaltySpec.scad(0.1).with_lambda(np.float64(0.2)).with_lambda(False)),
-    ], ids=["str", "bool", "none", "str_shape", "with_lambda_bool"])
-    def test_non_real_values_are_a_domain_error(self, field, make):
-        # Before, a string or None raised a bare TypeError from a comparison, and True was lambda 1.
-        with pytest.raises(DomainError, match=f"{field} must be a real number"):
-            make()
-
     def test_numpy_reals_are_real(self):
         p = PenaltySpec.scad(np.float32(0.5), np.int64(4))
         assert threshold(np.array([0.75, 1.5]), p).tolist() == [0.25, 1.25]
@@ -167,12 +142,6 @@ class TestThresholdRules:
         for xi, vi in zip(x.tolist(), values.tolist()):
             want = scad_exact(xi, penalty)
             assert abs(Fraction(vi) - want) <= Fraction(1, 10**12) * abs(want), (xi, vi)
-
-    @pytest.mark.parametrize("a", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
-    def test_non_finite_scad_shape_is_rejected_before_its_range(self, a):
-        # Before, a=inf built a penalty, and rspca returned a NaN estimate marked converged.
-        with pytest.raises(DomainError, match=f"scad_a must be finite, got {a}"):
-            PenaltySpec.scad(0.1, a)
 
 
 class TestPcaFirst:
@@ -225,11 +194,6 @@ class TestStEstimator:
         assert not est.any()
         assert angle_degrees(est, np.ones(80)) == 90.0
 
-    def test_nan_lambda_is_rejected(self):
-        dm, _ = spiked_data(80, 10, 0.6, 0.3, seed=3)
-        with pytest.raises(DomainError):
-            st_estimator(dm.x, float("nan"))
-
     def test_support_is_exact_zeros(self):
         dm, _ = spiked_data(200, 10, 0.6, 0.1, seed=4)
         est = st_estimator(dm.x, 2.0)
@@ -265,11 +229,6 @@ class TestStEstimator:
         a = st_estimator(dm.x, 1.0)
         b = st_estimator(-dm.x, 1.0)
         assert abs(float(a @ sys.u1)) == abs(float(b @ sys.u1))
-
-    def test_negative_lambda_rejected(self):
-        dm, _ = spiked_data(20, 5, 0.6, 0.3, seed=9)
-        with pytest.raises(DomainError):
-            st_estimator(dm.x, -1.0)
 
     def test_consistent_inside_threshold_window_at_scale(self):
         # d=10^4, (alpha, beta)=(0.6, 0.1): lambda = 9.6 lies in the
@@ -394,29 +353,6 @@ class TestRspca:
         assert trace.converged
         assert vec.any()
         assert angle_degrees(vec, sys.u1) < 20.0
-
-    def test_max_iter_validation(self):
-        dm, _ = spiked_data(20, 5, 0.6, 0.3, seed=17)
-        with pytest.raises(DomainError):
-            rspca(dm.x, PenaltySpec.hard(1.0), max_iter=0)
-
-    @pytest.mark.parametrize("max_iter", [1.5, True], ids=["fraction", "bool"])
-    def test_max_iter_must_be_an_integer(self, max_iter):
-        # Before, 1.5 raised a bare TypeError and True ran one iteration.
-        dm, _ = spiked_data(20, 5, 0.6, 0.3, seed=17)
-        with pytest.raises(DomainError, match=f"max_iter must be an integer, got {max_iter}"):
-            rspca(dm.x, PenaltySpec.hard(1.0), max_iter=max_iter)
-
-    def test_non_finite_data_with_a_given_dual_is_a_numeric_error_in_bic_mode(self):
-        # The dual is taken from clean data, so only ||X||_F^2 sees the NaN.  Before,
-        # the fit returned an all-zero estimate marked converged.
-        dm, _ = spiked_data(60, 6, 0.6, 0.3, seed=18)
-        dual = dual_first_component(dm.x)
-        x = dm.x.copy()
-        x[3, 2] = np.nan
-        with pytest.raises(NumericError, match=r"\|\|X\|\|_F\^2 must be finite, got nan"):
-            rspca(x, PenaltySpec.hard(0.0), lambda_grid=default_lambda_grid(dual.u_tilde),
-                  dual=dual)
 
 
 def test_every_estimator_returns_a_unit_or_all_zero_array():
@@ -613,26 +549,6 @@ class TestOracleEstimator:
         est = oracle_estimator(dm.x, [1, 4, 7])
         off = np.setdiff1d(np.arange(50), [1, 4, 7])
         assert np.all(est[off] == 0.0)
-
-    @pytest.mark.parametrize("x", [np.ones(5), np.ones((5, 2, 1))], ids=["1d", "3d"])
-    def test_data_that_is_not_a_matrix_is_a_dimension_error(self, x):
-        # Before, a 1-d x raised numpy's IndexError.
-        with pytest.raises(DimensionError, match="2-d data matrix"):
-            oracle_estimator(x, [0])
-
-    def test_support_validation(self):
-        dm, _ = spiked_data(20, 5, 0.6, 0.3, seed=24)
-        for support in ([], [25], [20], [-1], [3, -1]):
-            with pytest.raises(DomainError):
-                oracle_estimator(dm.x, support)
-
-    @pytest.mark.parametrize(
-        "support", [[False, True, False, True, True], [1.9, 3.2]], ids=["bool_mask", "fractional"]
-    )
-    def test_support_must_hold_integer_indices(self, support):
-        dm, _ = spiked_data(20, 5, 0.6, 0.3, seed=24)
-        with pytest.raises(DomainError, match="integer indices"):
-            oracle_estimator(dm.x, support)
 
     def test_python_int_support_is_accepted(self):
         dm, _ = spiked_data(20, 5, 0.6, 0.3, seed=24)

@@ -5,7 +5,6 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from spcalab import DomainError
 from spcalab.figures import counterexample_figure, phase_figure, sweep_figure
 from spcalab.theory import LambdaBounds
 
@@ -65,10 +64,6 @@ class TestSweepFigure:
         circles = [e for e in panel.iter(f"{SVG_NS}circle") if e.get("class") == "bic"]
         assert len(circles) == 2
 
-    def test_requires_sweep(self, tmp_path):
-        with pytest.raises(DomainError):
-            sweep_figure((0.6, 0.1), [], [], None, tmp_path / "fig.svg")
-
 
 class TestPhaseFigure:
     def test_marker_per_pair(self, tmp_path):
@@ -80,10 +75,6 @@ class TestPhaseFigure:
         pts = [e for e in panel.iter(f"{SVG_NS}circle") if e.get("class") == "pair"]
         assert len(pts) == 3
 
-    def test_empty_rejected(self, tmp_path):
-        with pytest.raises(DomainError):
-            phase_figure([], tmp_path / "phase.svg")
-
 
 class TestCounterexampleFigure:
     def test_two_curves(self, tmp_path):
@@ -93,10 +84,6 @@ class TestCounterexampleFigure:
         panel = _panel(root, "counterexample")
         classes = [e.get("class") for e in panel.iter(f"{SVG_NS}polyline")]
         assert "empirical" in classes and "predicted" in classes
-
-    def test_length_mismatch(self, tmp_path):
-        with pytest.raises(DomainError):
-            counterexample_figure([50], [0.1, 0.2], [0.1], tmp_path / "ce.svg")
 
 
 _CURVES = [

@@ -6,22 +6,19 @@ implementation over every support pattern of a small instance.
 """
 
 import math
-from math import inf, nan
+from math import inf
 
 import numpy as np
 import pytest
 
 from spcalab import (
-    DimensionError,
     DomainError,
-    NumericError,
     PenaltySpec,
     angle_degrees,
     default_gamma,
     default_lambda_grid,
     dual_first_component,
     evaluate_estimate,
-    failure_probability,
     gamma_is_valid,
     select_lambda_bic,
     support_errors,
@@ -70,24 +67,6 @@ class TestAngle:
         eps = 1e-10
         v = np.array([1.0, eps])
         assert angle_degrees(u, v) == pytest.approx(math.degrees(eps), rel=1e-6)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            angle_degrees(np.ones(3), np.ones(4))
-
-    @pytest.mark.parametrize("u, v", [(np.ones((2, 2)), np.ones((2, 2))), (1.0, 1.0),
-                                      (np.ones(4), np.ones((4, 1)))],
-                             ids=["matrices", "scalars", "vector_and_column"])
-    def test_arguments_that_are_not_vectors_are_a_dimension_error(self, u, v):
-        # Before, two matrices raised a bare TypeError from float(a.dot(b)).
-        with pytest.raises(DimensionError, match="must be 1-d"):
-            angle_degrees(u, v)
-
-    @pytest.mark.parametrize("u, v", [([nan, 1.0], [1.0, 0.0]), ([0.0, 0.0], [1.0, inf])],
-                             ids=["nan", "inf_against_zero"])
-    def test_non_finite_vector_is_a_numeric_error(self, u, v):
-        with pytest.raises(NumericError, match="finite norm"):
-            angle_degrees(u, v)
 
 
 def _at_cosine(c, d=40, seed=0):
@@ -203,29 +182,8 @@ class TestSupportErrors:
     def test_full_truth_type2_zero(self):
         assert support_errors(np.ones(3), [0, 1, 2]) == (0.0, 0.0)
 
-    def test_empty_truth_rejected(self):
-        with pytest.raises(DomainError):
-            support_errors(np.ones(3), [])
-
-    def test_out_of_range_truth(self):
-        with pytest.raises(DomainError):
-            support_errors(np.ones(3), [3])
-
-    @pytest.mark.parametrize(
-        "truth", [[False, True, False, True], [1.9, 3.2]], ids=["bool_mask", "fractional"]
-    )
-    def test_truth_must_hold_integer_indices(self, truth):
-        with pytest.raises(DomainError, match="integer indices"):
-            support_errors([0.0, 1.0, 0.0, 1.0], truth)
-
     def test_python_int_truth_is_accepted(self):
         assert support_errors([0.0, 1.0, 0.0, 1.0], [1, 3]) == (0.0, 0.0)
-
-    @pytest.mark.parametrize("bad", [nan, inf], ids=["nan", "inf"])
-    def test_non_finite_estimate_is_a_numeric_error(self, bad):
-        # Before, [nan, 0, 1] against [0] returned (0.0, 0.5).
-        with pytest.raises(NumericError, match="estimate must have a finite norm"):
-            support_errors([bad, 0.0, 1.0], [0])
 
 
 def _bic_kron_oracle(x, v1, candidate, lam):
@@ -316,22 +274,6 @@ class TestSelectLambdaBic:
         x = 9.0 * np.outer(u1, rng.standard_normal(n)) + rng.standard_normal((d, n))
         return x
 
-    @pytest.mark.parametrize("v1", [[nan, 0.0], [nan, nan], [inf, 0.0]], ids=["nan", "all_nan", "inf"])
-    def test_v1_of_non_finite_norm_is_not_unit(self, v1):
-        # Before, a NaN norm passed the unit check: lambda* = 1.0 with sigma2 = nan.
-        with pytest.raises(DomainError, match="v1 must be unit-norm"):
-            select_lambda_bic(np.ones((5, 2)), np.array(v1), [0.0, 1.0])
-
-    @pytest.mark.parametrize("bad", [nan, inf], ids=["nan", "inf"])
-    def test_non_finite_data_is_a_numeric_error(self, bad):
-        # v1 comes from the clean data, so only ||X||_F^2 sees the bad entry.
-        # Before, one NaN gave a selected lambda and sigma2 = nan.
-        x = self._spiked()
-        dc = dual_first_component(x)
-        x[7, 3] = bad
-        with pytest.raises(NumericError, match=f"must be finite, got {bad}"):
-            select_lambda_bic(x, dc.v1, default_lambda_grid(dc.u_tilde))
-
     def test_singleton_grid(self):
         x = self._spiked()
         dc = dual_first_component(x)
@@ -408,14 +350,6 @@ class TestSelectLambdaBic:
         assert {0, 1, 2} <= kept
         assert len(kept) <= 6
 
-    def test_grid_validation(self):
-        x = self._spiked(seed=9)
-        dc = dual_first_component(x)
-        for grid in ([], [[0.0, 1.0]], [1.0, 0.5], [-1.0, 0.5], [nan], [0.0, nan, 1.0],
-                     [nan, 1.0], [0.0, nan], [inf], [0.0, inf], [-inf, 0.0]):
-            with pytest.raises(DomainError):
-                select_lambda_bic(x, dc.v1, grid)
-
     def test_soft_family_candidates(self):
         x = self._spiked(seed=10)
         dc = dual_first_component(x)
@@ -458,63 +392,8 @@ class TestDefaultLambdaGrid:
         assert grid[-1] == pytest.approx(6.0)
         assert np.all(np.diff(grid) > 0)
 
-    def test_validation(self):
-        for kwargs in (dict(points=0), dict(lambda_min=0.0), dict(lambda_min=nan),
-                       dict(lambda_min=inf), dict(lambda_max=nan), dict(lambda_max=inf),
-                       dict(lambda_min=1.0, lambda_max=0.5), dict(lambda_min=1.0, lambda_max=1.0)):
-            with pytest.raises(DomainError):
-                default_lambda_grid(np.ones(3), **kwargs)
-        with pytest.raises(DomainError):
-            default_lambda_grid(np.array([1.0, nan]))
-
-    @pytest.mark.parametrize("points", [2.5, True], ids=["fraction", "bool"])
-    def test_points_must_be_an_integer(self, points):
-        # Before, 2.5 raised a bare TypeError and True gave a 2-point grid.
-        with pytest.raises(DomainError, match=f"lambda_points must be an integer, got {points}"):
-            default_lambda_grid(np.ones(3), points=points)
-
-    @pytest.mark.parametrize("key", ["lambda_min", "lambda_max"])
-    @pytest.mark.parametrize("bad", ["0.1", True], ids=["str", "bool"])
-    def test_grid_ends_must_be_real_numbers(self, key, bad):
-        # Before, a str raised a bare TypeError and True read as 1.0.
-        with pytest.raises(DomainError, match=f"^{key} must be a real number"):
-            default_lambda_grid(np.ones(3), **{key: bad})
-
-    def test_empty_u_tilde_is_a_domain_error(self):
-        with pytest.raises(DomainError, match="u_tilde must be non-empty"):
-            default_lambda_grid(np.array([]))
-
-    @pytest.mark.parametrize("u_tilde", [np.ones((3, 3)), np.float64(2.0)], ids=["matrix", "scalar"])
-    def test_u_tilde_that_is_not_a_vector_is_a_dimension_error(self, u_tilde):
-        # Before, each gave a 51-point grid from max |.| over every entry.
-        with pytest.raises(DimensionError, match="u_tilde must be 1-d, got shape"):
-            default_lambda_grid(u_tilde)
-
-
-#: Valid keyword arguments of each ``theory`` entry point that takes real numbers.
-THEORY_CALLS = {
-    theorem_lambda_bounds: dict(d=2000, theta=0.0, gamma=1.0, delta=1.0),
-    pair_lambda_bounds: dict(d=2000, alpha=0.6, beta=0.1, delta=1.0, gamma=None),
-    default_gamma: dict(theta=0.0, alpha=0.6, eta=0.1),
-    gamma_is_valid: dict(gamma=0.25, theta=0.0, alpha=0.6, eta=0.1),
-    failure_probability: dict(d=50, alpha=0.5),
-}
-
 
 class TestThresholdBounds:
-    @pytest.mark.parametrize("bad", ["0.5", True, nan], ids=["str", "bool", "nan"])
-    @pytest.mark.parametrize(
-        "function, name",
-        [(f, name) for f, kwargs in THEORY_CALLS.items() for name in kwargs if name != "d"],
-        ids=lambda v: getattr(v, "__name__", v),
-    )
-    def test_real_arguments_must_be_finite_reals(self, function, name, bad):
-        # Before, a str raised a bare TypeError, True read as 1.0 and
-        # default_gamma returned nan.
-        function(**THEORY_CALLS[function])
-        with pytest.raises(DomainError, match=f"^{name} must "):
-            function(**{**THEORY_CALLS[function], name: bad})
-
     def test_empty_range_at_small_gamma(self):
         b = theorem_lambda_bounds(10000, theta=0.0, gamma=0.25, delta=1.0)
         assert b.lower == pytest.approx(math.log(10000.0), rel=1e-12)
@@ -525,40 +404,6 @@ class TestThresholdBounds:
         b = theorem_lambda_bounds(10000, theta=0.0, gamma=0.5, delta=1.0)
         assert b.upper == pytest.approx(10000.0**0.25, rel=1e-12)
         assert not b.is_empty
-
-    def test_gamma_must_exceed_theta(self):
-        with pytest.raises(DomainError):
-            theorem_lambda_bounds(10000, theta=0.3, gamma=0.3, delta=1.0)
-
-    def test_delta_domain(self):
-        for delta in (0.5, nan, inf):
-            with pytest.raises(DomainError):
-                theorem_lambda_bounds(10000, theta=0.0, gamma=0.4, delta=delta)
-
-    @pytest.mark.parametrize("d", [100.5, 100.0, True], ids=["fraction", "float", "bool"])
-    def test_d_must_be_an_integer(self, d):
-        with pytest.raises(DomainError, match="d must be an integer"):
-            theorem_lambda_bounds(d, 0.0, 0.3, 1.0)
-        with pytest.raises(DomainError, match="d must be an integer"):
-            pair_lambda_bounds(d, 0.6, 0.1, 1.0, None)
-
-    @pytest.mark.parametrize("alpha, beta", [(0.2, 0.7), (0.6, 0.1)], ids=["no_range", "range"])
-    @pytest.mark.parametrize("delta", [inf, nan], ids=["inf", "nan"])
-    def test_pair_rejects_a_non_finite_delta(self, alpha, beta, delta):
-        # Before, delta=inf returned None where the pair admits no gamma.
-        with pytest.raises(DomainError, match=f"delta must be finite, got {delta}"):
-            pair_lambda_bounds(2000, alpha, beta, delta, None)
-
-    @pytest.mark.parametrize("gamma", [inf, -inf, nan], ids=["inf", "-inf", "nan"])
-    def test_pair_rejects_a_non_finite_gamma(self, gamma):
-        # Before, it gave a silent empty range.
-        with pytest.raises(DomainError, match=f"gamma must be finite, got {gamma}"):
-            pair_lambda_bounds(2000, 0.6, 0.1, 1.0, gamma)
-
-    @pytest.mark.parametrize("theta, gamma", [(nan, 0.4), (0.0, nan), (0.0, inf), (-inf, 0.4)])
-    def test_non_finite_exponents(self, theta, gamma):
-        with pytest.raises(DomainError):
-            theorem_lambda_bounds(10000, theta=theta, gamma=gamma, delta=1.0)
 
     @pytest.mark.parametrize("d, gamma, delta, lower, upper", [
         (2000, 0.25, 400.0, inf, 2000.0**0.125),  # log(d)**delta overflows
@@ -681,18 +526,3 @@ class TestEvaluateEstimate:
             for est in (rng.standard_normal(d) * (rng.random(d) < 0.5), np.zeros(d), u1):
                 assert repr(evaluate_estimate(est, u1, truth)) == repr(
                     evaluate_estimate(est, u1, support))
-
-    def test_estimate_of_another_length_is_rejected(self):
-        truth = _Truth.of(np.ones(5), [0, 1])
-        for support in ([0, 1], truth):
-            with pytest.raises(DimensionError, match="shape mismatch"):
-                evaluate_estimate(np.ones(4), np.ones(5), support)
-        with pytest.raises(DimensionError, match="1-d"):
-            evaluate_estimate(np.ones((5, 1)), np.ones(5), truth)
-
-    @pytest.mark.parametrize("bad", [nan, inf], ids=["nan", "inf"])
-    def test_non_finite_estimate_is_a_numeric_error(self, bad):
-        # Before, an inf entry gave angle nan and a RuntimeWarning.
-        u1 = np.ones(5) / 5**0.5
-        with pytest.raises(NumericError, match=f"estimate must have a finite norm, got {bad}"):
-            evaluate_estimate([bad, 0.0, 0.0, 0.0, 0.0], u1, [0, 1])

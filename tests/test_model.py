@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from spcalab import (
-    DimensionError,
     DomainError,
     SpikedSpec,
     build_eigensystem,
@@ -38,41 +37,8 @@ class TestSpikedSpec:
         assert SpikedSpec(10, 5, 0.5, 0.0).support_size == 1
         assert SpikedSpec(10, 5, 0.5, 1.0).support_size == 10
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(d=0, n=5, alpha=0.5, beta=0.5),
-            dict(d=10, n=0, alpha=0.5, beta=0.5),
-            dict(d=10, n=5, alpha=-0.1, beta=0.5),
-            dict(d=10, n=5, alpha=1.6, beta=0.5),
-            dict(d=10, n=5, alpha=0.5, beta=1.5),
-        ],
-    )
-    def test_validation(self, kwargs):
-        with pytest.raises(DomainError):
-            SpikedSpec(**kwargs)
-
-    @pytest.mark.parametrize("d, n", [(100.5, 5), (100, 5.5), (100.0, 5), (True, 5), (100, True)],
-                             ids=["d_fraction", "n_fraction", "d_float", "d_bool", "n_bool"])
-    def test_d_and_n_must_be_integers(self, d, n):
-        # A library caller gets the config's rule: ExperimentConfig(d=100.5) is a ConfigError.
-        with pytest.raises(DomainError, match="must be an integer"):
-            SpikedSpec(d, n, 0.6, 0.1)
-
-    @pytest.mark.parametrize("alpha, beta, field", [("0.5", 0.1, "alpha"), (0.5, None, "beta"),
-                                                    (True, 0.1, "alpha"), (0.5, False, "beta")],
-                             ids=["alpha_str", "beta_none", "alpha_bool", "beta_bool"])
-    def test_alpha_and_beta_must_be_real(self, alpha, beta, field):
-        # Before, a string raised a bare TypeError from a comparison; the config's REAL rule.
-        with pytest.raises(DomainError, match=f"{field} must be a real number"):
-            SpikedSpec(100, 5, alpha, beta)
-
     def test_numpy_integers_are_integers(self):
         assert SpikedSpec(np.int64(100), np.int32(5), 0.6, 0.1).support_size == 1
-
-    def test_d_whose_power_overflows_a_float_is_a_domain_error(self):
-        with pytest.raises(DomainError, match="int too large to convert to float"):
-            SpikedSpec(10**400, 4, 0.6, 0.1)
 
 
 class TestEigenSystem:
@@ -160,19 +126,6 @@ class TestSampleGaussian:
         draws = {sample_gaussian(sys, s).x.tobytes()
                  for s in (7, np.int64(7), np.random.SeedSequence(7))}
         assert len(draws) == 1
-
-    @pytest.mark.parametrize("seed", [1.5, 2.0, "7", True, None],
-                             ids=["fraction", "float", "string", "bool", "none"])
-    def test_a_seed_that_is_not_an_integer_is_a_domain_error(self, seed):
-        # Before, 1.5 drew seed 1's sample, "7" seed 7's and True seed 1's.
-        sys = build_eigensystem(SpikedSpec(50, 4, 0.6, 0.3))
-        with pytest.raises(DomainError, match=f"seed must be an integer, got {seed!r}"):
-            sample_gaussian(sys, seed)
-
-    def test_negative_seed_is_a_domain_error(self):
-        sys = build_eigensystem(SpikedSpec(50, 4, 0.6, 0.3))
-        with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
-            sample_gaussian(sys, -1)
 
     def test_spike_coordinate_variance(self):
         # d=200, alpha=1: Var(x_1) = d * u1[0]^2 + (1 - u1[0]^2) with beta=0
@@ -347,11 +300,6 @@ class TestBatchedPhilox:
         # Both kinds of draw occur, except that hits are rare at (401, 0.5).
         assert 0 < hits < len(keys) or d == 401 and alpha == 0.5
 
-    def test_oversized_key_block_is_dimension_error(self):
-        block = np.zeros((KEY_BLOCK + 1, 2), dtype=np.uint64)
-        with pytest.raises(DimensionError, match=f"at most {KEY_BLOCK} keys"):
-            counterexample_hits(50, 0.5, [block])
-
     def test_memory_is_bounded_at_large_d(self):
         # One draw of Generator.random(d) alone would hold 8 MB here.
         keys = list(stream_keys(3, 0, range(200)))
@@ -429,25 +377,6 @@ class TestStreamKeys:
         first = next(stream_keys(5, 2, range(2**32)))[0]
         assert first.tolist() == reference_key(5, 2, 0).tolist()
 
-    @pytest.mark.parametrize(
-        "args, message",
-        [((-1, 0, range(3)), "seed must be >= 0"),
-         ((1.5, 0, range(3)), "seed must be an integer, got 1.5"),
-         ((True, 0, range(3)), "seed must be an integer, got True"),
-         (("7", 0, range(3)), "seed must be an integer, got '7'"),
-         ((0, -1, range(3)), "d_index must be >= 0"),
-         ((0, 1.5, range(3)), "d_index must be an integer, got 1.5"),
-         ((0, 0, range(-1, 3)), "unit-step range from 0 up"),
-         ((0, 0, range(2**32 + 1)), r"reps must be <= 2\*\*32, got 4294967297"),
-         ((0, 0, range(0, 6, 2)), "unit-step range from 0 up")],
-        ids=["seed", "seed_fraction", "seed_bool", "seed_string", "d_index", "d_index_fraction",
-             "negative_rep", "rep_past_one_word", "step"],
-    )
-    def test_out_of_range_stream_is_domain_error(self, args, message):
-        # Checked on the call, before the first key is asked for.
-        with pytest.raises(DomainError, match=message):
-            stream_keys(*args)
-
 
 class TestFailureProbability:
     def test_direct_values(self):
@@ -469,21 +398,4 @@ class TestFailureProbability:
             for alpha in (0.1, 0.5, 0.9):
                 if 2 * d ** (-(alpha + 1) / 2) <= 1:
                     assert 0.0 <= failure_probability(d, alpha) <= 1.0
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            failure_probability(1, 0.5)
-        with pytest.raises(DomainError):
-            failure_probability(100, 0.0)
-
-    @pytest.mark.parametrize("law", [failure_probability, counterexample_tail_probability])
-    @pytest.mark.parametrize("d, message", [
-        (50.5, "d must be an integer, got 50.5"),
-        (True, "d must be an integer, got True"),
-        (10**400, "d does not fit a float"),
-    ], ids=["fraction", "bool", "past_a_float"])
-    def test_d_must_be_an_integer_that_fits_a_float(self, law, d, message):
-        # Before, 50.5 gave 0.00399 and 10**400 a bare OverflowError.
-        with pytest.raises(DomainError, match=message):
-            law(d, 0.5)
 
