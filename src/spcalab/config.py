@@ -15,7 +15,7 @@ from typing import NamedTuple
 from . import theory
 from ._files import cell, replace_text
 from .estimators import RSPCA_MAX_ITER, _check_max_iter
-from .exceptions import ConfigError, DomainError
+from .exceptions import ConfigError, DomainError, _check_integers, _check_real
 from .metrics import DEFAULT_LAMBDA_MIN, DEFAULT_LAMBDA_POINTS, _check_grid_settings
 from .model import SpikedSpec, _check_seed
 from .penalties import DEFAULT_SCAD_A, FAMILIES, PenaltySpec
@@ -112,12 +112,12 @@ class ExperimentConfig:
 
 def _integer(v) -> int:
     if not (isinstance(v, float) and v.is_integer()):
-        theory._check_integers(value=v)
+        _check_integers(value=v)
     return int(v)
 
 
 def _real(v) -> float:
-    theory._check_real(value=v)
+    _check_real(value=v)
     return float(v)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DegenerateInputError, DimensionError, DomainError, NumericError
+from .exceptions import DegenerateInputError, DimensionError, NumericError, _data_matrix
 
 # Relative eigengap below which the leading dual eigenvector is flagged
 # as ambiguous (multiple leading eigenvalue).
@@ -51,17 +51,6 @@ class DualComponent:
     ambiguous: bool
 
 
-def _data_matrix(x) -> np.ndarray:
-    """``x`` as a float array: DomainError unless it holds numbers, DimensionError unless 2-d."""
-    try:
-        a = np.asarray(x, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"x must be an array of real numbers ({exc})") from None
-    if a.ndim != 2:
-        raise DimensionError(f"x must be a 2-d data matrix, got shape {a.shape}")
-    return a
-
-
 def canonical_sign(v: np.ndarray) -> np.ndarray:
     """Flip ``v`` so its largest-|entry| coordinate is non-negative.
 
@@ -84,7 +73,7 @@ def dual_first_component(x: np.ndarray) -> DualComponent:
     Raises
     ------
     DomainError, DimensionError
-        If ``x`` does not hold numbers, or is not 2-d (``_data_matrix``).
+        If ``x`` does not hold numbers, or is not 2-d (``exceptions._data_matrix``).
     NumericError
         If S has non-finite entries (which it has whenever ``x`` has one, or
         when a finite ``x`` overflows it), or the eigensolve fails.

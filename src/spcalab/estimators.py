@@ -16,13 +16,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .eigen import DualComponent, _data_matrix, dual_first_component
-from .exceptions import DomainError
-from .metrics import (
-    _angle, _bic_selection, _checked_grid, _norm, _support_mask, frobenius_sq,
-)
+from .eigen import DualComponent, dual_first_component
+from .exceptions import DomainError, _check_integers, _data_matrix
+from .metrics import _angle, _bic_selection, _checked_grid, _norm, _support_mask, frobenius_sq
 from .penalties import PenaltySpec, _threshold, threshold
-from .theory import _check_integers
 
 #: Convergence tolerance on the angle change between iterates, degrees.
 RSPCA_TOL_DEG = 1e-8

@@ -209,7 +209,8 @@ def _summarize(records: list[ReplicationRecord]) -> list[SummaryRow]:
     ``'linear'`` percentile (Hyndman-Fan type 7), and the medians of df and
     lambda are the middle value, or the mean of the two middle values for an
     even count.  Both are computed as ``np.percentile`` and ``np.median``
-    compute them, bit for bit.
+    compute them, bit for bit, except that a mean whose sum overflows is
+    halved before the add, where ``np.median`` would give inf.
     """
     groups: dict[tuple, list[tuple]] = {}
     for r in records:
@@ -234,8 +235,11 @@ def _summarize(records: list[ReplicationRecord]) -> list[SummaryRow]:
     # quartiles[g] holds angle, type1 and type2's q25, median and q75, in that order.
     quartiles = np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
     quartiles = quartiles.transpose(0, 2, 1).reshape(len(keys), 9).tolist()
-    # For an odd count both middle indices are the same, and (a + a) / 2 == a.
-    medians = ((values[:, (count - 1) // 2, 3:] + values[:, count // 2, 3:]) / 2.0).tolist()
+    lower, upper = values[:, (count - 1) // 2, 3:], values[:, count // 2, 3:]
+    with np.errstate(over="ignore"):
+        medians = lower if count % 2 else (lower + upper) / 2.0
+    # The sum overflows for lambdas near the float limit, where halving first does not.
+    medians = np.where(np.isfinite(medians), medians, lower / 2.0 + upper / 2.0).tolist()
     return [
         SummaryRow(alpha, beta, method, count, None if math.isnan(lam) else lam, df, *q)
         for (alpha, beta, method), (df, lam), q in zip(keys, medians, quartiles)

@@ -1,4 +1,4 @@
-"""Angles, support-recovery errors and BIC lambda selection.
+"""Angles, support-recovery errors and BIC lambda selection; the array rules are ``exceptions``'.
 
 The theorem's threshold range, which the sweep figures mark, is in ``theory``.
 """
@@ -11,28 +11,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .eigen import _data_matrix
-from .exceptions import DimensionError, DomainError, NumericError
+from .exceptions import (DimensionError, DomainError, NumericError, _array, _check_finite,
+                         _check_integers, _data_matrix, _vector)
 from .penalties import PenaltySpec
-from .theory import _check_finite, _check_integers
 
 #: Smallest non-zero lambda and number of log-spaced lambdas of the default grid.
 DEFAULT_LAMBDA_MIN = 1e-3
 DEFAULT_LAMBDA_POINTS = 50
-
-
-def _vector(v, name: str, dtype=float) -> np.ndarray:
-    """``v`` as a 1-d array of ``dtype``: DomainError unless it holds numbers, DimensionError unless 1-d.
-
-    ``dtype=None`` keeps the dtype numpy infers, which index arrays need.
-    """
-    try:
-        a = np.asarray(v, dtype=dtype)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"{name} must be an array of real numbers ({exc})") from None
-    if a.ndim != 1:
-        raise DimensionError(f"{name} must be 1-d, got shape {a.shape}")
-    return a
 
 
 def _norm(x: np.ndarray) -> float:
@@ -244,7 +229,7 @@ class LambdaSelection:
 
 def frobenius_sq(x) -> float:
     """||X||_F^2, the sum of squares BIC's residuals are taken from; NumericError unless finite."""
-    xm = np.asarray(x, dtype=float)
+    xm = _data_matrix(x)
     fro2 = float(np.einsum("ij,ij->", xm, xm))
     if not math.isfinite(fro2):
         raise NumericError(f"||X||_F^2 must be finite, got {fro2}")
@@ -253,7 +238,7 @@ def frobenius_sq(x) -> float:
 
 def _checked_grid(grid) -> np.ndarray:
     """``grid`` as a float array; it must be non-empty, 1-d, finite, ascending and >= 0."""
-    g = np.asarray(grid, dtype=float)
+    g = _array(grid, "lambda grid")
     if g.ndim != 1 or g.size == 0:
         raise DomainError("lambda grid must be a non-empty 1-d array")
     # A NaN fails every comparison, so this rejects it wherever it sits.
@@ -305,10 +290,19 @@ def _bic_selection(xv: np.ndarray, fro2: float, n: int, g: np.ndarray, fam: Pena
         a = fam.scad_a
         ab = np.concatenate(([0.0], np.cumsum(au)))
         k2 = np.searchsorted(au, 2.0 * g, side="right")
-        k3 = np.searchsorted(au, a * g, side="right")
-        al = a * g
-        blend = (k3 - k2) * (al * al) - 2.0 * al * (ab[k3] - ab[k2]) + (sq[k3] - sq[k2])
-        excess = excess + (k2 - k) * (g * g) + blend / (a - 2.0) ** 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            al = a * g
+            k3 = np.searchsorted(au, al, side="right")
+            blend = (k3 - k2) * (al * al) - 2.0 * al * (ab[k3] - ab[k2]) + (sq[k3] - sq[k2])
+            band = blend / ((a - 2.0) ** 2 if a < 1e154 else math.nan)
+        lost = ~np.isfinite(band)
+        if lost.any():
+            # a lam or a - 2 is too large to square.  Each term (a lam - |u_i|)^2 / (a - 2)^2
+            # is (r - s |u_i|)^2 with r = lam a / (a - 2) and s = 1 / (a - 2), which square no large a.
+            j2, j3 = k2[lost], k3[lost]
+            r, s = g[lost] * (a / (a - 2.0)), 1.0 / (a - 2.0)
+            band[lost] = (j3 - j2) * (r * r) - 2.0 * r * s * (ab[j3] - ab[j2]) + s * s * (sq[j3] - sq[j2])
+        excess = excess + (k2 - k) * (g * g) + band
     rss = rss_ols + excess
     df_terms = math.log(nd) / nd * dfs
     totals = rss / (nd * sigma2) + df_terms if sigma2 > 0.0 else df_terms

@@ -43,13 +43,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import theory
-from .eigen import _data_matrix
-from .exceptions import DimensionError, DomainError
+from .exceptions import (DimensionError, DomainError, NumericError, _check_integers, _check_real,
+                         _data_matrix)
 
 
 def _check_seed(seed) -> None:
     """DomainError unless ``seed`` is a non-negative integer; a bool is not one."""
-    theory._check_integers(seed=seed)
+    _check_integers(seed=seed)
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
 
@@ -63,7 +63,7 @@ class DataMatrix:
     def __post_init__(self):
         object.__setattr__(self, "x", _data_matrix(self.x))
         if not np.isfinite(self.x).all():
-            raise DomainError("data matrix contains non-finite entries")
+            raise NumericError("data matrix contains non-finite entries")
 
     @property
     def d(self) -> int:
@@ -98,12 +98,12 @@ class SpikedSpec:
     beta: float
 
     def __post_init__(self):
-        theory._check_integers(d=self.d, n=self.n)
+        _check_integers(d=self.d, n=self.n)
         if self.d < 1:
             raise DomainError(f"d must be >= 1, got {self.d}")
         if self.n < 1:
             raise DomainError(f"n must be >= 1, got {self.n}")
-        theory._check_real(alpha=self.alpha, beta=self.beta)
+        _check_real(alpha=self.alpha, beta=self.beta)
         if not 0.0 <= self.alpha <= 1.5:
             raise DomainError(f"alpha must lie in [0, 1.5], got {self.alpha}")
         if not 0.0 <= self.beta <= 1.0:
@@ -266,7 +266,7 @@ def stream_keys(base_seed: int, d_index: int, reps: range):
     arguments are checked when this is called, before any key is derived.
     """
     _check_seed(base_seed)
-    theory._check_integers(d_index=d_index)
+    _check_integers(d_index=d_index)
     if d_index < 0:
         raise DomainError(f"d_index must be >= 0, got {d_index}")
     if reps.start < 0 or reps.step != 1:

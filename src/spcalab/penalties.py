@@ -14,8 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exceptions import DomainError
-from .theory import _check_finite, _check_real
+from .exceptions import DomainError, _array, _check_finite, _check_real
 
 FAMILIES = ("soft", "hard", "scad")
 
@@ -58,7 +57,7 @@ class PenaltySpec:
 
 def threshold(x, penalty: PenaltySpec) -> np.ndarray:
     """Apply the penalty's thresholding rule componentwise."""
-    return _threshold(np.asarray(x, dtype=float), penalty)[0]
+    return _threshold(_array(x, "x"), penalty)[0]
 
 
 def _threshold(x: np.ndarray, penalty: PenaltySpec) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,4 @@
-"""The paper's threshold range and counterexample law, stated once.
+"""The paper's threshold range and counterexample law; the generic input rules are ``exceptions``'.
 
 The consistency theorem's thresholds lie in ``[log(d)**delta * d**(theta/2),
 d**(gamma/2)]`` with delta > 1/2 and theta < gamma < alpha - eta.  Each
@@ -19,10 +19,9 @@ lab assumes more than it does:
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
-from .exceptions import DomainError
+from .exceptions import DomainError, _check_finite, _check_integers, _check_real
 
 
 @dataclass(frozen=True)
@@ -55,29 +54,6 @@ def theorem_lambda_bounds(d: int, theta: float, gamma: float, delta: float) -> L
     # In log space, so a factor that leaves the float range cannot make the product inf * 0.
     lower = _power(math.e, delta * math.log(math.log(d)) + theta / 2.0 * math.log(d))
     return LambdaBounds(lower=lower, upper=_power(d, gamma / 2.0))
-
-
-def _check_integers(**values) -> None:
-    """DomainError unless every value is an integer; a bool is not one."""
-    for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise DomainError(f"{name} must be an integer, got {value!r}")
-
-
-def _check_real(**values) -> None:
-    """DomainError unless every value is a real number; a bool is not one."""
-    for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise DomainError(f"{name} must be a real number, got {value!r}")
-
-
-def _check_finite(**values) -> None:
-    """DomainError unless every value is a finite real number or None (left to a default)."""
-    present = {name: value for name, value in values.items() if value is not None}
-    _check_real(**present)
-    for name, value in present.items():
-        if not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value}")
 
 
 def _check_range_settings(d: int, delta: float, gamma: float | None) -> None:

@@ -321,6 +321,15 @@ class TestRunExperiment:
             assert experiment._summarize(batch) == summarize_reference(batch)
         assert experiment._summarize([r for r in records if not r.final]) == []
 
+    @pytest.mark.parametrize("lams", [[1e308], [1.7e308, 1.7e308], [1.5e308, 1.7e308]],
+                             ids=["one", "two", "two_unequal"])
+    def test_lambda_median_near_the_float_limit_is_finite(self, lams):
+        # The mean of two such lambdas overflows a float when summed first.
+        batch = [ReplicationRecord(alpha=0.6, beta=0.1, method="st", rep=rep, lam=lam, angle_deg=90.0,
+                                   type1=1.0, type2=0.0, df=0, final=True) for rep, lam in enumerate(lams)]
+        (row,) = experiment._summarize(batch)
+        assert row.lambda_median == (lams[0] if len(lams) == 1 else lams[0] / 2 + lams[1] / 2)
+
     def test_bic_selected_lambdas_cluster(self):
         # (0.6, 0.1) at desk scale: the per-replication BIC choices land
         # in a narrow band (well under one decade IQR on the plot axis).

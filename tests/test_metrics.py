@@ -14,12 +14,16 @@ import pytest
 from spcalab import (
     DomainError,
     PenaltySpec,
+    SpikedSpec,
     angle_degrees,
+    build_eigensystem,
     default_gamma,
     default_lambda_grid,
     dual_first_component,
     evaluate_estimate,
     gamma_is_valid,
+    rspca,
+    sample_gaussian,
     select_lambda_bic,
     support_errors,
     theorem_lambda_bounds,
@@ -319,6 +323,23 @@ class TestSelectLambdaBic:
         assert [v.total for v in sel.values] == sel.totals.tolist()
         assert [v.df for v in sel.values] == dfs
         assert sel.total == sel.totals.min()
+
+    @pytest.mark.parametrize("a", [1e154, 1e155, 1e300, 1e308])
+    def test_scad_band_with_a_too_large_to_square(self, a):
+        # At a = 1e154, a lam * a lam overflows; from 1e155, (a - 2)**2 does too,
+        # and at 1e308 so does a lam.
+        x = sample_gaussian(build_eigensystem(SpikedSpec(50, 3, 0.6, 0.1)), seed=1).x
+        dc = dual_first_component(x)
+        grid = default_lambda_grid(dc.u_tilde)
+        penalty = PenaltySpec.scad(0.0, a)
+        sel = select_lambda_bic(x, dc.v1, grid, penalty)
+        totals = [bic(x, dc.v1, threshold(dc.u_tilde, penalty.with_lambda(lam)), lam).total
+                  for lam in grid.tolist()]
+        assert np.isfinite(sel.totals).all()
+        assert sel.totals.tolist() == pytest.approx(totals, rel=1e-10)
+        assert sel.total == sel.totals.min()
+        _, trace = rspca(x, penalty, lambda_grid=grid, dual=dc)
+        assert all(math.isfinite(it.bic_total) for it in trace.iterations)
 
     def test_degenerate_rank_one(self):
         # X = u v^T fits exactly: sigma2 = 0, so every total is its df term

@@ -1,5 +1,6 @@
 """The package's public surface: ``spcalab.__all__``, its bad-input table and the README example."""
 
+import ast
 import contextlib
 import importlib
 import importlib.util
@@ -137,6 +138,7 @@ CALLS = {
     spcalab.PenaltySpec.scad: dict(lam=0.1, a=3.7),
     spcalab.PenaltySpec.with_lambda: dict(self=spcalab.PenaltySpec.scad(0.1).with_lambda(np.float64(0.2)),
                                           lam=0.3),
+    spcalab.threshold: dict(x=np.ones(3), penalty=spcalab.PenaltySpec.scad(0.5)),
     spcalab.ExperimentConfig: dict(d=120, n=8, replications=3, methods=("pca", "oracle")),
     resolve_config: dict(file_values={}, flag_values={}),
     spcalab.sample_gaussian: dict(system=spcalab.build_eigensystem(spcalab.SpikedSpec(50, 4, 0.6, 0.3)),
@@ -220,7 +222,7 @@ RANGE_FUNCTIONS = (spcalab.theorem_lambda_bounds, pair_lambda_bounds, spcalab.de
 BAD_INPUT = [
     # model
     _row(spcalab.DataMatrix, "x", np.ones(3), DimensionError, "x must be a 2-d data matrix", "vector"),
-    _row(spcalab.DataMatrix, "x", _set(X, (0, 0), nan), DomainError, "contains non-finite entries",
+    _row(spcalab.DataMatrix, "x", _set(X, (0, 0), nan), NumericError, "contains non-finite entries",
          "nan"),
     _row(spcalab.SpikedSpec, "d", 0, DomainError, "d must be >= 1", "zero"),
     _row(spcalab.SpikedSpec, "n", 0, DomainError, "n must be >= 1", "zero"),
@@ -267,6 +269,7 @@ BAD_INPUT = [
     _row(spcalab.PenaltySpec.with_lambda, "lam", False, DomainError, "lam must be a real number", "bool"),
     *(_row(spcalab.PenaltySpec.scad, "a", a, DomainError, f"scad_a must be finite, got {a}", label)
       for a, label in [(inf, "inf"), (-inf, "-inf"), (nan, "nan")]),
+    _row(spcalab.threshold, "x", ["0.5", "a"], DomainError, "x must be an array of real numbers", "str"),
     # eigen and estimators
     _row(spcalab.dual_first_component, "x", np.full((4, 2), 1e200), NumericError, "non-finite",
          "overflowing_gram"),
@@ -284,6 +287,8 @@ BAD_INPUT = [
     _row(spcalab.rspca, "max_iter", 0, DomainError, "max_iter must be >= 1", "zero"),
     _row(spcalab.rspca, "max_iter", 1.5, DomainError, "max_iter must be an integer, got 1.5", "fraction"),
     _row(spcalab.rspca, "max_iter", True, DomainError, "max_iter must be an integer, got True", "bool"),
+    _row(spcalab.rspca, "lambda_grid", ["0", "a"], DomainError,
+         "lambda grid must be an array of real numbers", "str"),
     # The dual is taken from clean data, so only ||X||_F^2 sees the NaN.
     _row(spcalab.rspca, "x", _set(X, (3, 1), nan), NumericError, r"\|\|X\|\|_F\^2 must be finite, got nan",
          "nan_with_dual"),
@@ -339,6 +344,8 @@ BAD_INPUT = [
                           ([0.0, nan, 1.0], "inner_nan"), ([nan, 1.0], "first_nan"),
                           ([0.0, nan], "last_nan"), ([inf], "inf"), ([0.0, inf], "last_inf"),
                           ([-inf, 0.0], "-inf")]),
+    _row(spcalab.select_lambda_bic, "grid", ["0", "a"], DomainError,
+         "lambda grid must be an array of real numbers", "str"),
     _row(spcalab.default_lambda_grid, "points", 0, DomainError, "lambda_points must be >= 1", "zero"),
     _row(spcalab.default_lambda_grid, "lambda_min", 0.0, DomainError, "lambda_min must be > 0", "zero"),
     *(_row(spcalab.default_lambda_grid, key, bad, DomainError, f"{key} must be finite, got {bad}",
@@ -461,7 +468,6 @@ NO_ROW = {
     "PAPER_PAIRS": "a constant",
     "build_eigensystem": "its one parameter is a SpikedSpec, which checks itself when built",
     "run_experiment": "its one parameter is an ExperimentConfig, which checks itself when built",
-    "threshold": "x is any numeric array, and the penalty checks itself when built",
 }
 
 
@@ -512,6 +518,42 @@ def test_config_import_leaves_the_study_modules_unloaded():
             "import spcalab.config\n"
             f"print([m for m in {studies!r} if m in sys.modules])\n")
     assert _run_python(code, str(Path(spcalab.__file__).parent)) == "[]\n"
+
+
+#: The input rules no one module owns, each defined in ``exceptions`` alone.
+GENERIC_RULES = {"_check_integers", "_check_real", "_check_finite", "_array", "_data_matrix", "_vector"}
+
+
+def _package_imports(path: Path) -> dict[str, set[str]]:
+    """The package modules ``path`` imports from, each with the names it takes from it.
+
+    ``from . import theory`` takes the module whole, which counts as no name.
+    """
+    taken: dict[str, set[str]] = {}
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names = {alias.name for alias in node.names}
+            if node.module:
+                taken.setdefault(node.module, set()).update(names)
+            else:
+                taken.update({module: taken.get(module, set()) for module in names})
+    return taken
+
+
+def test_generic_rules_are_defined_and_imported_from_exceptions_alone():
+    for path in sorted(Path(spcalab.__file__).parent.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        defined = {node.name for node in nodes if isinstance(node, ast.FunctionDef)}
+        assert defined & GENERIC_RULES == (GENERIC_RULES if path.stem == "exceptions" else set()), path
+        # Neither ``from .theory import _check_real`` nor ``theory._check_real(...)``.
+        assert not {node.attr for node in nodes if isinstance(node, ast.Attribute)} & GENERIC_RULES, path
+        for module, names in _package_imports(path).items():
+            assert module == "exceptions" or not names & GENERIC_RULES, (path, module)
+
+
+def test_theory_imports_nothing_of_the_package_but_exceptions():
+    # theory states the paper's range and law; the generic rules it applies are exceptions'.
+    assert set(_package_imports(Path(spcalab.__file__).parent / "theory.py")) == {"exceptions"}
 
 
 def test_forked_study_leaves_multiprocessing_unloaded(tmp_path):
