@@ -5,12 +5,18 @@ For d >> n it is never formed here: the dual matrix S = (1/n) X^T X is only
 n x n and shares the non-zero spectrum, and the leading left vector is
 recovered as X v1 where v1 is the leading dual eigenvector.
 
+S is numpy's Gram matrix ``a.T @ a`` divided by n, taken as it is: for a C-
+or Fortran-ordered X (every sampler's), numpy forms that product as one
+symmetric rank-k BLAS update and copies it into both triangles, so S is
+exactly symmetric.  ``eigh`` reads one triangle, so a strided X, whose
+threaded product can differ from its transpose in the last bits, is solved
+from S's lower triangle.
 S is solved by one LAPACK ``eigh`` call (``numpy.linalg.eigh``), of which
-only the leading pair is kept: its input X^T X is already a BLAS product,
-and for a fixed numerics stack both are repeatable run to run.  Gram +
-``eigh`` is kept over a thin SVD of X, which avoids squaring the condition
-number but measured 5-9x slower at n = 25 on one BLAS thread (540 us
-against 93 us at d = 2000, 2.7 ms against 0.30 ms at d = 10,000).
+only the leading pair is kept; for a fixed numerics stack the product and
+the solve are repeatable run to run.  Gram + ``eigh`` is kept over a thin
+SVD of X, which avoids squaring the condition number but measured 5-9x
+slower at n = 25 on one BLAS thread (540 us against 93 us at d = 2000,
+2.7 ms against 0.30 ms at d = 10,000).
 """
 
 from __future__ import annotations
@@ -66,9 +72,9 @@ def canonical_sign(v: np.ndarray) -> np.ndarray:
 def dual_first_component(x: np.ndarray) -> DualComponent:
     """Leading PC direction of a d x n matrix via the n x n dual matrix.
 
-    Forms S = (1/n) X^T X (symmetrized exactly), keeps the leading
-    eigenpair of one ``numpy.linalg.eigh`` call, and lifts the eigenvector
-    back as u_tilde = X v1.
+    Forms S = (1/n) X^T X, keeps the leading eigenpair of one
+    ``numpy.linalg.eigh`` call, and lifts the eigenvector back as
+    u_tilde = X v1.
 
     Raises
     ------
@@ -91,8 +97,7 @@ def dual_first_component(x: np.ndarray) -> DualComponent:
     # non-finite, and so does a finite X that overflows its Gram matrix; the
     # check below turns either into a NumericError instead of a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        g = a.T @ a
-        s = (g + g.T) / (2.0 * n)
+        s = (a.T @ a) / n
     if not np.isfinite(s).all():
         raise NumericError("data matrix or its dual X^T X / n contains non-finite entries")
     try:

@@ -20,6 +20,7 @@ LAMBDA_AXIS_OFFSET = 1e-5
 _PANEL_W = 270.0
 _PANEL_H = 200.0
 _MARGIN = 56.0
+_TOP = 46.0  # every panel's top edge
 _GAP = 48.0
 _INK = "#202020"
 
@@ -81,11 +82,10 @@ def nice_ticks(lo: float, hi: float) -> list[float]:
 
 @dataclass
 class Panel:
-    """One framed x/y plotting area with linear data-to-pixel transforms."""
+    """One framed x/y plotting area, top edge at ``_TOP``, with linear data-to-pixel transforms."""
 
     panel_id: str
     x0: float
-    y0: float
     width: float
     height: float
     xlim: tuple[float, float]
@@ -103,7 +103,7 @@ class Panel:
     def py(self, y: float) -> float:
         a, b = self.ylim
         span = b - a if b != a else 1.0
-        return self.y0 + self.height - (y - a) / span * self.height
+        return _TOP + self.height - (y - a) / span * self.height
 
     def add_polyline(self, xs, ys, stroke="#4878a8", width=1.0, opacity=0.5, dash=None, cls=None):
         pts = " ".join(f"{fmt(self.px(x))},{fmt(self.py(y))}" for x, y in zip(xs, ys))
@@ -126,11 +126,11 @@ class Panel:
         self.elements.append(_text(self.px(x), self.py(y) - 11, 8, text))
 
     def add_note(self, text):
-        self.elements.append(_element("text", text, x=self.x0 + 6, y=self.y0 + 14,
+        self.elements.append(_element("text", text, x=self.x0 + 6, y=_TOP + 14,
                                       class_="warning", font_size=10, fill="#a03020"))
 
     def render(self) -> str:
-        x0, y0, bottom = self.x0, self.y0, self.y0 + self.height
+        x0, y0, bottom = self.x0, _TOP, _TOP + self.height
         out = [_element("rect", x=x0, y=y0, width=self.width, height=self.height, fill="none",
                         stroke=_INK, stroke_width=1)]
         for t in nice_ticks(*self.xlim):
@@ -201,7 +201,6 @@ def sweep_figure(
         pn = Panel(
             panel_id=pid,
             x0=_MARGIN + k * (_PANEL_W + _GAP),
-            y0=46.0,
             width=_PANEL_W,
             height=_PANEL_H,
             xlim=xlim,
@@ -240,7 +239,6 @@ def phase_figure(entries: list[tuple[float, float, float]], path) -> None:
     pn = Panel(
         panel_id="phase",
         x0=70.0,
-        y0=46.0,
         width=360.0,
         height=360.0,
         xlim=(0.0, max(1.0, *(alpha for alpha, _, _ in entries))),
@@ -275,7 +273,6 @@ def counterexample_figure(
     pn = Panel(
         panel_id="counterexample",
         x0=70.0,
-        y0=46.0,
         width=420.0,
         height=280.0,
         xlim=(min(xs) - 0.1, max(xs) + 0.1),

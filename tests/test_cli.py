@@ -8,6 +8,7 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -32,7 +33,179 @@ def subprocess_env(**extra):
                 PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
+class CliError(NamedTuple):
+    """One way the CLI fails: its argv, exit code and a fragment of its stderr.
+
+    ``argv`` is split on whitespace; ``{out}`` is a fresh directory path and
+    ``{file}`` a file path, which holds ``file`` when that is given, and may
+    appear in ``message`` too.  ``patch(monkeypatch)`` runs before the CLI.
+    ``absent`` is what the run must not leave under ``{out}``: the directory
+    itself, unless a study fails after it wrote ``config.resolved``.
+    """
+
+    id: str
+    argv: str
+    code: int
+    message: str
+    file: bytes | None = None
+    patch: Callable | None = None
+    absent: str = "."
+
+
+def _raise(target, error):
+    """A patch under which the callable at dotted path ``target`` raises ``error``."""
+    def patch(monkeypatch):
+        def fail(*args):
+            raise error
+        monkeypatch.setattr(target, fail)
+    return patch
+
+
+def _fail_in_worker(error):
+    """A patch under which each forked worker's replication raises ``error``, or is
+    killed by SIGKILL when ``error`` is None."""
+    def patch(monkeypatch):
+        parent, real = os.getpid(), experiment._run_replication
+        def patched(*task):
+            if os.getpid() != parent:
+                if error is None:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise error
+            return real(*task)
+        monkeypatch.setattr(experiment, "_run_replication", patched)
+    return patch
+
+
+BIC = "bic --alpha 0.6 --beta 0.1 --d 50 --n 4"
+PHASE = "phase --pairs 0.6:0.1,0.2:0.7 --d 100 --n 6 --reps 2 --lambda-points 4 --threads 2"
+# Only PenaltySpec states the families, so the flag and the file print this same line.
+LASSO = "spcalab: config error: unknown penalty family 'lasso'; expected one of ('soft', 'hard', 'scad')\n"
+
+#: Every error case of the CLI; each config-error example of the README is one of its rows.
+CLI_ERRORS = [
+    CliError("missing_out", BIC, EXIT_CONFIG, "output_dir is required"),
+    CliError("bad_pair", "bic --alpha 2.5 --beta 0.1 --d 50 --n 4 --out {out}", EXIT_CONFIG,
+             "alpha must lie in [0, 1.5], got 2.5"),
+    CliError("unknown_config_key", "bic --config {file} --out {out}", EXIT_CONFIG,
+             "{file}:1: unknown key 'banana'", file=b"banana=1\n"),
+    *(CliError(f"bic_{id}", f"{BIC} --reps 1 --method pca,st --penalty scad {flags} --out {{out}}",
+               EXIT_CONFIG, message)
+      for id, flags, message in [
+          ("scad_a", "--scad-a 1.5", "SCAD shape a must be > 2, got 1.5"),
+          ("max_iter", "--max-iter 0", "max_iter must be >= 1, got 0"),
+          ("delta", "--delta 0.3", "delta must be > 1/2, got 0.3"),
+          ("d", "--d 1", "d must be >= 2, got 1"),
+          ("seed", "--seed -1", "seed must be >= 0, got -1"),
+          ("n", "--n 0", "n must be >= 1, got 0"),
+          ("d_overflows_a_float", "--d 1" + "0" * 400, "int too large to convert to float"),
+      ]),
+    # alpha <= beta admits no gamma, so the pair has no threshold range to compute.
+    *(CliError(f"no_range_{id}", "bic --alpha 0.2 --beta 0.7 --n 4 --reps 1 --method pca "
+               f"{flags} --out {{out}}", EXIT_CONFIG, message)
+      for id, flags, message in [("d", "--d 1", "d must be >= 2, got 1"),
+                                 ("delta", "--delta 0.3", "delta must be > 1/2, got 0.3")]),
+    # "--key=-inf" keeps argparse from reading the value as a flag.
+    *(CliError(f"{key}={value}", "sweep --pairs 0.6:0.1 --d 200 --n 6 --reps 1 --lambda-points 4 "
+               f"--penalty scad --{key.replace('_', '-')}={value} --out {{out}}",
+               EXIT_CONFIG, f"{key} must be finite, got {float(value)}")
+      for key in ["lambda_min", "lambda_max", "delta", "gamma", "scad_a"]
+      for value in ["nan", "inf", "-inf"]),
+    *(CliError(id, f"sweep --pairs {pairs} --d 200 --n 4 --reps 1 --out {{out}}", EXIT_CONFIG,
+               "share the label 0.6:0.1")
+      for id, pairs in [("same_pair", "0.6:0.1,0.6:0.1"), ("same_label", "0.6:0.1,0.60000001:0.1")]),
+    CliError("repeated_method", f"{BIC} --reps 2 --method pca,pca --out {{out}}", EXIT_CONFIG,
+             "method 'pca' is listed twice"),
+    *(CliError(f"counterexample_{id}", f"counterexample {flags} --out {{out}}", EXIT_CONFIG, message)
+      for id, flags, message in [
+          ("reps", "--reps 0", "reps must be >= 1"),
+          ("d_grid_small", "--d-grid 1", "d must be >= 2, got 1"),
+          ("d_grid_malformed", "--d-grid 50,x", "'x'"),
+          ("d_grid_empty", "--d-grid ,", "need at least one dimension"),
+          ("d_grid_fractional", "--d-grid 50.7", "d must be an integer, got 50.7"),
+          ("d_grid_repeated", "--d-grid 50,100,50", "d=50 is listed twice"),
+          ("d_grid_twice", "--d-grid 50,50", "d=50 is listed twice"),
+          ("alpha", "--alpha 1.5", "alpha must lie in (0, 1), got 1.5"),
+          ("seed", "--seed -1", "seed must be >= 0, got -1"),
+          ("reps_past_one_word", f"--reps {2**32 + 1}", "reps must be <= 2**32, got 4294967297"),
+          ("tail_ties_spike", f"--d-grid 50,4 --alpha {1.0 - 2.0**-52!r}", "does not exceed the spike"),
+          ("tail_ties_spike_at_4", "--d-grid 4 --alpha 0.9999999999999998",
+           "does not exceed the spike"),
+      ]),
+    # Only the --d-grid parse and run_counterexample's argument checks exit 2.
+    CliError("counterexample_scorer_failure", "counterexample --reps 10 --out {out}", EXIT_RUNTIME,
+             "spcalab: error: scorer failed",
+             patch=_raise("spcalab.experiment.counterexample_hits", NumericError("scorer failed"))),
+    CliError("config_missing", "bic --config {file} --out {out}", EXIT_CONFIG,
+             "cannot read config file {file}"),
+    CliError("config_not_utf8", "bic --config {file} --out {out}", EXIT_CONFIG,
+             "cannot read config file {file}", file=b"d=50\n\xff\n"),
+    CliError("malformed_flag_value", "bic --d ten --out {out}", EXIT_CONFIG,
+             "invalid value for 'd': 'ten'"),
+    CliError("argparse_usage", "bic --profile huge", 2, "argument --profile: invalid choice: 'huge'"),
+    CliError("lasso_flag", "bic --d 50 --n 4 --penalty lasso --out {out}", EXIT_CONFIG, LASSO),
+    CliError("lasso_file", "bic --d 50 --n 4 --config {file} --out {out}", EXIT_CONFIG, LASSO,
+             file=b"penalty=lasso\n"),
+    CliError("pairs_and_alpha_beta_flags",
+             "bic --pairs 0.6:0.1,0.2:0.7 --alpha 0.4 --beta 0.3 --d 80 --n 5 --reps 1 --method pca "
+             "--out {out}", EXIT_CONFIG, "give pairs or alpha and beta, not both"),
+    CliError("pairs_and_alpha_beta_file", "bic --config {file} --d 80 --n 5 --reps 1 --method pca "
+             "--out {out}", EXIT_CONFIG, "give pairs or alpha and beta, not both",
+             file=b"pairs=0.6:0.1,0.2:0.7\nalpha=0.4\nbeta=0.3\n"),
+    CliError("threads_without_fork", f"{PHASE} --out {{out}}", EXIT_CONFIG,
+             "threads > 1 needs os.fork", patch=lambda monkeypatch: monkeypatch.delattr(os, "fork")),
+    CliError("unwritable_out", f"{BIC} --reps 1 --method pca --out {{file}}", EXIT_RUNTIME,
+             "File exists: '{file}'", file=b"not a directory"),
+    CliError("eigensolver_failure", f"{BIC} --reps 1 --method pca,st --out {{out}}", EXIT_RUNTIME,
+             "eigensolve failed", absent="replications.csv",
+             patch=_raise("spcalab.eigen.np.linalg.eigh",
+                          np.linalg.LinAlgError("Eigenvalues did not converge"))),
+    CliError("worker_exception", f"{PHASE} --out {{out}}", EXIT_RUNTIME,
+             "spcalab: error: replication failed in a worker", absent="replications.csv",
+             patch=_fail_in_worker(NumericError("replication failed in a worker"))),
+    CliError("worker_sigkill", f"{PHASE} --out {{out}}", EXIT_RUNTIME,
+             "spcalab: error: worker 0 of 2 was killed by signal", absent="replications.csv",
+             patch=_fail_in_worker(None)),
+]
+
+#: How ``main`` starts the one line that reports an error, by exit code.
+PREFIX = {EXIT_CONFIG: "spcalab: config error: ", EXIT_RUNTIME: "spcalab: error: "}
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("case", CLI_ERRORS, ids=lambda case: case.id)
+    def test_cli_error(self, tmp_path, monkeypatch, capsys, case):
+        out, file = tmp_path / "out", tmp_path / "file"
+        if case.file is not None:
+            file.write_bytes(case.file)
+        if case.patch is not None:
+            case.patch(monkeypatch)
+        try:
+            code = run_cli(*(arg.format(out=out, file=file) for arg in case.argv.split()))
+        except SystemExit as exc:  # argparse rejects the argv and prints its usage first
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == case.code
+        assert case.message.format(file=file) in err
+        if not err.startswith("usage:"):
+            # main's own report is one line, so a fragment that is a whole line is all of stderr.
+            assert err.startswith(PREFIX[code]) and err.count("\n") == 1
+        assert not (out / case.absent).exists()
+        with pytest.raises(ChildProcessError):  # no forked worker outlives the run
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_readme_config_errors_are_rows(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        paragraph = readme.split("Exit codes:", 1)[1].split("\n\n", 1)[0]
+        examples = [" ".join(e.split()) for e in re.findall(r"`(--[a-z-]+ [^`]+)`", paragraph)]
+        rows = [f" {' '.join(c.argv.split())} " for c in CLI_ERRORS if c.code == EXIT_CONFIG]
+        assert len(examples) >= 18
+        assert [e for e in examples if not any(f" {e} " in row for row in rows)] == []
+
+    def test_one_thread_runs_without_fork(self, tmp_path, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        assert run_cli(*PHASE.replace("--threads 2", "--threads 1").split(),
+                       "--out", str(tmp_path / "out")) == EXIT_OK
+
     def test_bic_small_run(self, tmp_path):
         code = run_cli(
             "bic",
@@ -60,198 +233,10 @@ class TestExitCodes:
         assert (tmp_path / "out" / "summary.csv").exists()
         assert not (tmp_path / "out" / "phase.svg").exists()
 
-    def test_missing_out_is_config_error(self):
-        assert run_cli("bic", "--alpha", "0.6", "--beta", "0.1", "--d", "50", "--n", "4") == EXIT_CONFIG
-
-    def test_bad_pair_is_config_error(self, tmp_path):
-        code = run_cli(
-            "bic", "--alpha", "2.5", "--beta", "0.1",
-            "--d", "50", "--n", "4", "--out", str(tmp_path),
-        )
-        assert code == EXIT_CONFIG
-
-    def test_unknown_config_key_is_config_error(self, tmp_path):
-        cfg = tmp_path / "cfg.txt"
-        cfg.write_text("banana=1\n")
-        assert run_cli("bic", "--config", str(cfg), "--out", str(tmp_path)) == EXIT_CONFIG
-
-    @pytest.mark.parametrize(
-        "flag, value, message",
-        [
-            ("--scad-a", "1.5", "SCAD shape a must be > 2, got 1.5"),
-            ("--max-iter", "0", "max_iter must be >= 1, got 0"),
-            ("--delta", "0.3", "delta must be > 1/2, got 0.3"),
-            ("--d", "1", "d must be >= 2, got 1"),
-            ("--seed", "-1", "seed must be >= 0, got -1"),
-            ("--n", "0", "n must be >= 1, got 0"),
-            ("--d", "1" + "0" * 400, "int too large to convert to float"),
-        ],
-        ids=["scad_a", "max_iter", "delta", "d", "seed", "n", "d_overflows_a_float"],
-    )
-    def test_out_of_range_value_is_config_error(self, tmp_path, capsys, flag, value, message):
-        code = run_cli(
-            "bic", "--alpha", "0.6", "--beta", "0.1",
-            "--d", "50", "--n", "4", "--reps", "1", "--method", "pca,st",
-            "--penalty", "scad", flag, value, "--out", str(tmp_path / "out"),
-        )
-        assert code == EXIT_CONFIG
-        assert message in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize(
-        "flag, value, message",
-        [("--d", "1", "d must be >= 2, got 1"), ("--delta", "0.3", "delta must be > 1/2, got 0.3")],
-        ids=["d", "delta"],
-    )
-    def test_range_rules_hold_when_no_pair_has_a_range(self, tmp_path, capsys, flag, value, message):
-        # alpha <= beta admits no gamma, so the pair has no threshold range to compute.
-        code = run_cli(
-            "bic", "--alpha", "0.2", "--beta", "0.7", "--n", "4", "--reps", "1",
-            "--method", "pca", flag, value, "--out", str(tmp_path / "out"),
-        )
-        assert code == EXIT_CONFIG
-        assert message in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("key", ["lambda_min", "lambda_max", "delta", "gamma", "scad_a"])
-    def test_non_finite_value_is_config_error(self, tmp_path, capsys, key, value):
-        # "--key=-inf" keeps argparse from reading the value as a flag.
-        flag = "--" + key.replace("_", "-")
-        code = run_cli(
-            "sweep", "--pairs", "0.6:0.1", "--d", "200", "--n", "6", "--reps", "1",
-            "--lambda-points", "4", "--penalty", "scad", f"{flag}={value}",
-            "--out", str(tmp_path / "out"),
-        )
-        assert code == EXIT_CONFIG
-        assert f"{key} must be finite, got {float(value)}" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize(
-        "pairs", ["0.6:0.1,0.6:0.1", "0.6:0.1,0.60000001:0.1"], ids=["exact", "same_label"]
-    )
-    def test_pairs_that_share_a_label_are_config_error(self, tmp_path, capsys, pairs):
-        code = run_cli(
-            "sweep", "--pairs", pairs, "--d", "200", "--n", "4", "--reps", "1",
-            "--out", str(tmp_path / "out"),
-        )
-        assert code == EXIT_CONFIG
-        assert "share the label 0.6:0.1" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    def test_repeated_method_is_config_error(self, tmp_path, capsys):
-        code = run_cli(
-            "bic", "--alpha", "0.6", "--beta", "0.1", "--d", "50", "--n", "4", "--reps", "2",
-            "--method", "pca,pca", "--out", str(tmp_path / "out"),
-        )
-        assert code == EXIT_CONFIG
-        assert "method 'pca' is listed twice" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize(
-        "flag, value, message",
-        [
-            ("--reps", "0", "reps must be >= 1"),
-            ("--d-grid", "1", "d must be >= 2, got 1"),
-            ("--d-grid", "50,x", "'x'"),
-            ("--alpha", "1.5", "alpha must lie in (0, 1), got 1.5"),
-            ("--seed", "-1", "seed must be >= 0, got -1"),
-            ("--reps", str(2**32 + 1), "reps must be <= 2**32, got 4294967297"),
-            ("--d-grid", "50,100,50", "d=50 is listed twice"),
-        ],
-        ids=["reps", "d_grid_small", "d_grid_malformed", "alpha", "seed", "reps_past_one_word",
-             "d_grid_repeated"],
-    )
-    def test_counterexample_bad_value_is_config_error(self, tmp_path, capsys, flag, value, message):
-        code = run_cli("counterexample", flag, value, "--out", str(tmp_path / "out"))
-        assert code == EXIT_CONFIG
-        assert message in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    def test_counterexample_tail_that_cannot_beat_the_spike_is_config_error(self, tmp_path, capsys):
-        code = run_cli("counterexample", "--d-grid", "50,4", "--alpha", repr(1.0 - 2.0**-52),
-                       "--out", str(tmp_path / "out"))
-        assert code == EXIT_CONFIG
-        assert "does not exceed the spike" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    def test_counterexample_error_after_the_checks_is_runtime_error(self, tmp_path, capsys,
-                                                                     monkeypatch):
-        # Only the --d-grid parse and run_counterexample's argument checks exit 2.
-        def fail(*args):
-            raise NumericError("scorer failed")
-
-        monkeypatch.setattr(experiment, "counterexample_hits", fail)
-        code = run_cli("counterexample", "--reps", "10", "--out", str(tmp_path / "out"))
-        assert code == EXIT_RUNTIME
-        assert "spcalab: error: scorer failed" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("content", [None, b"d=50\n\xff\n"], ids=["missing", "not_utf8"])
-    def test_unreadable_config_file_is_config_error(self, tmp_path, capsys, content):
-        path = tmp_path / "study.cfg"
-        if content is not None:
-            path.write_bytes(content)
-        code = run_cli("bic", "--config", str(path), "--out", str(tmp_path / "out"))
-        assert code == EXIT_CONFIG
-        assert f"cannot read config file {path}" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    def test_malformed_flag_value_is_config_error(self, tmp_path, capsys):
-        code = run_cli("bic", "--d", "ten", "--out", str(tmp_path / "out"))
-        assert code == EXIT_CONFIG
-        assert "invalid value for 'd': 'ten'" in capsys.readouterr().err
-
-    def test_argparse_usage_error_exits_2(self):
-        with pytest.raises(SystemExit) as exc:
-            run_cli("bic", "--profile", "huge")
-        assert exc.value.code == 2
-
-    def test_unknown_penalty_reads_the_same_from_flag_and_file(self, tmp_path, capsys):
-        # Only PenaltySpec states the families, so both paths show its message.
-        cfg = tmp_path / "cfg.txt"
-        cfg.write_text("penalty=lasso\n")
-        errors = []
-        for source in (["--penalty", "lasso"], ["--config", str(cfg)]):
-            code = run_cli("bic", "--d", "50", "--n", "4", *source, "--out", str(tmp_path / "out"))
-            assert code == EXIT_CONFIG
-            errors.append(capsys.readouterr().err)
-        assert errors[0] == errors[1] == (
-            "spcalab: config error: unknown penalty family 'lasso'; "
-            "expected one of ('soft', 'hard', 'scad')\n")
-        assert not (tmp_path / "out").exists()
-
     def test_help_names_every_penalty_family(self, capsys):
         with pytest.raises(SystemExit):
             run_cli("bic", "--help")
         assert "soft,hard,scad" in capsys.readouterr().out
-
-    def test_unwritable_output_is_runtime_error(self, tmp_path):
-        blocker = tmp_path / "blocked"
-        blocker.write_text("not a directory")
-        from spcalab.cli import EXIT_RUNTIME
-
-        code = run_cli(
-            "bic", "--alpha", "0.6", "--beta", "0.1",
-            "--d", "50", "--n", "4", "--reps", "1",
-            "--method", "pca", "--out", str(blocker),
-        )
-        assert code == EXIT_RUNTIME
-
-    def test_eigensolver_failure_is_runtime_error(self, tmp_path, monkeypatch, capsys):
-        from spcalab.cli import EXIT_RUNTIME
-
-        def fail(_):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-        monkeypatch.setattr("spcalab.eigen.np.linalg.eigh", fail)
-        code = run_cli(
-            "bic", "--alpha", "0.6", "--beta", "0.1",
-            "--d", "50", "--n", "4", "--reps", "1",
-            "--method", "pca,st", "--out", str(tmp_path / "out"),
-        )
-        assert code == EXIT_RUNTIME
-        assert "eigensolve failed" in capsys.readouterr().err
 
 
 class TestSweepCommand:
@@ -301,7 +286,6 @@ class TestSweepCommand:
         resolved = (tmp_path / "out" / "config.resolved").read_text()
         assert "pairs=0.6:0.1\n" in resolved
 
-
     def test_without_bic_writes_sweeps_only(self, tmp_path):
         code = run_cli(
             "sweep",
@@ -346,27 +330,6 @@ class TestSweepCommand:
         assert code == EXIT_OK
         resolved = (tmp_path / "out" / "config.resolved").read_text()
         assert "pairs=0.2:0.7\n" in resolved
-
-    def test_pairs_and_alpha_beta_flags_together_are_config_error(self, tmp_path, capsys):
-        code = run_cli(
-            "bic", "--pairs", "0.6:0.1,0.2:0.7", "--alpha", "0.4", "--beta", "0.3",
-            "--d", "80", "--n", "5", "--reps", "1", "--method", "pca",
-            "--out", str(tmp_path / "out"),
-        )
-        assert code == EXIT_CONFIG
-        assert "give pairs or alpha and beta, not both" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    def test_pairs_and_alpha_beta_in_one_file_are_config_error(self, tmp_path, capsys):
-        cfg = tmp_path / "g.txt"
-        cfg.write_text("pairs=0.6:0.1,0.2:0.7\nalpha=0.4\nbeta=0.3\n")
-        code = run_cli(
-            "bic", "--config", str(cfg), "--d", "80", "--n", "5", "--reps", "1",
-            "--method", "pca", "--out", str(tmp_path / "out"),
-        )
-        assert code == EXIT_CONFIG
-        assert "give pairs or alpha and beta, not both" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
 
 
 class TestPhaseCommand:
@@ -454,44 +417,6 @@ class TestFrozenHeap:
         assert result.stdout == "0 0 True\n"
 
 
-class TestForkedWorkers:
-    PHASE = ("phase", "--pairs", "0.6:0.1,0.2:0.7", "--d", "100", "--n", "6", "--reps", "2",
-             "--lambda-points", "4", "--threads", "2")
-
-    @pytest.mark.parametrize(
-        "failure, message",
-        [
-            (NumericError("replication failed in a worker"), "replication failed in a worker"),
-            (None, "worker 0 of 2 was killed by signal"),
-        ],
-        ids=["exception", "sigkill"],
-    )
-    def test_worker_failure_is_runtime_error(self, tmp_path, monkeypatch, capsys, failure, message):
-        parent = os.getpid()
-        real = experiment._run_replication
-
-        def patched(*task):
-            if os.getpid() != parent:
-                if failure is None:
-                    os.kill(os.getpid(), signal.SIGKILL)
-                raise failure
-            return real(*task)
-
-        monkeypatch.setattr(experiment, "_run_replication", patched)
-        assert run_cli(*self.PHASE, "--out", str(tmp_path / "out")) == EXIT_RUNTIME
-        assert capsys.readouterr().err.startswith(f"spcalab: error: {message}")
-        assert not (tmp_path / "out" / "replications.csv").exists()
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    def test_threads_without_fork_is_config_error(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.delattr(os, "fork")
-        assert run_cli(*self.PHASE, "--out", str(tmp_path / "out")) == EXIT_CONFIG
-        assert "threads > 1 needs os.fork" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-        assert run_cli(*self.PHASE[:-1], "1", "--out", str(tmp_path / "one")) == EXIT_OK
-
-
 class TestCounterexampleCommand:
     def test_small_run(self, tmp_path):
         code = run_cli(
@@ -504,11 +429,6 @@ class TestCounterexampleCommand:
         assert code == EXIT_OK
         assert (tmp_path / "out" / "counterexample.csv").exists()
         assert (tmp_path / "out" / "counterexample.svg").exists()
-
-    def test_empty_grid_is_config_error(self, tmp_path):
-        assert (
-            run_cli("counterexample", "--d-grid", ",", "--out", str(tmp_path)) == EXIT_CONFIG
-        )
 
 
 #: One non-default value per config key, as written in a config file.

@@ -341,6 +341,24 @@ class TestSelectLambdaBic:
         _, trace = rspca(x, penalty, lambda_grid=grid, dual=dc)
         assert all(math.isfinite(it.bic_total) for it in trace.iterations)
 
+    @pytest.mark.parametrize("lambda_max", [1e200, 1e308])
+    @pytest.mark.parametrize("penalty", [PenaltySpec.soft(0.0), PenaltySpec.scad(0.0),
+                                         PenaltySpec.scad(0.0, 1e300)], ids=["soft", "scad", "scad_a_1e300"])
+    def test_lambda_too_large_to_square(self, penalty, lambda_max):
+        # From about 1.34e154, lam * lam overflows.  Where lam >= max |u_i| every family
+        # zeroes every entry, so its total is hard's there.
+        x = sample_gaussian(build_eigensystem(SpikedSpec(50, 3, 0.6, 0.1)), seed=1).x
+        dc = dual_first_component(x)
+        grid = default_lambda_grid(dc.u_tilde, lambda_max=lambda_max)
+        sel = select_lambda_bic(x, dc.v1, grid, penalty)
+        hard = select_lambda_bic(x, dc.v1, grid, PenaltySpec.hard(0.0))
+        zeroed = grid >= np.abs(dc.u_tilde).max()
+        assert np.isfinite(sel.totals).all() and zeroed.any()
+        assert sel.totals[zeroed].tolist() == hard.totals[zeroed].tolist()
+        assert sel.total == sel.totals.min()
+        _, trace = rspca(x, penalty, lambda_grid=grid, dual=dc)
+        assert all(math.isfinite(it.bic_total) for it in trace.iterations)
+
     def test_degenerate_rank_one(self):
         # X = u v^T fits exactly: sigma2 = 0, so every total is its df term
         # and the tie among the emptiest supports goes to the largest lambda.
