@@ -46,7 +46,7 @@ from .metrics import (
     select_lambda_bic,
     support_errors,
 )
-from .model import DataMatrix, EigenSystem, SpikedSpec, build_eigensystem, sample_gaussian
+from .model import DataMatrix, SpikedSpec, sample_gaussian
 from .penalties import PenaltySpec, threshold
 from .theory import (
     LambdaBounds,
@@ -67,7 +67,6 @@ __all__ = [
     "DimensionError",
     "DomainError",
     "DualComponent",
-    "EigenSystem",
     "ExperimentConfig",
     "ExperimentResult",
     "LambdaBounds",
@@ -84,7 +83,6 @@ __all__ = [
     "SummaryRow",
     "WorkerError",
     "angle_degrees",
-    "build_eigensystem",
     "default_gamma",
     "default_lambda_grid",
     "dual_first_component",

@@ -5,12 +5,10 @@ For d >> n it is never formed here: the dual matrix S = (1/n) X^T X is only
 n x n and shares the non-zero spectrum, and the leading left vector is
 recovered as X v1 where v1 is the leading dual eigenvector.
 
-S is numpy's Gram matrix ``a.T @ a`` divided by n, taken as it is: for a C-
-or Fortran-ordered X (every sampler's), numpy forms that product as one
-symmetric rank-k BLAS update and copies it into both triangles, so S is
-exactly symmetric.  ``eigh`` reads one triangle, so a strided X, whose
-threaded product can differ from its transpose in the last bits, is solved
-from S's lower triangle.
+S is numpy's Gram matrix ``a.T @ a`` divided by n, taken as it is: X is C-
+or Fortran-ordered (``exceptions._data_matrix`` copies any other layout),
+so numpy forms that product as one symmetric rank-k BLAS update and copies
+it into both triangles, and S is exactly symmetric.
 S is solved by one LAPACK ``eigh`` call (``numpy.linalg.eigh``), of which
 only the leading pair is kept; for a fixed numerics stack the product and
 the solve are repeatable run to run.  Gram + ``eigh`` is kept over a thin

@@ -68,11 +68,15 @@ def _array(value, name: str, dtype=float) -> np.ndarray:
 
 
 def _data_matrix(x) -> np.ndarray:
-    """``_array(x, "x")``: DimensionError unless it is 2-d."""
+    """``_array(x, "x")``: DimensionError unless it is 2-d.
+
+    An array neither C- nor Fortran-ordered (a column-strided view) is copied
+    to C order: products and sums over it round otherwise than over the copy.
+    """
     a = _array(x, "x")
     if a.ndim != 2:
         raise DimensionError(f"x must be a 2-d data matrix, got shape {a.shape}")
-    return a
+    return a if a.flags.c_contiguous or a.flags.f_contiguous else np.ascontiguousarray(a)
 
 
 def _vector(v, name: str, dtype=float) -> np.ndarray:

@@ -46,7 +46,7 @@ from .estimators import oracle_estimator, pca_first, rspca, st_estimator
 from .exceptions import ConfigError, DomainError, WorkerError
 from .figures import counterexample_figure, phase_figure, sweep_figure
 from .metrics import _Truth, default_lambda_grid, evaluate_estimate, select_lambda_bic
-from .model import SpikedSpec, build_eigensystem, counterexample_hits, sample_gaussian, stream_keys
+from .model import SpikedSpec, counterexample_hits, sample_gaussian, stream_keys
 from .penalties import PenaltySpec
 
 @dataclass(frozen=True)
@@ -175,13 +175,13 @@ RUNNERS = dict(zip(config.METHODS, (_run_pca, _run_st, _run_rspca, _run_oracle),
 def _run_replication(cfg: config.ExperimentConfig, pair_index: int,
                      rep: int) -> list[ReplicationRecord]:
     alpha, beta = cfg.pairs[pair_index]
-    system = build_eigensystem(SpikedSpec(cfg.d, cfg.n, alpha, beta))
+    spec = SpikedSpec(cfg.d, cfg.n, alpha, beta)
     seed = np.random.SeedSequence(cfg.base_seed, spawn_key=(pair_index, rep))
-    x = sample_gaussian(system, seed).x
+    x = sample_gaussian(spec, seed).x
     dual = dual_first_component(x)
     grid = default_lambda_grid(dual.u_tilde, cfg.lambda_min, cfg.lambda_max, cfg.lambda_points)
-    truth = system.u1_support
-    draw = _Draw(cfg, x, dual, grid, truth, _Truth.of(system.u1, truth))
+    truth = spec.u1_support
+    draw = _Draw(cfg, x, dual, grid, truth, _Truth.of(spec.u1, truth))
 
     records: list[ReplicationRecord] = []
     for method in cfg.methods:

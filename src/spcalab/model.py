@@ -10,7 +10,7 @@ dimension d with sample size n:
   followed by -k), i.e. a Helmert-style completion of the head block;
 * eigenvectors beyond m equal to coordinate vectors e_i.
 
-The studies read only u1 and its support, so ``EigenSystem`` forms just
+The studies read only u1 and its support, so ``SpikedSpec`` forms just
 u1 (in closed form) and no other eigenvector or the d x d basis.  Sampling
 accumulates the identity tail directly as i.i.d. Gaussian noise and
 applies the head completion in closed form, so the cost is O(n*d).
@@ -76,7 +76,7 @@ class DataMatrix:
 
 @dataclass(frozen=True)
 class SpikedSpec:
-    """Parameters of the spiked model in the module docstring.
+    """Parameters of the spiked model in the module docstring, and its u1 and support.
 
     The tail eigenvalues are fixed at 1 and every non-zero loading of u1 is
     ``m**-0.5``, so (d, n, alpha, beta) determine the population.
@@ -124,22 +124,15 @@ class SpikedSpec:
     def lambda1(self) -> float:
         return self.d ** self.alpha
 
-
-@dataclass(frozen=True)
-class EigenSystem:
-    """Population eigensystem: u1 and its support, the parts the studies read."""
-
-    spec: SpikedSpec
-
     @property
     def u1_support(self) -> np.ndarray:
-        return np.arange(self.spec.support_size)
+        return np.arange(self.support_size)
 
     @property
     def u1(self) -> np.ndarray:
         """The leading eigenvector: ``m**-0.5`` on the first m coordinates, else 0."""
-        m = self.spec.support_size
-        u = np.zeros(self.spec.d)
+        m = self.support_size
+        u = np.zeros(self.d)
         u[:m] = m ** -0.5
         return u
 
@@ -160,12 +153,16 @@ def _helmert_head_times(z: np.ndarray) -> np.ndarray:
     return hz
 
 
-def build_eigensystem(spec: SpikedSpec) -> EigenSystem:
-    """Construct the population eigensystem for a spiked spec."""
-    return EigenSystem(spec)
+def build_eigensystem(spec: SpikedSpec) -> SpikedSpec:
+    """``spec`` itself, for perfbench's checks, which still sample in two steps.
+
+    No module of the package calls it; ROADMAP item 1 deletes it together
+    with perfbench's call.
+    """
+    return spec
 
 
-def sample_gaussian(system: EigenSystem, seed) -> DataMatrix:
+def sample_gaussian(spec: SpikedSpec, seed) -> DataMatrix:
     """Draw X = d**(alpha/2) u1 z1^T + sum_{i>=2} u_i z_i^T.
 
     The z_i are i.i.d. standard normal n-vectors.  Draw order is fixed:
@@ -173,7 +170,6 @@ def sample_gaussian(system: EigenSystem, seed) -> DataMatrix:
     (d-m) x n identity tail.  The tail contribution is accumulated as
     direct Gaussian noise (u_i = e_i there), keeping the cost O(n*d).
     """
-    spec = system.spec
     d, n, m = spec.d, spec.n, spec.support_size
     if not isinstance(seed, np.random.SeedSequence):
         _check_seed(seed)  # numpy would read True as 1 and seed None from OS entropy
@@ -296,8 +292,11 @@ _TO_53_BITS = np.uint64(11)
 #: Most and fewest Philox blocks (one key, one counter) in one numpy pass of
 #: ``counterexample_hits``.  The most caps its temporaries at any d and any
 #: number of keys, and is at least twice ``KEY_BLOCK``, so every pass holds
-#: a block of each key.  A pass costs about as much call overhead as a few
-#: hundred blocks of work, so one with few keys left reads more of each.
+#: a block of each key.  A one-block pass took 200-220 us and a 4,096- to
+#: 8,192-block pass 133-180 ns per block (2-core Xeon, numpy 2.4), so a pass
+#: costs the call overhead of 1,200-1,500 blocks of work, and one with few
+#: keys left reads more of each.  The default counterexample grid at 2,500
+#: reps took 17.7-18.5 ms (best of 25) at every fewest from 64 to 2,048.
 _PASS_BLOCKS = 8192
 _PASS_MIN_BLOCKS = 256
 

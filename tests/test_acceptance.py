@@ -32,7 +32,6 @@ from spcalab import (
     PenaltySpec,
     SpikedSpec,
     angle_degrees,
-    build_eigensystem,
     dual_first_component,
     rspca,
     run_counterexample,
@@ -164,7 +163,7 @@ def test_criterion_3_st_rspca_hard_bit_identity():
     checked = 0
     for k in range(50):
         alpha, beta = pairs[k % len(pairs)]
-        system = build_eigensystem(SpikedSpec(2000, 25, alpha, beta))
+        system = SpikedSpec(2000, 25, alpha, beta)
         dm = sample_gaussian(system, np.random.SeedSequence(SEED, spawn_key=(90, k)))
         dc = dual_first_component(dm.x)
         lam = float(rng.uniform(0.0, 1.2 * np.abs(dc.u_tilde).max()))
@@ -294,7 +293,7 @@ def test_criterion_7_rate_diagnostic():
     points = []
     for di, d in enumerate((500, 2000, 8000)):
         lam = d ** ((alpha - beta) / 4.0)
-        system = build_eigensystem(SpikedSpec(d, 25, alpha, beta))
+        system = SpikedSpec(d, 25, alpha, beta)
         u1 = system.u1
         gaps = []
         for rep in range(30):

@@ -17,7 +17,6 @@ from spcalab import (
     PenaltySpec,
     SpikedSpec,
     angle_degrees,
-    build_eigensystem,
     oracle_estimator,
     pca_first,
     rspca,
@@ -44,7 +43,7 @@ def scad_exact(x: float, penalty: PenaltySpec) -> Fraction:
 
 
 def spiked_data(d, n, alpha, beta, seed):
-    sys = build_eigensystem(SpikedSpec(d, n, alpha, beta))
+    sys = SpikedSpec(d, n, alpha, beta)
     return sample_gaussian(sys, seed), sys
 
 
@@ -529,7 +528,7 @@ class TestOracleEstimator:
 
     def test_zero_off_support_rows(self):
         dm, sys = spiked_data(60, 8, 0.8, 0.3, seed=21)
-        m = sys.spec.support_size
+        m = sys.support_size
         x = dm.x.copy()
         x[m:, :] = 0.0
         a = oracle_estimator(x, np.arange(m))

@@ -24,7 +24,6 @@ from spcalab import (
     SummaryRow,
     WorkerError,
     angle_degrees,
-    build_eigensystem,
     dual_first_component,
     emit_csv,
     emit_summary_csv,
@@ -254,10 +253,9 @@ class TestRunExperiment:
         cfg = small_config()
         result = run_experiment(cfg)
         spec = SpikedSpec(cfg.d, cfg.n, 0.6, 0.1)
-        system = build_eigensystem(spec)
         for rep in range(cfg.replications):
-            dm = sample_gaussian(system, np.random.SeedSequence(77, spawn_key=(0, rep)))
-            expected = angle_degrees(pca_first(dm.x), system.u1)
+            dm = sample_gaussian(spec, np.random.SeedSequence(77, spawn_key=(0, rep)))
+            expected = angle_degrees(pca_first(dm.x), spec.u1)
             got = [
                 r.angle_deg
                 for r in result.records

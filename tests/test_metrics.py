@@ -16,7 +16,6 @@ from spcalab import (
     PenaltySpec,
     SpikedSpec,
     angle_degrees,
-    build_eigensystem,
     default_gamma,
     default_lambda_grid,
     dual_first_component,
@@ -328,7 +327,7 @@ class TestSelectLambdaBic:
     def test_scad_band_with_a_too_large_to_square(self, a):
         # At a = 1e154, a lam * a lam overflows; from 1e155, (a - 2)**2 does too,
         # and at 1e308 so does a lam.
-        x = sample_gaussian(build_eigensystem(SpikedSpec(50, 3, 0.6, 0.1)), seed=1).x
+        x = sample_gaussian(SpikedSpec(50, 3, 0.6, 0.1), seed=1).x
         dc = dual_first_component(x)
         grid = default_lambda_grid(dc.u_tilde)
         penalty = PenaltySpec.scad(0.0, a)
@@ -347,7 +346,7 @@ class TestSelectLambdaBic:
     def test_lambda_too_large_to_square(self, penalty, lambda_max):
         # From about 1.34e154, lam * lam overflows.  Where lam >= max |u_i| every family
         # zeroes every entry, so its total is hard's there.
-        x = sample_gaussian(build_eigensystem(SpikedSpec(50, 3, 0.6, 0.1)), seed=1).x
+        x = sample_gaussian(SpikedSpec(50, 3, 0.6, 0.1), seed=1).x
         dc = dual_first_component(x)
         grid = default_lambda_grid(dc.u_tilde, lambda_max=lambda_max)
         sel = select_lambda_bic(x, dc.v1, grid, penalty)
@@ -403,11 +402,11 @@ class TestSelectLambdaBic:
         # valley is grid/tie-break noise; what is stable is that the
         # selection clears the noise floor (lambda* above sqrt(log d),
         # the widest theorem lower bound) and never cuts into the signal.
-        from spcalab import SpikedSpec, angle_degrees, build_eigensystem, sample_gaussian
+        from spcalab import SpikedSpec, angle_degrees, sample_gaussian
 
         d, n, alpha, beta = 10000, 25, 0.6, 0.1
         lo = math.log(d) ** 0.5001  # lower bound at delta -> 1/2+
-        system = build_eigensystem(SpikedSpec(d, n, alpha, beta))
+        system = SpikedSpec(d, n, alpha, beta)
         angles = []
         for rep in range(20):
             dm = sample_gaussian(system, np.random.SeedSequence(13, spawn_key=(rep,)))

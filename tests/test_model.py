@@ -14,7 +14,6 @@ import pytest
 from spcalab import (
     DomainError,
     SpikedSpec,
-    build_eigensystem,
     failure_probability,
     model,
     sample_gaussian,
@@ -53,14 +52,14 @@ class TestEigenSystem:
         np.testing.assert_array_equal(population_eigenvalues(spec), [2.0, 1.0, 1.0, 1.0])
 
     def test_beta_zero_gives_first_coordinate(self):
-        sys = build_eigensystem(SpikedSpec(50, 5, 0.6, 0.0))
+        sys = SpikedSpec(50, 5, 0.6, 0.0)
         u1 = sys.u1
         assert u1[0] == 1.0
         assert not u1[1:].any()
 
     def test_u1_entries_exact(self):
-        sys = build_eigensystem(SpikedSpec(300, 5, 0.4, 0.7))
-        m = sys.spec.support_size
+        sys = SpikedSpec(300, 5, 0.4, 0.7)
+        m = sys.support_size
         u1 = sys.u1
         assert np.all(u1[:m] == m**-0.5)
         assert np.all(u1[m:] == 0.0)
@@ -84,15 +83,14 @@ class TestEigenSystem:
     def test_u1_is_the_oracle_basis_first_column(self, d, beta):
         # beta = 0 gives m = 1 and beta = 1 gives m = d.
         spec = SpikedSpec(d, 5, 0.6, beta)
-        system = build_eigensystem(spec)
         first = population_basis(spec)[:, 0]
-        assert system.u1.tobytes() == first.tobytes()
-        assert system.u1_support.tolist() == np.flatnonzero(first).tolist()
+        assert spec.u1.tobytes() == first.tobytes()
+        assert spec.u1_support.tolist() == np.flatnonzero(first).tolist()
 
 
 class TestSampleGaussian:
     def test_bit_reproducible(self):
-        sys = build_eigensystem(SpikedSpec(100, 10, 0.6, 0.3))
+        sys = SpikedSpec(100, 10, 0.6, 0.3)
         a = sample_gaussian(sys, 1234)
         b = sample_gaussian(sys, 1234)
         assert a.d == 100 and a.n == 10
@@ -106,13 +104,13 @@ class TestSampleGaussian:
         # stable across platforms for a fixed numpy version.
         spec = SpikedSpec(50, 6, 0.6, 0.5)
         assert spec.support_size == 7
-        dm = sample_gaussian(build_eigensystem(spec), 2026)
+        dm = sample_gaussian(spec, 2026)
         assert hashlib.sha256(dm.x.tobytes()).hexdigest() == (
             "ff31d8c74cf566bb6488cb4417ec5e291f2c35e7d574fee79c63f8f0935df69d"
         )
 
     def test_seed_sequence_spawn_keys(self):
-        sys = build_eigensystem(SpikedSpec(50, 8, 0.6, 0.3))
+        sys = SpikedSpec(50, 8, 0.6, 0.3)
         s1 = np.random.SeedSequence(7, spawn_key=(0, 1))
         s2 = np.random.SeedSequence(7, spawn_key=(0, 2))
         assert sample_gaussian(sys, s1).x.tobytes() != sample_gaussian(sys, s2).x.tobytes()
@@ -122,7 +120,7 @@ class TestSampleGaussian:
         )
 
     def test_an_integer_seed_draws_the_stream_of_its_seed_sequence(self):
-        sys = build_eigensystem(SpikedSpec(50, 4, 0.6, 0.3))
+        sys = SpikedSpec(50, 4, 0.6, 0.3)
         draws = {sample_gaussian(sys, s).x.tobytes()
                  for s in (7, np.int64(7), np.random.SeedSequence(7))}
         assert len(draws) == 1
@@ -130,7 +128,7 @@ class TestSampleGaussian:
     def test_spike_coordinate_variance(self):
         # d=200, alpha=1: Var(x_1) = d * u1[0]^2 + (1 - u1[0]^2) with beta=0
         # support {0}, so Var(x_1) = d^alpha = 200.
-        sys = build_eigensystem(SpikedSpec(200, 25, 1.0, 0.0))
+        sys = SpikedSpec(200, 25, 1.0, 0.0)
         samples = []
         for rep in range(500):
             dm = sample_gaussian(sys, np.random.SeedSequence(11, spawn_key=(rep,)))
@@ -139,7 +137,7 @@ class TestSampleGaussian:
         assert abs(var - 200.0) <= 0.2 * 200.0
 
     def test_no_spike_is_isotropic(self):
-        sys = build_eigensystem(SpikedSpec(8, 4000, 0.0, 0.0))
+        sys = SpikedSpec(8, 4000, 0.0, 0.0)
         dm = sample_gaussian(sys, 5)
         emp = dm.x @ dm.x.T / dm.n
         w = np.linalg.eigvalsh(emp)
@@ -148,8 +146,7 @@ class TestSampleGaussian:
     def test_population_covariance_matches(self):
         # Empirical covariance of many columns approaches sum lam_i u_i u_i^T.
         spec = SpikedSpec(6, 20000, 0.8, 0.7)
-        sys = build_eigensystem(spec)
-        dm = sample_gaussian(sys, 99)
+        dm = sample_gaussian(spec, 99)
         emp = dm.x @ dm.x.T / dm.n
         m = spec.support_size
         pop = np.zeros((6, 6))

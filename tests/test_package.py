@@ -7,6 +7,7 @@ import importlib.util
 import inspect
 import io
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -29,7 +30,7 @@ from spcalab import (
 )
 from spcalab.config import resolve_config
 from spcalab.figures import counterexample_figure, phase_figure, sweep_figure
-from spcalab.metrics import _Truth
+from spcalab.metrics import _Truth, frobenius_sq
 from spcalab.model import KEY_BLOCK, counterexample_hits, stream_keys
 from spcalab.theory import counterexample_tail_probability, pair_lambda_bounds
 
@@ -75,6 +76,7 @@ class TestAll:
         ("experiment", "PROFILES"),
         ("model", "_make_rng"),
         ("experiment", "check_counterexample"),
+        ("model", "EigenSystem"),
     ])
     def test_removed_names_are_gone(self, module, name):
         # Estimates are plain arrays; the rate fit and the scalar threshold
@@ -82,7 +84,8 @@ class TestAll:
         # figures itself.  The threshold range and the counterexample law
         # live in theory, and the package exports theory's objects.  Every
         # config fact lives in config.  numpy seeds Philox from a checked seed
-        # directly, and run_counterexample checks its own arguments.
+        # directly, and run_counterexample checks its own arguments.  A
+        # SpikedSpec gives u1 and its support, and is what sample_gaussian takes.
         assert not hasattr(importlib.import_module(f"spcalab.{module}"), name)
         if name in spcalab.__all__:
             assert getattr(spcalab, name) is getattr(importlib.import_module("spcalab.theory"), name)
@@ -141,8 +144,7 @@ CALLS = {
     spcalab.threshold: dict(x=np.ones(3), penalty=spcalab.PenaltySpec.scad(0.5)),
     spcalab.ExperimentConfig: dict(d=120, n=8, replications=3, methods=("pca", "oracle")),
     resolve_config: dict(file_values={}, flag_values={}),
-    spcalab.sample_gaussian: dict(system=spcalab.build_eigensystem(spcalab.SpikedSpec(50, 4, 0.6, 0.3)),
-                                  seed=0),
+    spcalab.sample_gaussian: dict(spec=spcalab.SpikedSpec(50, 4, 0.6, 0.3), seed=0),
     stream_keys: dict(base_seed=0, d_index=0, reps=range(3)),
     counterexample_hits: dict(d=50, alpha=0.5, keys=[np.zeros((1, 2), dtype=np.uint64)]),
     spcalab.dual_first_component: dict(x=X),
@@ -216,7 +218,7 @@ RANGE_FUNCTIONS = (spcalab.theorem_lambda_bounds, pair_lambda_bounds, spcalab.de
 
 #: Every bad-input case of the package's callables: the callable, its valid arguments,
 #: the one bad argument, the ``SpcaLabError`` subclass it raises and a regex of its
-#: message.  A bad value of an object-typed parameter (a penalty, a system, a config,
+#: message.  A bad value of an object-typed parameter (a penalty, a spec, a config,
 #: records) is out of scope: such an object checks its own values when it is built, and
 #: an object of another type fails with Python's own error.
 BAD_INPUT = [
@@ -451,13 +453,48 @@ def test_bad_input_raises_a_typed_error(tmp_path, monkeypatch, function, valid, 
         function(**{**valid, name: bad})
 
 
+#: A spiked sample whose every other column is a data matrix that is neither C- nor
+#: Fortran-ordered, with a lambda grid and a threshold inside its u_tilde's range.
+STRIDED_BASE = spcalab.sample_gaussian(spcalab.SpikedSpec(400, 24, 0.6, 0.3), 3).x
+STRIDED_GRID = spcalab.default_lambda_grid(
+    spcalab.dual_first_component(np.ascontiguousarray(STRIDED_BASE[:, ::2])).u_tilde, points=8)
+STRIDED_LAM = float(STRIDED_GRID[-2])
+
+
+@pytest.mark.parametrize("call", [
+    spcalab.dual_first_component,
+    spcalab.pca_first,
+    lambda x: spcalab.st_estimator(x, STRIDED_LAM),
+    lambda x: spcalab.rspca(x, spcalab.PenaltySpec.hard(STRIDED_LAM)),
+    lambda x: spcalab.rspca(x, spcalab.PenaltySpec.scad(0.0), lambda_grid=STRIDED_GRID),
+    lambda x: spcalab.select_lambda_bic(x, np.ones(12) / 12**0.5, STRIDED_GRID),
+    frobenius_sq,
+    lambda x: spcalab.oracle_estimator(x, range(5)),
+], ids=["dual_first_component", "pca_first", "st_estimator", "rspca", "rspca-grid",
+        "select_lambda_bic", "frobenius_sq", "oracle_estimator"])
+def test_a_strided_data_matrix_gives_the_bytes_of_its_contiguous_copy(call):
+    view = STRIDED_BASE[:, ::2]
+    assert not (view.flags.c_contiguous or view.flags.f_contiguous)
+    assert pickle.dumps(call(view)) == pickle.dumps(call(np.ascontiguousarray(view)))
+
+
+def test_a_strided_data_matrix_gives_the_dual_of_its_contiguous_copy_on_two_blas_threads():
+    # The Gram product of a strided X can differ from its transpose in the last bits there.
+    code = ("import pickle, numpy as np, spcalab\n"
+            "view = np.random.default_rng(0).standard_normal((2000, 120))[:, ::2]\n"
+            "a, b = (pickle.dumps(spcalab.dual_first_component(x))\n"
+            "        for x in (view, np.ascontiguousarray(view)))\n"
+            "print(a == b)\n")
+    assert _run_python(code, OPENBLAS_NUM_THREADS="2") == "True\n"
+
+
 def test_every_config_field_has_a_wrong_typed_row():
     assert {name for name, _, _ in WRONG_TYPES} == {f.name for f in fields(spcalab.ExperimentConfig)}
 
 
 _ERRORS = ("ConfigError", "DegenerateInputError", "DimensionError", "DomainError", "NumericError",
            "SpcaLabError", "WorkerError")
-_RECORDS = ("BicValue", "CounterexampleResult", "DualComponent", "EigenSystem", "ExperimentResult",
+_RECORDS = ("BicValue", "CounterexampleResult", "DualComponent", "ExperimentResult",
             "LambdaBounds", "LambdaSelection", "MetricRow", "ReplicationRecord", "RspcaIteration",
             "RspcaTrace", "SummaryRow")
 
@@ -466,7 +503,6 @@ NO_ROW = {
     **dict.fromkeys(_ERRORS, "an exception type"),
     **dict.fromkeys(_RECORDS, "a record type, built from values the package has checked"),
     "PAPER_PAIRS": "a constant",
-    "build_eigensystem": "its one parameter is a SpikedSpec, which checks itself when built",
     "run_experiment": "its one parameter is an ExperimentConfig, which checks itself when built",
 }
 
@@ -489,10 +525,12 @@ def test_readme_library_example_runs():
     assert len(out.getvalue().splitlines()) == 2
 
 
-def _run_python(code, *args):
-    """Standard output of ``python -c code args`` in a fresh interpreter on this checkout."""
+def _run_python(code, *args, **env):
+    """Standard output of ``python -c code args`` in a fresh interpreter on this checkout,
+    with the environment variables ``env`` set."""
     src = str(Path(spcalab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = dict(os.environ, **env,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
                           capture_output=True, text=True).stdout
 
@@ -549,6 +587,15 @@ def test_generic_rules_are_defined_and_imported_from_exceptions_alone():
         assert not {node.attr for node in nodes if isinstance(node, ast.Attribute)} & GENERIC_RULES, path
         for module, names in _package_imports(path).items():
             assert module == "exceptions" or not names & GENERIC_RULES, (path, module)
+
+
+def test_no_module_of_the_package_calls_build_eigensystem():
+    # It is kept for perfbench's checks alone, so it can go together with their call.
+    for path in sorted(Path(spcalab.__file__).parent.glob("*.py")):
+        called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+                  for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                  if isinstance(node, ast.Call)}
+        assert "build_eigensystem" not in called, path
 
 
 def test_theory_imports_nothing_of_the_package_but_exceptions():
@@ -628,9 +675,11 @@ def test_names_the_benchmark_reads_are_kept(tmp_path):
     from spcalab.model import SpikedSpec, build_eigensystem, sample_gaussian
     from spcalab.penalties import PenaltySpec
 
-    system = build_eigensystem(SpikedSpec(200, 6, 0.6, 0.3))
-    x = sample_gaussian(system, np.random.SeedSequence(1, spawn_key=(0, 0))).x
+    spiked = SpikedSpec(200, 6, 0.6, 0.3)
+    seed = np.random.SeedSequence(1, spawn_key=(0, 0))
+    x = sample_gaussian(build_eigensystem(spiked), seed).x
     assert isinstance(x, np.ndarray) and x.shape == (200, 6)
+    assert x.tobytes() == sample_gaussian(spiked, seed).x.tobytes()
     dual = spcalab.dual_first_component(x)
     grid = default_lambda_grid(dual.u_tilde, points=7)
     assert len(select_lambda_bic(x, dual.v1, grid).values) == grid.size == 8
